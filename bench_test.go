@@ -1,6 +1,6 @@
 // Package repro's root benchmark suite regenerates the measured
-// experiments of EXPERIMENTS.md as testing.B benchmarks, one group per
-// experiment id from DESIGN.md:
+// experiments of cmd/tdxbench as testing.B benchmarks, one group per
+// tdxbench experiment id (tdxbench -list):
 //
 //	perf-norm   BenchmarkNormalizeSmart / BenchmarkNormalizeNaive
 //	thm13       BenchmarkNormalizeWorstCase

@@ -1,6 +1,6 @@
 // Command tdxbench regenerates every figure of the paper and runs the
-// measured experiments recorded in EXPERIMENTS.md. Each experiment is
-// addressed by the id used in DESIGN.md's experiment index:
+// measured experiments. Each experiment is addressed by the id listed by
+// -list (the experiments table below):
 //
 //	tdxbench -exp fig5        # one experiment
 //	tdxbench -exp all         # everything (figures + checks + sweeps)

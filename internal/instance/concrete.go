@@ -144,6 +144,31 @@ func (c *Concrete) FactAt(rel string, row int) fact.CFact {
 	return FromTuple(rel, c.st.Rel(rel).Tuple(row))
 }
 
+// IntervalAt returns the interval of the fact stored at row of r, read
+// off the row's interval column without decoding the fact. Like
+// FromTuple it panics when the row lacks an interval tail.
+func IntervalAt(r *storage.Rel, row int) interval.Interval {
+	v := r.ValueAt(row, r.Arity(row)-1)
+	if v.Kind() != value.IntervalVal {
+		FromTuple(r.Name(), r.Tuple(row)) // panics with the row rendered
+	}
+	return v.Iv
+}
+
+// InsertRowOf copies the fact stored at row of src's relation rel into
+// c by its interned row, without re-interning its values. It applies
+// Insert's checks and reports like Insert; src must share c's interner.
+func (c *Concrete) InsertRowOf(src *Concrete, rel string, row int) (bool, error) {
+	f := src.FactAt(rel, row)
+	if err := f.Validate(); err != nil {
+		return false, err
+	}
+	if err := c.CheckRel(f.Rel, len(f.Args)); err != nil {
+		return false, err
+	}
+	return c.st.InsertRowOf(src.st.Rel(rel), row), nil
+}
+
 // Len returns the number of facts.
 func (c *Concrete) Len() int { return c.st.Size() }
 

@@ -57,6 +57,40 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
+func TestInsertRowOfAndIntervalAt(t *testing.T) {
+	c := figure4(t)
+	out := NewConcreteWith(c.Schema(), c.Interner())
+	for _, rel := range c.Relations() {
+		r := c.Store().Rel(rel)
+		r.EachLive(func(row int) bool {
+			if got, want := IntervalAt(r, row), c.FactAt(rel, row).T; got != want {
+				t.Fatalf("IntervalAt(%s#%d) = %v, want %v", rel, row, got, want)
+			}
+			if added, err := out.InsertRowOf(c, rel, row); err != nil || !added {
+				t.Fatalf("InsertRowOf(%s#%d) = %v, %v", rel, row, added, err)
+			}
+			return true
+		})
+	}
+	if !out.Equal(c) {
+		t.Fatalf("row copy differs:\n%s", out)
+	}
+	// Insert's checks apply: the target schema lacks S.
+	eOnly := NewConcreteWith(schema.MustNew(schema.MustRelation("E", "name", "company")), c.Interner())
+	if _, err := eOnly.InsertRowOf(c, "S", 0); err == nil {
+		t.Fatal("InsertRowOf accepted a relation outside the schema")
+	}
+	// A row without an interval tail panics like FromTuple.
+	bad := NewConcrete(nil)
+	bad.Store().Insert("R", []value.Value{cs("a")})
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "lacks interval tail") {
+			t.Fatalf("IntervalAt panic = %q", msg)
+		}
+	}()
+	IntervalAt(bad.Store().Rel("R"), 0)
+}
+
 func TestSnapshotMatchesFigure1(t *testing.T) {
 	// ⟦Ic⟧ at the paper's sampled years (Figure 1).
 	c := figure4(t)

@@ -15,7 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -227,7 +227,7 @@ func (iv Interval) Fragment(cuts []Time) []Interval {
 	if len(inside) == 0 {
 		return []Interval{iv}
 	}
-	sort.Slice(inside, func(i, j int) bool { return inside[i] < inside[j] })
+	slices.Sort(inside)
 	inside = dedupTimes(inside)
 	out := make([]Interval, 0, len(inside)+1)
 	prev := iv.Start
@@ -260,7 +260,7 @@ func Endpoints(ivs []Interval) []Time {
 	for _, iv := range ivs {
 		ts = append(ts, iv.Start, iv.End)
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
 	return dedupTimes(ts)
 }
 

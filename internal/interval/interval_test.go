@@ -3,6 +3,7 @@ package interval
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -30,6 +31,72 @@ func TestNew(t *testing.T) {
 				t.Fatalf("New(%v,%v)=%v, invalid", tt.s, tt.e, iv)
 			}
 		})
+	}
+}
+
+// TestSortedCutsMatchComparatorReference checks Endpoints and Fragment,
+// which sort with slices.Sort, against references sorting with the
+// sort.Slice comparator they used before, on random cut sets with
+// repeats and Infinity.
+func TestSortedCutsMatchComparatorReference(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	randTime := func() Time {
+		if r.Intn(10) == 0 {
+			return Infinity
+		}
+		return Time(r.Intn(30))
+	}
+	sortDedup := func(ts []Time) []Time {
+		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+		out := ts[:0]
+		for i, t := range ts {
+			if i == 0 || t != ts[i-1] {
+				out = append(out, t)
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		ivs := make([]Interval, r.Intn(12))
+		var flat []Time
+		for i := range ivs {
+			s := Time(r.Intn(29))
+			e := randTime()
+			if e <= s {
+				e = s + 1
+			}
+			ivs[i] = Interval{s, e}
+			flat = append(flat, s, e)
+		}
+		want := sortDedup(flat)
+		if len(want) == 0 {
+			want = nil
+		}
+		if got := Endpoints(ivs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Endpoints(%v) = %v, want %v", ivs, got, want)
+		}
+
+		cuts := make([]Time, r.Intn(16))
+		for i := range cuts {
+			cuts[i] = randTime()
+		}
+		iv := Interval{Time(r.Intn(15)), Time(15 + r.Intn(15))}
+		var inside []Time
+		for _, c := range cuts {
+			if iv.Start < c && c < iv.End {
+				inside = append(inside, c)
+			}
+		}
+		wantFr := []Interval{}
+		prev := iv.Start
+		for _, c := range sortDedup(inside) {
+			wantFr = append(wantFr, Interval{prev, c})
+			prev = c
+		}
+		wantFr = append(wantFr, Interval{prev, iv.End})
+		if got := iv.Fragment(cuts); !reflect.DeepEqual(got, wantFr) {
+			t.Fatalf("%v.Fragment(%v) = %v, want %v", iv, cuts, got, wantFr)
+		}
 	}
 }
 

@@ -2,13 +2,10 @@ package normalize
 
 import (
 	"context"
-	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/fact"
 	"repro/internal/instance"
-	"repro/internal/interval"
 	"repro/internal/logic"
 )
 
@@ -66,64 +63,30 @@ func deltaMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Con
 	collect := func(w int) {
 		out := &shards[w]
 		out.aligned = true
-		local := make(map[uint64][][]factRef)
-		matches := 0
+		c := newMatchCollector(st)
 		for _, phi := range renamed {
 			if out.err = ctxErr(ctx); out.err != nil {
 				return
 			}
 			logic.ForEachIDsDeltaPart(st, phi, delta, w, workers, func(stage int, m *logic.IDMatch) bool {
-				matches++
-				if matches&63 == 0 {
-					if out.err = ctxErr(ctx); out.err != nil {
-						return false
-					}
+				if out.err = c.tick(ctx); out.err != nil {
+					return false
 				}
-				refs := make([]factRef, 0, len(m.Rows))
-				for _, r := range m.Rows {
-					refs = append(refs, factRef{r.Rel, r.Row})
-				}
-				sort.Slice(refs, func(i, j int) bool {
-					if refs[i].rel != refs[j].rel {
-						return refs[i].rel < refs[j].rel
-					}
-					return refs[i].row < refs[j].row
-				})
-				uniq := refs[:1]
-				for _, r := range refs[1:] {
-					if r != uniq[len(uniq)-1] {
-						uniq = append(uniq, r)
-					}
-				}
-				ivs := make([]interval.Interval, len(uniq))
-				for i, r := range uniq {
-					ivs[i] = ic.FactAt(r.rel, r.row).T
-				}
-				if _, ok := interval.CommonIntersection(ivs); !ok {
+				set := c.rows(m)
+				allEqual, ok := c.overlap(set)
+				if !ok {
 					return true // empty intersection: the base fragmentation ignores it too
 				}
-				if !interval.AllEqual(ivs) {
-					out.aligned = false
-				}
-				mixed := false
-				for _, r := range uniq {
+				out.aligned = out.aligned && allEqual
+				for _, r := range set {
 					if !delta.Contains(r.rel, r.row) {
-						mixed = true
-						break
-					}
-				}
-				if mixed {
-					out.touchesBase = true
-					return true
-				}
-				h := hashRefs(uniq)
-				for _, prev := range local[h] {
-					if slices.Equal(prev, uniq) {
+						out.touchesBase = true
 						return true
 					}
 				}
-				local[h] = append(local[h], uniq)
-				out.sets = append(out.sets, uniq)
+				if kept, isNew := c.keep(set); isNew {
+					out.sets = append(out.sets, kept)
+				}
 				return true
 			})
 		}
@@ -142,23 +105,17 @@ func deltaMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Con
 	}
 	wg.Wait()
 	merged := deltaSetsOut{aligned: true}
-	seen := make(map[uint64][][]factRef)
+	seen := make(setIndex)
 	for w := range shards {
 		if err := shards[w].err; err != nil {
 			return deltaSetsOut{err: err}
 		}
 		merged.touchesBase = merged.touchesBase || shards[w].touchesBase
 		merged.aligned = merged.aligned && shards[w].aligned
-	next:
-		for _, refs := range shards[w].sets {
-			h := hashRefs(refs)
-			for _, prev := range seen[h] {
-				if slices.Equal(prev, refs) {
-					continue next
-				}
+		for _, set := range shards[w].sets {
+			if seen.add(set) {
+				merged.sets = append(merged.sets, set)
 			}
-			seen[h] = append(seen[h], refs)
-			merged.sets = append(merged.sets, refs)
 		}
 	}
 	return merged
@@ -203,38 +160,7 @@ func DeltaSourceNormalize(ctx context.Context, combined, normBase *instance.Conc
 
 	// Merge the delta-only sets into components and collect cuts, exactly
 	// as fragmentSets does for the full set list.
-	ids := make(map[factRef]int)
-	var refs []factRef
-	idOf := func(r factRef) int {
-		if id, present := ids[r]; present {
-			return id
-		}
-		id := len(refs)
-		ids[r] = id
-		refs = append(refs, r)
-		return id
-	}
-	for _, set := range out.sets {
-		for _, r := range set {
-			idOf(r)
-		}
-	}
-	uf := newUnionFind(len(refs))
-	for _, set := range out.sets {
-		first := idOf(set[0])
-		for _, r := range set[1:] {
-			uf.union(first, idOf(r))
-		}
-	}
-	endpoints := make(map[int][]interval.Interval)
-	for r, id := range ids {
-		root := uf.find(id)
-		endpoints[root] = append(endpoints[root], combined.FactAt(r.rel, r.row).T)
-	}
-	cuts := make(map[int][]interval.Time, len(endpoints))
-	for root, ivs := range endpoints {
-		cuts[root] = interval.Endpoints(ivs)
-	}
+	cutsOf, _ := componentCuts(combined.Store(), out.sets)
 
 	// Append the delta fragments to a clone of the retained base
 	// normalization, per relation in ascending row order — the order
@@ -253,10 +179,9 @@ func DeltaSourceNormalize(ctx context.Context, combined, normBase *instance.Conc
 				continue
 			}
 			f := combined.FactAt(rel, row)
-			id, inSet := ids[factRef{rel, row}]
 			frags := []fact.CFact{f}
-			if inSet {
-				frags = f.Fragment(cuts[uf.find(id)])
+			if cuts, inSet := cutsOf[factRef{rel, row}]; inSet {
+				frags = f.Fragment(cuts)
 			}
 			for _, fr := range frags {
 				added, err := res.Insert(fr)

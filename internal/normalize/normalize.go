@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/dependency"
@@ -62,14 +61,145 @@ type factRef struct {
 	row int
 }
 
-// hashRefs hashes a sorted ref set, the dedup bucket key of matchSets
-// (no strings are built; collisions are resolved by slices.Equal).
-func hashRefs(refs []factRef) uint64 {
-	h := value.NewHash64()
-	for _, r := range refs {
-		h = h.String(r.rel).Word(uint64(r.row))
+// setIndex deduplicates Δ sets by content: buckets keyed by a hash of the
+// sorted set (no strings are built), collisions resolved by slices.Equal.
+type setIndex map[uint64][][]factRef
+
+// lookup returns set's bucket hash and whether an equal set is indexed.
+func (ix setIndex) lookup(set []factRef) (uint64, bool) {
+	acc := value.NewHash64()
+	for _, r := range set {
+		acc = acc.String(r.rel).Word(uint64(r.row))
 	}
-	return h.Sum()
+	h := acc.Sum()
+	for _, prev := range ix[h] {
+		if slices.Equal(prev, set) {
+			return h, true
+		}
+	}
+	return h, false
+}
+
+// add indexes set unless an equal set is present, reporting whether it
+// was new. The set is retained as given.
+func (ix setIndex) add(set []factRef) bool {
+	h, dup := ix.lookup(set)
+	if !dup {
+		ix[h] = append(ix[h], set)
+	}
+	return !dup
+}
+
+// matchCollector is the per-match step of Algorithm 1 line 3, shared by
+// every enumeration (sequential, sharded, delta) and by the EIP check: it
+// turns one homomorphism's row witnesses into its fact set Δ. It works in
+// a reused scratch buffer and reads intervals straight off the stored
+// interval column, so a match whose set is dropped — empty intersection
+// or a duplicate — allocates nothing. One collector serves one
+// enumerating goroutine.
+type matchCollector struct {
+	intervalReader
+	set     []factRef // scratch: the current match's fact set
+	seen    setIndex  // sets kept so far
+	matches int
+}
+
+func newMatchCollector(st *storage.Store) *matchCollector {
+	return &matchCollector{intervalReader: intervalReader{st: st}, seen: make(setIndex)}
+}
+
+// intervalReader reads fact intervals straight off the stored interval
+// column (instance.IntervalAt), caching the relations it resolves.
+type intervalReader struct {
+	st   *storage.Store
+	rels []*storage.Rel
+}
+
+// interval returns the interval of the fact r.
+func (ir *intervalReader) interval(r factRef) interval.Interval {
+	for _, rel := range ir.rels {
+		if rel.Name() == r.rel {
+			return instance.IntervalAt(rel, r.row)
+		}
+	}
+	rel := ir.st.Rel(r.rel)
+	ir.rels = append(ir.rels, rel)
+	return instance.IntervalAt(rel, r.row)
+}
+
+// tick counts one match and, every 64 matches, reports ctx's error.
+func (c *matchCollector) tick(ctx context.Context) error {
+	c.matches++
+	if c.matches&63 == 0 {
+		return ctxErr(ctx)
+	}
+	return nil
+}
+
+// rows loads the match's row witnesses into the scratch set, sorted by
+// (relation, row) and deduplicated — set semantics for Δ. Matches have a
+// handful of atoms, so an insertion sort beats any general sort. The
+// result is valid until the next call.
+func (c *matchCollector) rows(m *logic.IDMatch) []factRef {
+	set := c.set[:0]
+	for _, w := range m.Rows {
+		r := factRef{w.Rel, w.Row}
+		i := len(set)
+		for i > 0 && (r.rel < set[i-1].rel || r.rel == set[i-1].rel && r.row < set[i-1].row) {
+			i--
+		}
+		if i > 0 && set[i-1] == r {
+			continue
+		}
+		set = append(set, r)
+		copy(set[i+1:], set[i:])
+		set[i] = r
+	}
+	c.set = set
+	return set
+}
+
+// overlap intersects the intervals of set's facts: ok is false when the
+// common intersection is empty (always for the empty set), and allEqual
+// reports whether the intervals coincide.
+func (c *matchCollector) overlap(set []factRef) (allEqual, ok bool) {
+	if len(set) == 0 {
+		return false, false
+	}
+	first := c.interval(set[0])
+	acc, allEqual := first, true
+	for _, r := range set[1:] {
+		iv := c.interval(r)
+		if acc, ok = acc.Intersect(iv); !ok {
+			return false, false
+		}
+		allEqual = allEqual && iv == first
+	}
+	return allEqual, true
+}
+
+// keep records set unless an equal set was kept before. A new set is
+// copied out of the scratch buffer into an exactly sized slice, which it
+// returns.
+func (c *matchCollector) keep(set []factRef) ([]factRef, bool) {
+	h, dup := c.seen.lookup(set)
+	if dup {
+		return nil, false
+	}
+	kept := make([]factRef, len(set))
+	copy(kept, set)
+	c.seen[h] = append(c.seen[h], kept)
+	return kept, true
+}
+
+// collect is the whole step for Algorithm 1: the match's fact set when
+// its intervals overlap and no equal set was collected before.
+func (c *matchCollector) collect(m *logic.IDMatch) ([]factRef, bool) {
+	set := c.rows(m)
+	if _, ok := c.overlap(set); !ok {
+		return nil, false // empty intersection: nothing to fragment
+	}
+	return c.keep(set)
 }
 
 // matchSets enumerates, per Definition 10 / Algorithm 1 line 3, the sets
@@ -81,57 +211,21 @@ func hashRefs(refs []factRef) uint64 {
 // enumeration — the potentially large part of normalization — checks ctx
 // every few dozen matches and aborts with its error once canceled.
 func matchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction) ([][]factRef, error) {
-	seen := make(map[uint64][][]factRef)
+	st := ic.Store()
+	c := newMatchCollector(st)
 	var out [][]factRef
 	var stepErr error
-	matches := 0
-	st := ic.Store()
 	for _, phi := range Renamed(phis) {
 		if stepErr = ctxErr(ctx); stepErr != nil {
 			return nil, stepErr
 		}
 		logic.ForEachIDs(st, phi, nil, func(m *logic.IDMatch) bool {
-			matches++
-			if matches&63 == 0 {
-				if stepErr = ctxErr(ctx); stepErr != nil {
-					return false
-				}
+			if stepErr = c.tick(ctx); stepErr != nil {
+				return false
 			}
-			// Deduplicate rows within a match: set semantics for Δ.
-			refs := make([]factRef, 0, len(m.Rows))
-			for _, r := range m.Rows {
-				refs = append(refs, factRef{r.Rel, r.Row})
+			if set, ok := c.collect(m); ok {
+				out = append(out, set)
 			}
-			if len(refs) == 0 {
-				return true // empty conjunction: nothing to fragment
-			}
-			sort.Slice(refs, func(i, j int) bool {
-				if refs[i].rel != refs[j].rel {
-					return refs[i].rel < refs[j].rel
-				}
-				return refs[i].row < refs[j].row
-			})
-			uniq := refs[:1]
-			for _, r := range refs[1:] {
-				if r != uniq[len(uniq)-1] {
-					uniq = append(uniq, r)
-				}
-			}
-			ivs := make([]interval.Interval, len(uniq))
-			for i, r := range uniq {
-				ivs[i] = ic.FactAt(r.rel, r.row).T
-			}
-			if _, ok := interval.CommonIntersection(ivs); !ok {
-				return true // empty intersection: nothing to fragment
-			}
-			h := hashRefs(uniq)
-			for _, prev := range seen[h] {
-				if slices.Equal(prev, uniq) {
-					return true
-				}
-			}
-			seen[h] = append(seen[h], uniq)
-			out = append(out, uniq)
 			return true
 		})
 		if stepErr != nil {
@@ -177,7 +271,7 @@ func matchSetsParallel(ctx context.Context, ic *instance.Concrete, phis []logic.
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			shards[w] = enumerateMatchShard(ctx, ic, st, renamed, w, workers)
+			shards[w] = enumerateMatchShard(ctx, st, renamed, w, workers)
 		}(w)
 	}
 	wg.Wait()
@@ -189,20 +283,14 @@ func matchSetsParallel(ctx context.Context, ic *instance.Concrete, phis []logic.
 
 	// Merge in (conjunction, worker-rank) order with the global dedup —
 	// exactly the order and the set semantics of the sequential pass.
-	seen := make(map[uint64][][]factRef)
+	seen := make(setIndex)
 	var out [][]factRef
 	for pi := range renamed {
 		for w := range shards {
-		next:
-			for _, refs := range shards[w].sets[pi] {
-				h := hashRefs(refs)
-				for _, prev := range seen[h] {
-					if slices.Equal(prev, refs) {
-						continue next
-					}
+			for _, set := range shards[w].sets[pi] {
+				if seen.add(set) {
+					out = append(out, set)
 				}
-				seen[h] = append(seen[h], refs)
-				out = append(out, refs)
 			}
 		}
 	}
@@ -210,54 +298,18 @@ func matchSetsParallel(ctx context.Context, ic *instance.Concrete, phis []logic.
 }
 
 // enumerateMatchShard runs one worker of matchSetsParallel: shard w of
-// every renamed conjunction, with the same per-match processing as the
-// sequential matchSets (row dedup, common-intersection filter) plus a
-// worker-local dedup bounding the buffered sets.
-func enumerateMatchShard(ctx context.Context, ic *instance.Concrete, st *storage.Store, renamed []logic.Conjunction, w, workers int) (out matchShard) {
+// every renamed conjunction, collected like the sequential matchSets by
+// the worker's own collector, whose dedup is worker-local.
+func enumerateMatchShard(ctx context.Context, st *storage.Store, renamed []logic.Conjunction, w, workers int) (out matchShard) {
 	out.sets = make([][][]factRef, len(renamed))
-	local := make(map[uint64][][]factRef)
-	matches := 0
+	c := newMatchCollector(st)
 	logic.ForEachIDsPartMulti(st, renamed, w, workers, func(ci int, m *logic.IDMatch) bool {
-		matches++
-		if matches&63 == 0 {
-			if out.err = ctxErr(ctx); out.err != nil {
-				return false
-			}
+		if out.err = c.tick(ctx); out.err != nil {
+			return false
 		}
-		refs := make([]factRef, 0, len(m.Rows))
-		for _, r := range m.Rows {
-			refs = append(refs, factRef{r.Rel, r.Row})
+		if set, ok := c.collect(m); ok {
+			out.sets[ci] = append(out.sets[ci], set)
 		}
-		if len(refs) == 0 {
-			return true // empty conjunction: nothing to fragment
-		}
-		sort.Slice(refs, func(i, j int) bool {
-			if refs[i].rel != refs[j].rel {
-				return refs[i].rel < refs[j].rel
-			}
-			return refs[i].row < refs[j].row
-		})
-		uniq := refs[:1]
-		for _, r := range refs[1:] {
-			if r != uniq[len(uniq)-1] {
-				uniq = append(uniq, r)
-			}
-		}
-		ivs := make([]interval.Interval, len(uniq))
-		for i, r := range uniq {
-			ivs[i] = ic.FactAt(r.rel, r.row).T
-		}
-		if _, ok := interval.CommonIntersection(ivs); !ok {
-			return true // empty intersection: nothing to fragment
-		}
-		h := hashRefs(uniq)
-		for _, prev := range local[h] {
-			if slices.Equal(prev, uniq) {
-				return true
-			}
-		}
-		local[h] = append(local[h], uniq)
-		out.sets[ci] = append(out.sets[ci], uniq)
 		return true
 	})
 	return out
@@ -300,80 +352,102 @@ func SmartCtx(ctx context.Context, ic *instance.Concrete, phis []logic.Conjuncti
 	if err != nil {
 		return nil, err
 	}
-	return fragmentSets(ctx, ic, sets)
+	out, _, err := fragmentSets(ctx, ic, sets)
+	return out, err
 }
 
-// fragmentSets is the second half of Algorithm 1: given the Δ sets the
-// enumeration produced, merge overlapping sets and fragment the member
-// facts on their merged component's endpoint partition. Shared by the
-// sequential and the sharded-parallel enumeration paths, which produce
-// identical set lists.
-func fragmentSets(ctx context.Context, ic *instance.Concrete, sets [][]factRef) (*instance.Concrete, error) {
-	if len(sets) == 0 {
-		return ic.Clone(), nil
-	}
-
-	// Merge sets sharing a fact (lines 4–10) with a union-find over the
-	// facts occurring in any set: all facts of one Δ join one component,
-	// and overlapping Δs collapse transitively.
+// componentCuts is the merge step of Algorithm 1 over a list of Δ sets:
+// sets sharing a fact are merged (lines 4–10) with a union-find over the
+// facts occurring in any set — all facts of one Δ join one component, and
+// overlapping Δs collapse transitively. It returns, per fact occurring in
+// a set, its merged component's endpoint sequence TP_Δ (line 12), and the
+// number of components.
+func componentCuts(st *storage.Store, sets [][]factRef) (map[factRef][]interval.Time, int) {
 	ids := make(map[factRef]int)
-	var refs []factRef
-	idOf := func(r factRef) int {
-		if id, ok := ids[r]; ok {
-			return id
-		}
-		id := len(refs)
-		ids[r] = id
-		refs = append(refs, r)
-		return id
-	}
 	for _, set := range sets {
 		for _, r := range set {
-			idOf(r)
+			if _, ok := ids[r]; !ok {
+				ids[r] = len(ids)
+			}
 		}
 	}
-	uf := newUnionFind(len(refs))
+	uf := newUnionFind(len(ids))
 	for _, set := range sets {
-		first := idOf(set[0])
 		for _, r := range set[1:] {
-			uf.union(first, idOf(r))
+			uf.union(ids[set[0]], ids[r])
 		}
 	}
-
-	// Collect endpoint sequences TP_Δ per merged component (line 12).
+	ir := intervalReader{st: st}
 	endpoints := make(map[int][]interval.Interval)
 	for r, id := range ids {
 		root := uf.find(id)
-		endpoints[root] = append(endpoints[root], ic.FactAt(r.rel, r.row).T)
+		endpoints[root] = append(endpoints[root], ir.interval(r))
 	}
 	cuts := make(map[int][]interval.Time, len(endpoints))
 	for root, ivs := range endpoints {
 		cuts[root] = interval.Endpoints(ivs)
 	}
+	byFact := make(map[factRef][]interval.Time, len(ids))
+	for r, id := range ids {
+		byFact[r] = cuts[uf.find(id)]
+	}
+	return byFact, len(cuts)
+}
+
+// splits reports whether some cut falls strictly inside iv, i.e. whether
+// fragmenting a fact with interval iv on cuts yields more than one piece.
+func splits(iv interval.Interval, cuts []interval.Time) bool {
+	for _, t := range cuts {
+		if iv.Start < t && t < iv.End {
+			return true
+		}
+	}
+	return false
+}
+
+// copyRow passes the fact at row of src's relation rel into out
+// unchanged, by its interned row, with MustInsert's checks.
+func copyRow(out, src *instance.Concrete, rel string, row int) {
+	if _, err := out.InsertRowOf(src, rel, row); err != nil {
+		panic(err)
+	}
+}
+
+// fragmentSets is the second half of Algorithm 1: given the Δ sets the
+// enumeration produced, merge overlapping sets and fragment the member
+// facts on their merged component's endpoint partition. It also reports
+// the number of merged components. Shared by the sequential and the
+// sharded-parallel enumeration paths, which produce identical set lists.
+func fragmentSets(ctx context.Context, ic *instance.Concrete, sets [][]factRef) (*instance.Concrete, int, error) {
+	if len(sets) == 0 {
+		return ic.Clone(), 0, nil
+	}
+	cutsOf, components := componentCuts(ic.Store(), sets)
 
 	// Fragment each member fact on its component's cuts (lines 14–17);
-	// facts in no component pass through unchanged. Iteration goes
-	// through the store's live-row API: row numbers are physical (they
-	// key the match witnesses in ids), and dead rows are skipped.
+	// facts in no component, and members no cut splits, pass through
+	// unchanged by row. Iteration goes through the store's live-row API:
+	// row numbers are physical (they key the match witnesses), and dead
+	// rows are skipped.
 	out := instance.NewConcreteWith(ic.Schema(), ic.Interner())
 	for _, rel := range ic.Relations() {
 		if err := ctxErr(ctx); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		ic.Store().Rel(rel).EachLive(func(row int) bool {
-			f := ic.FactAt(rel, row)
-			id, inSet := ids[factRef{rel, row}]
-			if !inSet {
-				out.MustInsert(f)
+		r := ic.Store().Rel(rel)
+		r.EachLive(func(row int) bool {
+			cuts, inSet := cutsOf[factRef{rel, row}]
+			if !inSet || !splits(instance.IntervalAt(r, row), cuts) {
+				copyRow(out, ic, rel, row)
 				return true
 			}
-			for _, fr := range f.Fragment(cuts[uf.find(id)]) {
+			for _, fr := range ic.FactAt(rel, row).Fragment(cuts) {
 				out.MustInsert(fr)
 			}
 			return true
 		})
 	}
-	return out, nil
+	return out, components, nil
 }
 
 // Naive fragments every fact of the instance on the global endpoint
@@ -438,13 +512,11 @@ func (s Strategy) String() string {
 func HasEmptyIntersectionProperty(ic *instance.Concrete, phis []logic.Conjunction) bool {
 	ok := true
 	st := ic.Store()
+	c := newMatchCollector(st)
 	for _, phi := range Renamed(phis) {
 		logic.ForEachIDs(st, phi, nil, func(m *logic.IDMatch) bool {
-			ivs := make([]interval.Interval, len(m.Rows))
-			for i, r := range m.Rows {
-				ivs[i] = ic.FactAt(r.Rel, r.Row).T
-			}
-			if _, nonEmpty := interval.CommonIntersection(ivs); nonEmpty && !interval.AllEqual(ivs) {
+			// Repeated rows repeat an interval: the row set decides both.
+			if allEqual, nonEmpty := c.overlap(c.rows(m)); nonEmpty && !allEqual {
 				ok = false
 				return false
 			}
@@ -476,32 +548,10 @@ type Stats struct {
 
 // SmartWithStats is Smart, additionally reporting size statistics.
 func SmartWithStats(ic *instance.Concrete, phis []logic.Conjunction) (*instance.Concrete, Stats) {
-	out := Smart(ic, phis)
-	st := Stats{InputFacts: ic.Len(), OutputFacts: out.Len()}
-	sets, _ := matchSets(context.Background(), ic, phis)
-	roots := make(map[int]bool)
-	// Recompute component count the same way Smart does.
-	ids := make(map[factRef]int)
-	var refs []factRef
-	for _, set := range sets {
-		for _, r := range set {
-			if _, ok := ids[r]; !ok {
-				ids[r] = len(refs)
-				refs = append(refs, r)
-			}
-		}
-	}
-	uf := newUnionFind(len(refs))
-	for _, set := range sets {
-		for _, r := range set[1:] {
-			uf.union(ids[set[0]], ids[r])
-		}
-	}
-	for _, id := range ids {
-		roots[uf.find(id)] = true
-	}
-	st.Components = len(roots)
-	return out, st
+	ctx := context.Background() // never canceled: no errors
+	sets, _ := matchSets(ctx, ic, phis)
+	out, components, _ := fragmentSets(ctx, ic, sets)
+	return out, Stats{InputFacts: ic.Len(), OutputFacts: out.Len(), Components: components}
 }
 
 // Check verifies that normalized preserves the semantics of original:
@@ -534,7 +584,7 @@ func SyncFamilies(c *instance.Concrete) *instance.Concrete {
 // syncFamiliesCtx is SyncFamilies with a per-pass context check.
 func syncFamiliesCtx(ctx context.Context, c *instance.Concrete) (*instance.Concrete, error) {
 	cur := c
-	for pass := 0; ; pass++ {
+	for {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
@@ -551,26 +601,44 @@ func syncFamiliesCtx(ctx context.Context, c *instance.Concrete) (*instance.Concr
 			}
 			return true
 		})
-		out := instance.NewConcreteWith(cur.Schema(), cur.Interner())
-		changed := false
-		cur.EachFact(func(f fact.CFact) bool {
-			var factCuts []interval.Time
+		// splitting reports whether some family of f is cut inside f.T.
+		splitting := func(f fact.CFact) bool {
 			for _, v := range f.Args {
-				if v.Kind() == value.AnnNull {
-					factCuts = append(factCuts, cuts[v.ID]...)
+				if v.Kind() == value.AnnNull && splits(f.T, cuts[v.ID]) {
+					return true
 				}
 			}
-			frags := f.Fragment(factCuts)
-			if len(frags) > 1 {
-				changed = true
-			}
-			for _, fr := range frags {
-				out.MustInsert(fr)
-			}
-			return true
+			return false
+		}
+		// Most passes change nothing: find a split before copying anything.
+		changed := false
+		cur.EachFact(func(f fact.CFact) bool {
+			changed = splitting(f)
+			return !changed
 		})
 		if !changed {
 			return cur, nil
+		}
+		out := instance.NewConcreteWith(cur.Schema(), cur.Interner())
+		var factCuts []interval.Time
+		for _, rel := range cur.Relations() {
+			cur.Store().Rel(rel).EachLive(func(row int) bool {
+				f := cur.FactAt(rel, row)
+				if !splitting(f) {
+					copyRow(out, cur, rel, row)
+					return true
+				}
+				factCuts = factCuts[:0]
+				for _, v := range f.Args {
+					if v.Kind() == value.AnnNull {
+						factCuts = append(factCuts, cuts[v.ID]...)
+					}
+				}
+				for _, fr := range f.Fragment(factCuts) {
+					out.MustInsert(fr)
+				}
+				return true
+			})
 		}
 		cur = out
 	}
@@ -627,7 +695,7 @@ func ForEgdPhaseWorkers(ctx context.Context, c *instance.Concrete, phis []logic.
 		if err != nil {
 			return nil, err
 		}
-		smart, err := fragmentSets(ctx, cur, sets)
+		smart, _, err := fragmentSets(ctx, cur, sets)
 		if err != nil {
 			return nil, err
 		}

@@ -226,6 +226,21 @@ func (r *Rel) Tuple(i int) []value.Value {
 	return t
 }
 
+// Arity returns the arity of row i.
+func (r *Rel) Arity(i int) int { return r.arityOf(i) }
+
+// ValueAt returns position pos of row i without decoding the rest of the
+// row: from the decode cache when the row is decoded, else resolved
+// straight from its column. Unlike Tuple it never fills the cache, so it
+// allocates nothing and writes nothing, on mutable relations too.
+func (r *Rel) ValueAt(i, pos int) value.Value {
+	if t := r.tuples[i]; t != nil {
+		return t[pos]
+	}
+	l := r.loc[i]
+	return r.in.Resolve(r.segs[l.seg].cols[pos][l.off])
+}
+
 // hashRow hashes a stored row the same way value.HashIDs hashes its
 // slice form.
 func (r *Rel) hashRow(row int) uint64 {
@@ -857,6 +872,23 @@ func (s *Store) InsertIDs(rel string, ids []value.ID) bool {
 		s.frozenPanic("InsertIDs")
 	}
 	return s.rel(rel).insertIDs(ids, nil)
+}
+
+// InsertRowOf copies row i of src — a relation of a store sharing this
+// store's interner — into the same-named relation of this store, as
+// InsertIDs would, and shares src's decoded form of the row (tuples are
+// immutable). This is the copy fast path for derived instances that
+// pass most rows through unchanged: no value is rendered or re-interned.
+func (s *Store) InsertRowOf(src *Rel, i int) bool {
+	if s.frozen {
+		s.frozenPanic("InsertRowOf")
+	}
+	if src.in != s.interner() {
+		panic("storage: InsertRowOf between stores with different interners")
+	}
+	r := s.rel(src.name)
+	r.scratch = src.appendRowIDs(r.scratch[:0], i)
+	return r.insertIDs(r.scratch, src.tuples[i])
 }
 
 // SubstituteIDs rewrites, in place, every live row of every relation

@@ -273,6 +273,45 @@ func TestRowsAndInsertIDs(t *testing.T) {
 	}
 }
 
+func TestInsertRowOfAndValueAt(t *testing.T) {
+	in := value.NewInterner()
+	src := NewStoreWith(in)
+	src.Insert("R", tup("a", "b"))
+	src.InsertIDs("R", []value.ID{in.Intern(value.NewConst("c")), in.Intern(value.NewConst("d"))})
+	r := src.Rel("R")
+	// ValueAt reads both the decoded row and the raw-ID row, and leaves
+	// the raw row undecoded.
+	if r.ValueAt(0, 1) != value.NewConst("b") || r.ValueAt(1, 0) != value.NewConst("c") || r.tuples[1] != nil {
+		t.Fatalf("ValueAt: %v %v, cache %v", r.ValueAt(0, 1), r.ValueAt(1, 0), r.tuples[1])
+	}
+	if r.Arity(1) != 2 {
+		t.Fatalf("Arity = %d", r.Arity(1))
+	}
+	dst := NewStoreWith(in)
+	for row := 0; row < 2; row++ {
+		if !dst.InsertRowOf(r, row) || dst.InsertRowOf(r, row) {
+			t.Fatalf("row %d: want one add, then a duplicate", row)
+		}
+	}
+	d := dst.Rel("R")
+	if &d.Tuple(0)[0] != &r.Tuple(0)[0] {
+		t.Fatal("InsertRowOf did not share the decoded tuple")
+	}
+	if !dst.Contains("R", tup("a", "b")) || !dst.Contains("R", tup("c", "d")) || d.Len() != 2 {
+		t.Fatalf("copied store:\n%s", dst)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("InsertRowOf across interners did not panic")
+			}
+		}()
+		NewStore().InsertRowOf(r, 0)
+	}()
+	dst.Freeze()
+	expectFrozenPanic(t, "InsertRowOf", func() { dst.InsertRowOf(r, 0) })
+}
+
 func TestEachRowMatchesEach(t *testing.T) {
 	s := NewStore()
 	s.Insert("B", tup("1", "2"))
