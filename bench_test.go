@@ -374,10 +374,10 @@ func BenchmarkCChaseParallel(b *testing.B) {
 // BenchmarkEgdPhaseParallel isolates the sharded egd phase: the
 // tgd-phase target of the taxi scenario is built once, then each
 // iteration runs only the egd phase (renormalization + merge-candidate
-// scans + rewrites) at the given worker count. EgdPhase never mutates
-// its input, so iterations are independent. workers=1 is the sequential
-// baseline; on a single-CPU host the comparison shows only the
-// freeze/fan-out overhead.
+// scans + rewrites) at the given worker count. The chase returns the
+// target frozen, and EgdPhase never writes a frozen target, so
+// iterations are independent. workers=1 is the sequential baseline; on a
+// single-CPU host the comparison shows only the freeze/fan-out overhead.
 func BenchmarkEgdPhaseParallel(b *testing.B) {
 	m := workload.TaxiMapping()
 	ic := workload.Taxi(workload.TaxiConfig{Seed: 7, Drivers: 150, Cabs: 60, Span: 100})
@@ -387,11 +387,15 @@ func BenchmarkEgdPhaseParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cm, err := chase.CompileMapping(m)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := chase.EgdPhase(tgt, m, &chase.Options{Workers: workers}); err != nil {
+				if _, _, err := chase.EgdPhase(tgt, cm, &chase.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -429,7 +433,7 @@ func BenchmarkAbstractChaseParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := chase.AbstractParallel(ia, m, nil, workers); err != nil {
+				if _, _, err := chase.Abstract(ia, m, &chase.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -438,7 +442,7 @@ func BenchmarkAbstractChaseParallel(b *testing.B) {
 }
 
 // BenchmarkParallelInternerSharding stresses the shared-nothing interner
-// shards of AbstractParallel: a segment-heavy abstract instance whose
+// shards of the abstract chase: a segment-heavy abstract instance whose
 // segments draw from one constant pool, so each worker's private
 // interner amortizes constant interning across its segments instead of
 // rebuilding a per-segment interner (and never touches another worker's
@@ -455,7 +459,7 @@ func BenchmarkParallelInternerSharding(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := chase.AbstractParallel(ia, m, nil, workers); err != nil {
+				if _, _, err := chase.Abstract(ia, m, &chase.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -542,10 +546,14 @@ func BenchmarkEgdMergeLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cm, err := chase.CompileMapping(m)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := chase.EgdPhase(tgt, m, nil); err != nil {
+		if _, _, err := chase.EgdPhase(tgt, cm, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,42 @@
 // 16). A successful c-chase materializes a concrete solution Jc whose
 // semantics ⟦Jc⟧ is a universal solution for ⟦Ic⟧ (Theorem 19); a failing
 // chase proves no solution exists.
+//
+// The c-chase runs four stages:
+//
+//  1. source normalization: normalize Ic w.r.t. the tgd bodies (§4.2);
+//  2. tgd phase (tgdPhase): fire every s-t tgd on every homomorphism
+//     into the normalized source, inventing a fresh interval-annotated
+//     null N^h(t) per existential variable per firing; bodies read only
+//     the source, so one pass reaches the tgd fixpoint;
+//  3. egd phase (concreteEgds): rounds of renormalizing the target w.r.t.
+//     the egd bodies, scanning the bodies for merge candidates, merging
+//     them in a union-find (mergeStep) and rewriting the target, until a
+//     round merges nothing; equating two distinct constants fails;
+//  4. freeze: the solution and the run's intermediates are frozen and
+//     retained in a BaseState.
+//
+// Smart normalization renormalizes in every egd round, because
+// identifying a null with a constant can reveal egd homomorphisms between
+// facts whose intervals properly overlap; Naive fragments on the global
+// endpoint partition once, which egd rewrites never change.
+//
+// The entry points compose these stages:
+//
+//   - ConcreteCompiled runs stages 1–4; Concrete compiles the mapping
+//     first and drops the BaseState.
+//   - ConcreteDelta runs semi-naive forms of stages 1–3 seeded from a
+//     BaseState, then stage 4, and falls back to ConcreteCompiled when it
+//     cannot prove the result byte-identical (see delta.go).
+//   - EgdPhase runs stage 3 alone, for the temporal (§7) chase, which
+//     brings its own stages 1 and 2.
+//   - Abstract and Pointwise run the snapshot chase — stages 2 and 3 on
+//     one snapshot, with plain bodies and no normalization — per segment
+//     or per time point.
+//
+// With Options.Workers ≥ 2 stages 2 and 3 shard their enumerations over a
+// frozen instance and replay the shards in rank order, byte-identical to
+// the sequential chase (see cparallel.go and eparallel.go).
 package chase
 
 import (
@@ -54,46 +90,36 @@ func (s EgdStrategy) String() string {
 }
 
 // Options configures a chase run. The zero value is the default
-// configuration: Algorithm 1 normalization, batch egd application, no
-// final coalescing.
+// configuration: Algorithm 1 normalization, batch egd application,
+// sequential.
 type Options struct {
 	// Norm selects the normalization algorithm (paper §4.2).
 	Norm normalize.Strategy
 	// Egd selects the egd application strategy.
 	Egd EgdStrategy
-	// Coalesce coalesces the solution before returning it, restoring the
-	// compact form of the paper's Figure 9.
-	Coalesce bool
-	// Gen supplies null family ids; a private generator is used when nil.
-	Gen *value.NullGen
 	// Interner, when set, is the value interner used for the instances the
 	// chase materializes (the target, normalization outputs, egd rewrites).
 	// When nil the normalized source's interner is shared, which keeps all
 	// rows of one run ID-compatible — the sensible default; set it to share
-	// the value domain across runs. AbstractParallel ignores the override:
-	// its workers always intern into private shards (see AbstractParallel).
+	// the value domain across runs. Abstract ignores it: each of its
+	// workers interns into a private interner, so workers never contend on
+	// one interner lock.
 	Interner *value.Interner
-	// Workers sets the worker count for the partitioned parallel concrete
-	// chase: both phases shard their expensive enumerations into
-	// contiguous ranges, one per worker, over a frozen instance, and merge
-	// the shards in worker-rank order — the result is byte-identical to
-	// the sequential chase. In the tgd phase the homomorphism enumeration
-	// over the (frozen) normalized source fans out with per-worker private
-	// target stores; in the egd phase each round freezes the intermediate
-	// target, the match-set enumeration of the renormalization and the egd
-	// merge-candidate scans fan out, and the union-find replay plus the
-	// rewrite stay sequential (see eparallel.go). 0 or 1 runs sequentially
+	// Workers sets the worker count. The c-chase shards the enumerations
+	// of its tgd phase and egd rounds one range per worker; Abstract
+	// chases that many segments concurrently. 0 or 1 runs sequentially
 	// (the internal default; the tdx facade maps WithParallelism onto this
 	// field, resolving 0 to GOMAXPROCS there). Inputs below an internal
-	// cutoff, and stepwise egd rounds (EgdStepwise), always run
-	// sequentially.
+	// cutoff, and the scans of stepwise egd rounds (EgdStepwise), always
+	// run sequentially.
 	Workers int
 	// Trace, when set, receives one Event per chase action (normalization
 	// passes, tgd firings, egd merges, failures). For debugging and the
 	// CLI's -trace flag; adds no cost when nil. Event order and count are
 	// deterministic at any Workers setting, but the parallel tgd phase
 	// abbreviates the detail text of tgd-fire events (it fires from
-	// recorded rows, not bindings).
+	// recorded rows, not bindings). The abstract and pointwise chases emit
+	// no events.
 	Trace func(Event)
 	// Ctx, when set, is checked throughout the chase loops — normalization
 	// passes, tgd firing rounds, egd match enumeration and rewrite rounds —
@@ -103,46 +129,6 @@ type Options struct {
 	// instance is never mutated (the chase never writes to it). Nil means
 	// context.Background (never canceled).
 	Ctx context.Context
-	// DeltaBaseRowLimit bounds how many retained base-solution rows one
-	// incremental (delta) chase may rewrite through egd merges before it
-	// abandons the fast path and re-chases the combined source from
-	// scratch (Stats.FallbackFullChase reports that it did). 0 means
-	// DefaultDeltaBaseRowLimit; negative means unlimited. Ignored by
-	// non-delta runs.
-	DeltaBaseRowLimit int
-	// FireCounts, when non-nil, receives per-tgd firing counts: entry i is
-	// incremented once per chase step of the i-th tgd (mapping order) that
-	// actually fired. The incremental delta chase records the base run's
-	// counts this way to decide which delta orderings are provably
-	// byte-identical to a full re-chase. Must have one entry per tgd.
-	FireCounts []int
-}
-
-// DefaultDeltaBaseRowLimit is the delta-chase base-row rewrite budget
-// used when Options.DeltaBaseRowLimit is 0: past this many rewritten
-// base rows the incremental run is likely no cheaper than a re-chase,
-// so it falls back.
-const DefaultDeltaBaseRowLimit = 256
-
-func (o *Options) deltaBaseRowLimit() int {
-	if o == nil || o.DeltaBaseRowLimit == 0 {
-		return DefaultDeltaBaseRowLimit
-	}
-	return o.DeltaBaseRowLimit
-}
-
-// recordFire bumps the per-tgd firing counter when the caller wired one.
-func (o *Options) recordFire(di int) {
-	if o != nil && o.FireCounts != nil {
-		o.FireCounts[di]++
-	}
-}
-
-func (o *Options) gen() *value.NullGen {
-	if o == nil || o.Gen == nil {
-		return &value.NullGen{}
-	}
-	return o.Gen
 }
 
 func (o *Options) norm() normalize.Strategy {
@@ -159,8 +145,6 @@ func (o *Options) egd() EgdStrategy {
 	return o.Egd
 }
 
-func (o *Options) coalesce() bool { return o != nil && o.Coalesce }
-
 // interner returns the interner for chase-built instances: the Options
 // override when set, else def (the source's interner).
 func (o *Options) interner(def *value.Interner) *value.Interner {
@@ -168,18 +152,6 @@ func (o *Options) interner(def *value.Interner) *value.Interner {
 		return o.Interner
 	}
 	return def
-}
-
-// withInterner returns a copy of the options with the interner replaced
-// — the parallel chase hands each worker its own shard this way. The
-// receiver may be nil.
-func (o *Options) withInterner(in *value.Interner) *Options {
-	var c Options
-	if o != nil {
-		c = *o
-	}
-	c.Interner = in
-	return &c
 }
 
 // workers returns the configured chase worker count (both phases);
@@ -243,6 +215,27 @@ type Stats struct {
 	DeltaFires        int  `json:"deltaFires"`        // tgd steps fired from delta-involving homomorphisms
 	BaseRowsRewritten int  `json:"baseRowsRewritten"` // retained base-solution rows rewritten by delta egd merges
 	FallbackFullChase bool `json:"fallbackFullChase"` // the delta run gave up and re-chased base+delta from scratch
+}
+
+// Add accumulates o into s, for chases assembled from several runs:
+// counters add, the worker fields keep the larger value, and
+// FallbackFullChase is set when either side set it.
+func (s *Stats) Add(o Stats) {
+	s.NormalizedSourceFacts += o.NormalizedSourceFacts
+	s.TGDHoms += o.TGDHoms
+	s.TGDFires += o.TGDFires
+	s.FactsCreated += o.FactsCreated
+	s.NullsCreated += o.NullsCreated
+	s.EgdRounds += o.EgdRounds
+	s.EgdMerges += o.EgdMerges
+	s.NormalizeRuns += o.NormalizeRuns
+	s.RowsRewritten += o.RowsRewritten
+	s.TGDWorkers = max(s.TGDWorkers, o.TGDWorkers)
+	s.EgdWorkers = max(s.EgdWorkers, o.EgdWorkers)
+	s.DeltaFacts += o.DeltaFacts
+	s.DeltaFires += o.DeltaFires
+	s.BaseRowsRewritten += o.BaseRowsRewritten
+	s.FallbackFullChase = s.FallbackFullChase || o.FallbackFullChase
 }
 
 // valueUF is an integer union-find over interned value IDs with constant

@@ -219,16 +219,17 @@ func TestStepwiseEgdSameResult(t *testing.T) {
 func TestCoalesceOption(t *testing.T) {
 	ic := paperex.Figure4()
 	m := paperex.EmploymentMapping()
-	jc, _, err := Concrete(ic, m, &Options{Coalesce: true})
+	jc, _, err := Concrete(ic, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Coalescing is the tdx facade's job; the chase's Figure 9 solution
+	// is already coalesced, so coalescing keeps the same five facts.
 	if !jc.IsCoalesced() {
 		t.Fatalf("solution not coalesced:\n%s", jc)
 	}
-	// Figure 9 is already coalesced, so the same five facts remain.
-	if jc.Len() != 5 {
-		t.Fatalf("coalesced solution has %d facts:\n%s", jc.Len(), jc)
+	if co := jc.Coalesce(); co.Len() != 5 {
+		t.Fatalf("coalesced solution has %d facts:\n%s", co.Len(), co)
 	}
 }
 
@@ -275,8 +276,12 @@ func TestSnapshotChaseStandalone(t *testing.T) {
 	src.Insert(fact.New("E", c("Ada"), c("IBM")))
 	src.Insert(fact.New("E", c("Bob"), c("IBM")))
 	src.Insert(fact.New("S", c("Ada"), c("18k")))
+	cm, err := CompileMapping(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var g value.NullGen
-	tgt, stats, err := Snapshot(src, m, g.FreshNull, nil)
+	tgt, stats, err := snapshot(src, cm, g.FreshNull, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +316,7 @@ func TestParallelAbstractChaseAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parStats, err := AbstractParallel(ic.Abstract(), m, nil, 4)
+	par, parStats, err := Abstract(ic.Abstract(), m, &Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,14 +335,14 @@ func TestParallelAbstractChaseAgrees(t *testing.T) {
 	bad.MustInsert(fact.NewC("E", paperex.Iv(0, 4), paperex.C("a"), paperex.C("X")))
 	bad.MustInsert(fact.NewC("S", paperex.Iv(0, 4), paperex.C("a"), paperex.C("1k")))
 	bad.MustInsert(fact.NewC("S", paperex.Iv(2, 4), paperex.C("a"), paperex.C("2k")))
-	if _, _, err := AbstractParallel(bad.Abstract(), m, nil, 4); !errors.Is(err, ErrNoSolution) {
+	if _, _, err := Abstract(bad.Abstract(), m, &Options{Workers: 4}); !errors.Is(err, ErrNoSolution) {
 		t.Fatalf("parallel failure err = %v", err)
 	}
 	// Degenerate worker counts fall back gracefully.
-	if _, _, err := AbstractParallel(ic.Abstract(), m, nil, 1); err != nil {
+	if _, _, err := Abstract(ic.Abstract(), m, &Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := AbstractParallel(ic.Abstract(), m, nil, 0); err != nil {
+	if _, _, err := Abstract(ic.Abstract(), m, &Options{Workers: 0}); err != nil {
 		t.Fatal(err)
 	}
 }

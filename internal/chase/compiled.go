@@ -18,9 +18,9 @@ import (
 type Compiled struct {
 	m         *dependency.Mapping
 	tgds      []compiledTGD
-	egds      []compiledEGD
 	tgdBodies []logic.Conjunction // concrete tgd bodies: the normalization Φ+ set
 	egdBodies []logic.Conjunction // concrete egd bodies: the egd-phase Φ+ set
+	egdPlain  []logic.Conjunction // plain egd bodies, scanned by the snapshot chase
 }
 
 // compiledTGD caches one tgd's derived forms: the concrete body/head for
@@ -35,13 +35,6 @@ type compiledTGD struct {
 	headVars []string // universal data variables of the head, in first-occurrence order
 }
 
-// compiledEGD caches one egd's concrete body; the plain body for the
-// snapshot chase lives on d.
-type compiledEGD struct {
-	d    dependency.EGD
-	body logic.Conjunction // ConcreteBody()
-}
-
 // CompileMapping derives the reusable chase artifacts of a mapping. It
 // rejects malformed egds (an equated variable missing from the body
 // would bind to no value) up front, so runs never re-validate. The
@@ -51,9 +44,9 @@ func CompileMapping(m *dependency.Mapping) (*Compiled, error) {
 	cm := &Compiled{
 		m:         m,
 		tgds:      make([]compiledTGD, len(m.TGDs)),
-		egds:      make([]compiledEGD, len(m.EGDs)),
 		tgdBodies: make([]logic.Conjunction, len(m.TGDs)),
 		egdBodies: make([]logic.Conjunction, len(m.EGDs)),
+		egdPlain:  make([]logic.Conjunction, len(m.EGDs)),
 	}
 	for i, d := range m.TGDs {
 		cm.tgds[i] = compiledTGD{
@@ -79,8 +72,8 @@ func CompileMapping(m *dependency.Mapping) (*Compiled, error) {
 		if !body.HasVar(d.X1) || !body.HasVar(d.X2) {
 			return nil, fmt.Errorf("chase: egd %s equates %q and %q but its body binds only %v", d.Name, d.X1, d.X2, d.Body.Vars())
 		}
-		cm.egds[i] = compiledEGD{d: d, body: body}
 		cm.egdBodies[i] = body
+		cm.egdPlain[i] = d.Body
 	}
 	return cm, nil
 }

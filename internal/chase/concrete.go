@@ -10,95 +10,88 @@ import (
 	"repro/internal/interval"
 	"repro/internal/logic"
 	"repro/internal/normalize"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
 // Concrete runs the c-chase of Definition 16 / §4.3 on a concrete source
-// instance:
-//
-//  1. normalize Ic w.r.t. the left-hand sides of Σst;
-//  2. apply all s-t tgd c-chase steps, inventing a fresh
-//     interval-annotated null N^h(t) per existential variable per firing;
-//  3. normalize the target w.r.t. the left-hand sides of Σeg;
-//  4. apply egd c-chase steps to a fixpoint, failing when two distinct
-//     constants are equated.
-//
-// With the Smart normalization strategy, step 3 is repeated after every
-// egd rewrite round: identifying a null with a constant can reveal new
-// egd homomorphisms between facts whose intervals properly overlap,
-// which would otherwise escape the empty intersection property. The
-// Naive strategy fragments on the global endpoint partition once, which
-// is stable under egd rewrites (intervals never change), so no
-// renormalization is needed — the classic time/size trade-off of §4.2.
-//
-// On success the returned instance is a concrete solution; ⟦Jc⟧ is a
-// universal solution for ⟦Ic⟧ (Theorem 19). On failure the error wraps
-// ErrNoSolution. When Options.Ctx is canceled mid-run the error wraps
-// the context's error and ic is left untouched (the chase never writes
-// to its source).
-//
-// Concrete compiles the mapping per call; callers that chase one mapping
-// against many sources should CompileMapping once and use
-// ConcreteCompiled (the tdx facade does).
+// instance: ConcreteCompiled under a mapping compiled for this call, so
+// ic is frozen and the solution comes back frozen. On success the
+// returned instance is a concrete solution; ⟦Jc⟧ is a universal solution
+// for ⟦Ic⟧ (Theorem 19). Callers that chase one mapping against many
+// sources should CompileMapping once and use ConcreteCompiled (the tdx
+// facade does).
 func Concrete(ic *instance.Concrete, m *dependency.Mapping, opts *Options) (*instance.Concrete, Stats, error) {
 	cm, err := CompileMapping(m)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return ConcreteCompiled(ic, cm, opts)
+	out, stats, _, err := ConcreteCompiled(ic, cm, opts)
+	return out, stats, err
 }
 
-// ConcreteCompiled is Concrete against a pre-compiled mapping: the
-// compile-once/run-many entry point. cm is read-only here, so any number
-// of runs (including concurrent ones) may share it.
-func ConcreteCompiled(ic *instance.Concrete, cm *Compiled, opts *Options) (*instance.Concrete, Stats, error) {
+// ConcreteCompiled runs the c-chase — stages 1 to 4 of the package
+// comment — against a pre-compiled mapping. It returns the solution and
+// a BaseState retaining the run for ConcreteDelta; both are frozen and
+// safe to share. ic is frozen here (the BaseState retains it) but never
+// written. cm is read-only, so any number of runs, concurrent ones
+// included, may share it. On failure the error wraps ErrNoSolution, or
+// the context's error when Options.Ctx is done.
+func ConcreteCompiled(ic *instance.Concrete, cm *Compiled, opts *Options) (*instance.Concrete, Stats, *BaseState, error) {
 	var stats Stats
-	gen := opts.gen()
 	ctx := opts.ctx()
 	if err := ctxErr(ctx); err != nil {
-		return nil, stats, err
+		return nil, stats, nil, err
 	}
+	ic.Freeze()
 
-	// Step 1: normalize the source w.r.t. lhs(Σst).
 	src, err := normalize.ForMappingCtx(ctx, ic, cm.tgdBodies, opts.norm())
 	if err != nil {
-		return nil, stats, err
+		return nil, stats, nil, err
 	}
 	stats.NormalizeRuns++
 	stats.NormalizedSourceFacts = src.Len()
 	opts.emit(EventNormalize, "", "source normalized (%s): %d → %d facts", opts.norm(), ic.Len(), src.Len())
+	src.Freeze()
 
-	// Step 2: s-t tgd steps. Bodies read only the source, so a single
-	// deterministic pass over all homomorphisms reaches the tgd fixpoint.
 	// The target shares the normalized source's interner (unless Options
-	// overrides it), so every instance of this run is ID-compatible. With
-	// Options.Workers ≥ 2 the pass runs partitioned over a frozen source
-	// (see cparallel.go), byte-identical to the sequential pass.
+	// overrides it), so every instance of this run is ID-compatible.
+	gen := &value.NullGen{}
+	fires := make([]int, len(cm.tgds))
 	tgt := instance.NewConcreteWith(cm.m.Target, opts.interner(src.Interner()))
-	if err := tgdPhase(ctx, src, tgt, cm, gen, opts, &stats); err != nil {
-		return nil, stats, err
+	if err := tgdPhase(ctx, src, tgt, cm, gen, fires, opts, &stats); err != nil {
+		return nil, stats, nil, err
+	}
+	var preEgd *instance.Concrete
+	if len(cm.egdBodies) > 0 {
+		preEgd = tgt.Clone()
+		preEgd.Freeze()
 	}
 
-	// Steps 3–4: egd phase with renormalization. tgt was built here, so
-	// the egd loop owns it and may rewrite it in place — or freeze it for
-	// the partitioned parallel rounds (see eparallel.go), in which case
-	// the returned solution comes back frozen.
-	tgt, err = concreteEgds(tgt, cm, opts, &stats, true)
+	sol, err := concreteEgds(tgt, cm, opts, &stats)
 	if err != nil {
-		return nil, stats, err
+		return nil, stats, nil, err
 	}
-
-	if opts.coalesce() {
-		tgt = tgt.Coalesce()
+	sol.Freeze()
+	base := &BaseState{
+		cm:      cm,
+		src:     ic,
+		nsrc:    src,
+		preEgd:  preEgd,
+		sol:     sol,
+		genLast: gen.Last(),
+		fires:   fires,
+		norm:    opts.norm(),
+		egdMode: opts.egd(),
 	}
-	return tgt, stats, nil
+	return sol, stats, base, nil
 }
 
 // tgdPhaseSeq is the sequential s-t tgd pass: one deterministic sweep
 // over all homomorphisms of every tgd body, firing each new extension
 // into tgt. It is the semantic reference the parallel pass reproduces
 // byte for byte.
-func tgdPhaseSeq(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled, gen *value.NullGen, opts *Options, stats *Stats) error {
+func tgdPhaseSeq(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled, gen *value.NullGen, fires []int, opts *Options, stats *Stats) error {
 	for di := range cm.tgds {
 		d := &cm.tgds[di]
 		if err := ctxErr(ctx); err != nil {
@@ -123,7 +116,7 @@ func tgdPhaseSeq(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled,
 			if err := fireTGD(tgt, d, h.Binding, t, gen, opts, stats); err != nil {
 				return err
 			}
-			opts.recordFire(di)
+			fires[di]++
 		}
 	}
 	return nil
@@ -164,23 +157,18 @@ func fireTGD(tgt *instance.Concrete, d *compiledTGD, bind logic.Binding, t inter
 	return nil
 }
 
-// concreteEgds normalizes the target and applies egd c-chase steps until
-// every egd is satisfied. owned reports whether tgt belongs to this
-// chase run: owned instances are rewritten in place (or frozen for the
-// parallel scans), a caller-supplied one is cloned before the first
-// rewrite or freeze so the caller's instance is never mutated. With
-// Options.Workers ≥ 2 the renormalization's match-set enumeration and
-// the merge-candidate scans run partitioned over the frozen target (see
-// eparallel.go), byte-identical to the sequential rounds.
-func concreteEgds(tgt *instance.Concrete, cm *Compiled, opts *Options, stats *Stats, owned bool) (*instance.Concrete, error) {
-	if len(cm.egds) == 0 {
+// concreteEgds is the egd phase (stage 3): rounds of renormalization,
+// merge-candidate scan, merge and rewrite until a round merges nothing.
+// It owns tgt: rounds rewrite it in place, or freeze it for the sharded
+// scans and rewrite a clone, so the solution may come back frozen.
+func concreteEgds(tgt *instance.Concrete, cm *Compiled, opts *Options, stats *Stats) (*instance.Concrete, error) {
+	if len(cm.egdBodies) == 0 {
 		return tgt, nil
 	}
 	ctx := opts.ctx()
 	workers := opts.workers()
-	if stats.EgdWorkers == 0 {
-		stats.EgdWorkers = 1
-	}
+	stepwise := opts.egd() == EgdStepwise
+	stats.EgdWorkers = max(stats.EgdWorkers, 1)
 	naiveDone := false
 	for {
 		stats.EgdRounds++
@@ -196,7 +184,6 @@ func concreteEgds(tgt *instance.Concrete, cm *Compiled, opts *Options, stats *St
 		if opts.norm() == normalize.StrategyNaive {
 			if !naiveDone {
 				tgt = normalize.Naive(tgt)
-				owned = true // Naive always builds a fresh instance
 				stats.NormalizeRuns++
 				naiveDone = true
 			}
@@ -204,178 +191,63 @@ func concreteEgds(tgt *instance.Concrete, cm *Compiled, opts *Options, stats *St
 			normW := 1
 			if workers > 1 && tgt.Len() >= parallelCutoffFacts {
 				normW = workers
-				if !owned && !tgt.Frozen() {
-					// The parallel path freezes what it enumerates; clone a
-					// caller-supplied mutable target instead of publishing it
-					// out from under the caller.
-					tgt = tgt.Clone()
-					owned = true
-				}
 			}
 			norm, err := normalize.ForEgdPhaseWorkers(ctx, tgt, cm.egdBodies, normalize.StrategySmart, normW)
 			if err != nil {
 				return nil, err
 			}
-			if norm != tgt {
-				owned = true // normalization built a fresh instance
-			}
 			tgt = norm
 			stats.NormalizeRuns++
-			if normW > stats.EgdWorkers {
-				stats.EgdWorkers = normW
-			}
+			stats.EgdWorkers = max(stats.EgdWorkers, normW)
 			opts.emit(EventNormalize, "", "target normalized for egd round %d: %d facts", stats.EgdRounds, tgt.Len())
 		}
 
-		in := tgt.Interner()
-		uf := newValueUF(in)
 		scanW := 1
-		if workers > 1 && opts.egd() != EgdStepwise && tgt.Len() >= parallelCutoffFacts {
+		if workers > 1 && !stepwise && tgt.Len() >= parallelCutoffFacts {
 			scanW = workers
+			tgt.Freeze() // idempotent; renormalization usually froze it
+			stats.EgdWorkers = max(stats.EgdWorkers, scanW)
 		}
-		if scanW > 1 {
-			if !owned && !tgt.Frozen() {
-				tgt = tgt.Clone()
-				owned = true
-			}
-			tgt.Store().Freeze() // idempotent; renormalization usually froze it
-			if scanW > stats.EgdWorkers {
-				stats.EgdWorkers = scanW
-			}
-			specs := make([]egdScanSpec, len(cm.egds))
-			for i := range cm.egds {
-				specs[i] = egdScanSpec{body: cm.egds[i].body, x1: cm.egds[i].d.X1, x2: cm.egds[i].d.X2}
-			}
-			shards, err := collectEgdPairs(ctx, tgt.Store(), specs, scanW)
-			if err != nil {
-				return nil, err
-			}
-			// Replay in (egd, worker-rank) order — the sequential candidate
-			// stream — so the union-find sees the identical merge sequence.
-			seen := 0
-			for di := range cm.egds {
-				d := &cm.egds[di]
-				for w := 0; w < scanW; w++ {
-					pairs := shards[w].pairs[di]
-					for i := 0; i < len(pairs); i += 2 {
-						seen++
-						if seen&ctxCheckMask == 0 {
-							if err := ctxErr(ctx); err != nil {
-								return nil, err
-							}
-						}
-						v1, v2 := uf.canon(pairs[i]), uf.canon(pairs[i+1])
-						if v1 == v2 {
-							continue
-						}
-						if err := uf.union(v1, v2); err != nil {
-							opts.emit(EventEgdFail, d.d.Name, "constants clash: %v ≠ %v", in.Resolve(v1), in.Resolve(v2))
-							return nil, &FailError{Dep: d.d.Name, V1: in.Resolve(v1), V2: in.Resolve(v2)}
-						}
-						stats.EgdMerges++
-						if opts.tracing() {
-							opts.emit(EventEgdMerge, d.d.Name, "%v = %v", in.Resolve(v1), in.Resolve(v2))
-						}
-					}
-				}
-			}
-		} else {
-			var stepErr error
-			stop := false
-			seen := 0
-			for _, d := range cm.egds {
-				x1, x2 := d.d.X1, d.d.X2
-				logic.ForEachIDs(tgt.Store(), d.body, nil, func(h *logic.IDMatch) bool {
-					seen++
-					if seen&ctxCheckMask == 0 {
-						if stepErr = ctxErr(ctx); stepErr != nil {
-							return false
-						}
-					}
-					b1, _ := h.ID(x1)
-					b2, _ := h.ID(x2)
-					v1, v2 := uf.canon(b1), uf.canon(b2)
-					if v1 == v2 {
-						return true
-					}
-					if err := uf.union(v1, v2); err != nil {
-						stepErr = &FailError{Dep: d.d.Name, V1: in.Resolve(v1), V2: in.Resolve(v2)}
-						opts.emit(EventEgdFail, d.d.Name, "constants clash: %v ≠ %v", in.Resolve(v1), in.Resolve(v2))
-						return false
-					}
-					stats.EgdMerges++
-					if opts.tracing() {
-						opts.emit(EventEgdMerge, d.d.Name, "%v = %v", in.Resolve(v1), in.Resolve(v2))
-					}
-					stop = opts.egd() == EgdStepwise
-					return !stop
-				})
-				if stepErr != nil {
-					return nil, stepErr
-				}
-				if stop {
-					break
-				}
-			}
+		uf := newValueUF(tgt.Interner())
+		if err := scanEgds(ctx, tgt.Store(), cm.m.EGDs, cm.egdBodies, nil, scanW, stepwise, uf, opts, stats); err != nil {
+			return nil, err
 		}
 		if !uf.dirty() {
 			return tgt, nil
 		}
-		if !owned || tgt.Frozen() {
-			// A frozen target (published for the parallel scans) forbids
-			// substitution; Clone preserves the physical layout exactly, so
-			// rewriting the clone is byte-identical to rewriting in place.
+		if tgt.Frozen() {
+			// A frozen target forbids substitution; Clone preserves the
+			// physical layout exactly, so rewriting the clone is
+			// byte-identical to rewriting in place.
 			tgt = tgt.Clone()
-			owned = true
 		}
-		stats.RowsRewritten += rewriteConcrete(tgt, uf)
+		stats.RowsRewritten += rewrite(tgt.Store(), uf)
 	}
 }
 
-// rewriteConcrete applies the union-find substitution to a concrete
-// instance in place, returning the number of rows touched.
-// Identifications are per annotated-null value — the same family
-// fragmented over two intervals yields two independent unknowns (one per
-// snapshot range), and only the equated fragment is replaced, exactly as
-// the abstract semantics requires. The substitution is incremental and
-// runs entirely on interned rows: the store's reverse ID index yields
-// exactly the rows containing a merged ID, those rows' IDs are mapped
-// through the union-find in place, and collapsed duplicates are
-// invalidated — untouched rows are never hashed, copied, or re-resolved
-// (the substitution preserves the fact invariants: arity is unchanged,
-// and an egd only equates values from facts with identical intervals, so
+// rewrite applies the union-find substitution to a store in place,
+// returning the number of rows touched. Identifications are per
+// annotated-null value — the same family fragmented over two intervals
+// yields two independent unknowns (one per snapshot range), and only the
+// equated fragment is replaced, exactly as the abstract semantics
+// requires. The substitution is incremental and runs entirely on
+// interned rows: the store's reverse ID index yields exactly the rows
+// containing a merged ID, those rows' IDs are mapped through the
+// union-find in place, and collapsed duplicates are invalidated —
+// untouched rows are never hashed, copied, or re-resolved (the
+// substitution preserves the fact invariants: arity is unchanged, and an
+// egd only equates values from facts with identical intervals, so
 // annotations keep matching their fact's interval).
-func rewriteConcrete(c *instance.Concrete, uf *valueUF) int {
-	return c.Store().SubstituteIDs(uf.substituted(), uf.canon)
+func rewrite(st *storage.Store, uf *valueUF) int {
+	return st.SubstituteIDs(uf.substituted(), uf.canon)
 }
 
-// EgdPhase exposes the egd stage of the c-chase for callers that build
-// the target instance themselves (e.g. the temporal-mapping extension):
-// it normalizes tgt w.r.t. the mapping's egd bodies, synchronizes null
-// families, and applies egd steps to a fixpoint. tgt itself is never
-// mutated; rewrites happen on normalization outputs or a private clone.
-func EgdPhase(tgt *instance.Concrete, m *dependency.Mapping, opts *Options) (*instance.Concrete, Stats, error) {
-	cm, err := CompileMapping(m)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return EgdPhaseCompiled(tgt, cm, opts)
-}
-
-// EgdPhaseCompiled is EgdPhase against a pre-compiled mapping.
-func EgdPhaseCompiled(tgt *instance.Concrete, cm *Compiled, opts *Options) (*instance.Concrete, Stats, error) {
+// EgdPhase runs the egd phase (stage 3) alone, for callers that build the
+// target themselves — the temporal (§7) chase. The phase owns tgt: it may
+// rewrite tgt in place or freeze it, and the result may come back
+// frozen. A frozen tgt is never written.
+func EgdPhase(tgt *instance.Concrete, cm *Compiled, opts *Options) (*instance.Concrete, Stats, error) {
 	var stats Stats
-	out, err := concreteEgds(tgt, cm, opts, &stats, false)
-	return out, stats, err
-}
-
-// EgdPhaseCompiledOwned is EgdPhaseCompiled for a target the caller
-// hands over to the egd phase: tgt may be rewritten in place or frozen
-// (the parallel scans freeze what they enumerate), saving the defensive
-// clone EgdPhaseCompiled pays. The temporal (§7) chase builds its own
-// target and enters here.
-func EgdPhaseCompiledOwned(tgt *instance.Concrete, cm *Compiled, opts *Options) (*instance.Concrete, Stats, error) {
-	var stats Stats
-	out, err := concreteEgds(tgt, cm, opts, &stats, true)
+	out, err := concreteEgds(tgt, cm, opts, &stats)
 	return out, stats, err
 }

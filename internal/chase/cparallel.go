@@ -50,22 +50,42 @@ import (
 // Inputs below parallelCutoffFacts run sequentially throughout, where
 // the freeze + fan-out overhead dominates.
 
-// parallelCutoffFacts is the normalized-source size below which the tgd
-// phase ignores Options.Workers and runs sequentially: freezing the
-// source and spinning up workers costs more than enumerating a few
+// parallelCutoffFacts is the input size below which a sharded
+// enumeration ignores Options.Workers and runs sequentially: freezing the
+// input and spinning up workers costs more than enumerating a few
 // hundred facts outright.
 const parallelCutoffFacts = 128
 
-// tgdPhase dispatches the s-t tgd pass to the sequential or the
-// partitioned parallel implementation. Both are byte-identical; the
-// choice only affects wall time.
-func tgdPhase(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled, gen *value.NullGen, opts *Options, stats *Stats) error {
+// fanOut runs fn(w) for every shard w < workers and returns once all
+// have: on the calling goroutine when workers ≤ 1, else one goroutine per
+// shard.
+func fanOut(workers int, fn func(w int)) {
+	if workers <= 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	wg.Wait()
+}
+
+// tgdPhase is the tgd phase (stage 2): it dispatches the s-t tgd pass to
+// the sequential or the partitioned parallel implementation. Both are
+// byte-identical; the choice only affects wall time. fires[i] counts the
+// firings of the i-th tgd.
+func tgdPhase(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled, gen *value.NullGen, fires []int, opts *Options, stats *Stats) error {
 	workers := opts.workers()
 	if workers > 1 && len(cm.tgds) > 0 && src.Len() >= parallelCutoffFacts {
-		return tgdPhaseParallel(ctx, src, tgt, cm, gen, opts, stats, workers)
+		return tgdPhaseParallel(ctx, src, tgt, cm, gen, fires, opts, stats, workers)
 	}
 	stats.TGDWorkers = 1
-	return tgdPhaseSeq(ctx, src, tgt, cm, gen, opts, stats)
+	return tgdPhaseSeq(ctx, src, tgt, cm, gen, fires, opts, stats)
 }
 
 // fireRec is one tgd firing recorded by a worker for the rank-ordered
@@ -101,21 +121,15 @@ func headRowWidth(d *compiledTGD) int {
 
 // tgdPhaseParallel is the partitioned parallel s-t tgd pass. src must be
 // owned by this run (it is frozen here); tgt must be empty.
-func tgdPhaseParallel(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled, gen *value.NullGen, opts *Options, stats *Stats, workers int) error {
+func tgdPhaseParallel(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled, gen *value.NullGen, fires []int, opts *Options, stats *Stats, workers int) error {
 	src.Store().Freeze()
 	stats.TGDWorkers = workers
 	tgtIn := tgt.Interner()
 
 	outs := make([]shardOut, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			outs[w] = enumerateShard(ctx, src, cm, tgtIn, w, workers)
-		}(w)
-	}
-	wg.Wait()
+	fanOut(workers, func(w int) {
+		outs[w] = enumerateShard(ctx, src, cm, tgtIn, w, workers)
+	})
 	for w := range outs {
 		if err := outs[w].err; err != nil {
 			return err
@@ -154,7 +168,7 @@ func tgdPhaseParallel(ctx context.Context, src, tgt *instance.Concrete, cm *Comp
 					if err := fireTGD(tgt, d, bind, rec.t, gen, opts, stats); err != nil {
 						return err
 					}
-					opts.recordFire(di)
+					fires[di]++
 				}
 				continue
 			}
@@ -183,7 +197,7 @@ func tgdPhaseParallel(ctx context.Context, src, tgt *instance.Concrete, cm *Comp
 				}
 				if added {
 					stats.TGDFires++
-					opts.recordFire(di)
+					fires[di]++
 					if opts.tracing() {
 						t, _ := tgtIn.Resolve(rows[off-1]).Interval()
 						opts.emit(EventTGDFire, d.d.Name, "fired at %v", t)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/dependency"
 	"repro/internal/fact"
@@ -31,7 +30,7 @@ import (
 //     continuation of the base run (value.NullGenAt);
 //   - egd rounds scan only homomorphisms touching dirty rows, rewriting
 //     in place; merges that reach into retained base rows are allowed up
-//     to Options.DeltaBaseRowLimit rewritten base rows.
+//     to deltaBaseRowLimit rewritten base rows.
 //
 // The contract is byte-identity: the returned solution equals — fact
 // for fact, null family for null family — the solution of a full chase
@@ -42,20 +41,23 @@ import (
 // reported in Stats.FallbackFullChase. Either way the result is correct
 // and a fresh BaseState is returned, so delta runs chain.
 type BaseState struct {
-	cm         *Compiled
-	src        *instance.Concrete // frozen raw source of the run
-	nsrc       *instance.Concrete // frozen normalized source
-	preEgd     *instance.Concrete // frozen post-tgd/pre-egd target; nil when the mapping has no egds
-	sol        *instance.Concrete // frozen solution, before any coalescing
-	genLast    uint64             // null-family position after the run
-	fires      []int              // per-tgd firing counts of the run
-	norm       normalize.Strategy
-	egdMode    EgdStrategy
-	genPrivate bool // the run used a private null generator (Options.Gen was nil)
+	cm      *Compiled
+	src     *instance.Concrete // frozen raw source of the run
+	nsrc    *instance.Concrete // frozen normalized source
+	preEgd  *instance.Concrete // frozen post-tgd/pre-egd target; nil when the mapping has no egds
+	sol     *instance.Concrete // frozen solution
+	genLast uint64             // null-family position after the run
+	fires   []int              // per-tgd firing counts of the run
+	norm    normalize.Strategy
+	egdMode EgdStrategy
 }
 
-// Solution returns the retained frozen solution (pre-coalesce). Shared;
-// do not mutate.
+// deltaBaseRowLimit bounds how many retained base-solution rows one
+// delta run may rewrite through egd merges: past it the incremental run
+// is likely no cheaper than a re-chase, so it falls back.
+const deltaBaseRowLimit = 256
+
+// Solution returns the retained frozen solution. Shared; do not mutate.
 func (b *BaseState) Solution() *instance.Concrete { return b.sol }
 
 // Source returns the retained frozen raw source. Shared; do not mutate.
@@ -64,90 +66,14 @@ func (b *BaseState) Source() *instance.Concrete { return b.src }
 // Compiled returns the mapping the state was chased under.
 func (b *BaseState) Compiled() *Compiled { return b.cm }
 
-// withFireCounts returns a copy of the options recording per-tgd fires
-// into fc. The receiver may be nil.
-func (o *Options) withFireCounts(fc []int) *Options {
-	var c Options
-	if o != nil {
-		c = *o
-	}
-	c.FireCounts = fc
-	return &c
-}
-
-// ConcreteCompiledBase is ConcreteCompiled, additionally retaining the
-// run's intermediates for later incremental runs. ic is frozen here (it
-// is retained inside the BaseState); the returned state is immutable
-// and safe to share. Options.FireCounts is managed internally and
-// ignored if set by the caller.
-func ConcreteCompiledBase(ic *instance.Concrete, cm *Compiled, opts *Options) (*instance.Concrete, Stats, *BaseState, error) {
-	var stats Stats
-	gen := opts.gen()
-	ctx := opts.ctx()
-	if err := ctxErr(ctx); err != nil {
-		return nil, stats, nil, err
-	}
-
-	ic.Freeze()
-
-	src, err := normalize.ForMappingCtx(ctx, ic, cm.tgdBodies, opts.norm())
-	if err != nil {
-		return nil, stats, nil, err
-	}
-	stats.NormalizeRuns++
-	stats.NormalizedSourceFacts = src.Len()
-	opts.emit(EventNormalize, "", "source normalized (%s): %d → %d facts", opts.norm(), ic.Len(), src.Len())
-	src.Freeze()
-
-	fires := make([]int, len(cm.tgds))
-	ropts := opts.withFireCounts(fires)
-
-	tgt := instance.NewConcreteWith(cm.m.Target, opts.interner(src.Interner()))
-	if err := tgdPhase(ctx, src, tgt, cm, gen, ropts, &stats); err != nil {
-		return nil, stats, nil, err
-	}
-
-	var preEgd *instance.Concrete
-	if len(cm.egds) > 0 {
-		preEgd = tgt.Clone()
-		preEgd.Freeze()
-	}
-
-	sol, err := concreteEgds(tgt, cm, ropts, &stats, true)
-	if err != nil {
-		return nil, stats, nil, err
-	}
-	sol.Freeze()
-
-	base := &BaseState{
-		cm:         cm,
-		src:        ic,
-		nsrc:       src,
-		preEgd:     preEgd,
-		sol:        sol,
-		genLast:    gen.Last(),
-		fires:      fires,
-		norm:       opts.norm(),
-		egdMode:    opts.egd(),
-		genPrivate: opts == nil || opts.Gen == nil,
-	}
-	out := sol
-	if opts.coalesce() {
-		out = sol.Coalesce()
-	}
-	return out, stats, base, nil
-}
-
 // deltaSafe reports whether the incremental fast path is even
-// attemptable: both runs on Smart normalization and batch egds, private
-// null generators (an external generator's position cannot be
-// snapshotted safely), and no trace hook (the delta run cannot replay
-// the full run's event stream). Anything else re-chases from scratch —
-// still correct, just not incremental.
+// attemptable: both runs on Smart normalization and batch egds, and no
+// trace hook (the delta run cannot replay the full run's event stream).
+// Anything else re-chases from scratch — still correct, just not
+// incremental.
 func deltaSafe(base *BaseState, opts *Options) bool {
 	return base.norm == normalize.StrategySmart && opts.norm() == normalize.StrategySmart &&
 		base.egdMode == EgdBatch && opts.egd() == EgdBatch &&
-		base.genPrivate && (opts == nil || opts.Gen == nil) &&
 		!opts.tracing()
 }
 
@@ -190,11 +116,7 @@ func ConcreteDelta(base *BaseState, delta *instance.Concrete, opts *Options) (*i
 	}
 	if stats.DeltaFacts == 0 {
 		// Nothing new: the retained solution is the answer.
-		out := base.sol
-		if opts.coalesce() {
-			out = out.Coalesce()
-		}
-		return out, stats, base, nil
+		return base.sol, stats, base, nil
 	}
 	combined.Freeze()
 
@@ -349,7 +271,7 @@ func ConcreteDelta(base *BaseState, delta *instance.Concrete, opts *Options) (*i
 	}
 
 	var sol *instance.Concrete
-	if len(cm.egds) == 0 {
+	if len(cm.egdBodies) == 0 {
 		sol = tgtc
 	} else {
 		out, fellBack, err := deltaEgds(ctx, base, cm, tgtc, bounds, opts, &stats)
@@ -364,33 +286,28 @@ func ConcreteDelta(base *BaseState, delta *instance.Concrete, opts *Options) (*i
 
 	sol.Freeze()
 	var preEgd *instance.Concrete
-	if len(cm.egds) > 0 {
+	if len(cm.egdBodies) > 0 {
 		tgtc.Freeze()
 		preEgd = tgtc
 	}
 	next := &BaseState{
-		cm:         cm,
-		src:        combined,
-		nsrc:       nsrc,
-		preEgd:     preEgd,
-		sol:        sol,
-		genLast:    gen.Last(),
-		fires:      fires,
-		norm:       base.norm,
-		egdMode:    base.egdMode,
-		genPrivate: true,
+		cm:      cm,
+		src:     combined,
+		nsrc:    nsrc,
+		preEgd:  preEgd,
+		sol:     sol,
+		genLast: gen.Last(),
+		fires:   fires,
+		norm:    base.norm,
+		egdMode: base.egdMode,
 	}
-	res := sol
-	if opts.coalesce() {
-		res = sol.Coalesce()
-	}
-	return res, stats, next, nil
+	return sol, stats, next, nil
 }
 
 // deltaFallback abandons the incremental path and chases the combined
 // source from scratch, preserving the delta accounting.
 func deltaFallback(combined *instance.Concrete, cm *Compiled, opts *Options, stats Stats) (*instance.Concrete, Stats, *BaseState, error) {
-	out, st, next, err := ConcreteCompiledBase(combined, cm, opts)
+	out, st, next, err := ConcreteCompiled(combined, cm, opts)
 	st.DeltaFacts = stats.DeltaFacts
 	st.FallbackFullChase = true
 	return out, st, next, err
@@ -428,12 +345,8 @@ func deltaEgds(ctx context.Context, base *BaseState, cm *Compiled, tgtc *instanc
 		return out, false, nil
 	}
 
-	limit := opts.deltaBaseRowLimit()
 	workers := opts.workers()
-	if stats.EgdWorkers == 0 {
-		stats.EgdWorkers = 1
-	}
-	in := out.Interner()
+	stats.EgdWorkers = max(stats.EgdWorkers, 1)
 	rewrittenBase := 0
 	for {
 		stats.EgdRounds++
@@ -443,10 +356,8 @@ func deltaEgds(ctx context.Context, base *BaseState, cm *Compiled, tgtc *instanc
 		scanW := 1
 		if workers > 1 && dirty.Len() >= parallelCutoffFacts {
 			scanW = workers
-			out.Store().Freeze()
-			if scanW > stats.EgdWorkers {
-				stats.EgdWorkers = scanW
-			}
+			out.Freeze()
+			stats.EgdWorkers = max(stats.EgdWorkers, scanW)
 		}
 		// Guard: renormalizing w.r.t. the egd bodies must not fragment
 		// anything on the dirty frontier, or the retained base
@@ -459,31 +370,9 @@ func deltaEgds(ctx context.Context, base *BaseState, cm *Compiled, tgtc *instanc
 			return nil, true, nil
 		}
 
-		uf := newValueUF(in)
-		seen := 0
-		for di := range cm.egds {
-			d := &cm.egds[di]
-			pairs, err := collectDeltaPairs(ctx, out, d.body, d.d.X1, d.d.X2, dirty, scanW)
-			if err != nil {
-				return nil, false, err
-			}
-			for i := 0; i < len(pairs); i += 2 {
-				seen++
-				if seen&ctxCheckMask == 0 {
-					if err := ctxErr(ctx); err != nil {
-						return nil, false, err
-					}
-				}
-				v1, v2 := uf.canon(pairs[i]), uf.canon(pairs[i+1])
-				if v1 == v2 {
-					continue
-				}
-				if err := uf.union(v1, v2); err != nil {
-					opts.emit(EventEgdFail, d.d.Name, "constants clash: %v ≠ %v", in.Resolve(v1), in.Resolve(v2))
-					return nil, false, &FailError{Dep: d.d.Name, V1: in.Resolve(v1), V2: in.Resolve(v2)}
-				}
-				stats.EgdMerges++
-			}
+		uf := newValueUF(out.Interner())
+		if err := scanEgds(ctx, out.Store(), cm.m.EGDs, cm.egdBodies, dirty, scanW, false, uf, opts, stats); err != nil {
+			return nil, false, err
 		}
 		if !uf.dirty() {
 			return out, false, nil
@@ -499,7 +388,7 @@ func deltaEgds(ctx context.Context, base *BaseState, cm *Compiled, tgtc *instanc
 		})
 		stats.RowsRewritten += n
 		stats.BaseRowsRewritten = rewrittenBase
-		if limit >= 0 && rewrittenBase > limit {
+		if rewrittenBase > deltaBaseRowLimit {
 			return nil, true, nil
 		}
 	}
@@ -518,71 +407,36 @@ type deltaHom struct {
 // logic.ForEachIDsDelta — shards merge in (stage, worker-rank) order.
 func collectDeltaHoms(ctx context.Context, ic *instance.Concrete, conj logic.Conjunction, frontier *logic.DeltaSet, workers int, dname string) ([]deltaHom, error) {
 	in := ic.Interner()
-	build := func(m *logic.IDMatch) (deltaHom, error) {
-		bind := make(logic.Binding, len(m.Vars()))
-		for i, name := range m.Vars() {
-			bind[name] = in.Resolve(m.Slots()[i])
-		}
-		tv, ok := bind[dependency.TemporalVar]
-		if !ok || !tv.IsInterval() {
-			return deltaHom{}, fmt.Errorf("chase: tgd %s: temporal variable unbound", dname)
-		}
-		t, _ := tv.Interval()
-		return deltaHom{bind: bind, t: t}, nil
-	}
-	if workers <= 1 {
-		var homs []deltaHom
-		var stepErr error
-		seen := 0
-		logic.ForEachIDsDelta(ic.Store(), conj, frontier, func(stage int, m *logic.IDMatch) bool {
-			seen++
-			if seen&ctxCheckMask == 0 {
-				if stepErr = ctxErr(ctx); stepErr != nil {
-					return false
-				}
-			}
-			h, err := build(m)
-			if err != nil {
-				stepErr = err
-				return false
-			}
-			homs = append(homs, h)
-			return true
-		})
-		return homs, stepErr
-	}
-
 	type shard struct {
 		perStage [][]deltaHom
 		err      error
 	}
 	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := &shards[w]
-			s.perStage = make([][]deltaHom, len(conj))
-			seen := 0
-			logic.ForEachIDsDeltaPart(ic.Store(), conj, frontier, w, workers, func(stage int, m *logic.IDMatch) bool {
-				seen++
-				if seen&ctxCheckMask == 0 {
-					if s.err = ctxErr(ctx); s.err != nil {
-						return false
-					}
-				}
-				h, err := build(m)
-				if err != nil {
-					s.err = err
+	fanOut(workers, func(w int) {
+		s := &shards[w]
+		s.perStage = make([][]deltaHom, len(conj))
+		seen := 0
+		logic.ForEachIDsDeltaPart(ic.Store(), conj, frontier, w, workers, func(stage int, m *logic.IDMatch) bool {
+			seen++
+			if seen&ctxCheckMask == 0 {
+				if s.err = ctxErr(ctx); s.err != nil {
 					return false
 				}
-				s.perStage[stage] = append(s.perStage[stage], h)
-				return true
-			})
-		}(w)
-	}
-	wg.Wait()
+			}
+			bind := make(logic.Binding, len(m.Vars()))
+			for i, name := range m.Vars() {
+				bind[name] = in.Resolve(m.Slots()[i])
+			}
+			tv, ok := bind[dependency.TemporalVar]
+			if !ok || !tv.IsInterval() {
+				s.err = fmt.Errorf("chase: tgd %s: temporal variable unbound", dname)
+				return false
+			}
+			t, _ := tv.Interval()
+			s.perStage[stage] = append(s.perStage[stage], deltaHom{bind: bind, t: t})
+			return true
+		})
+	})
 	var homs []deltaHom
 	for w := range shards {
 		if err := shards[w].err; err != nil {
@@ -595,68 +449,4 @@ func collectDeltaHoms(ctx context.Context, ic *instance.Concrete, conj logic.Con
 		}
 	}
 	return homs, nil
-}
-
-// collectDeltaPairs enumerates the delta-involving homomorphisms of an
-// egd body over ic (frozen when workers > 1) and returns the flat
-// (x1, x2) ID pairs in deterministic (stage, worker-rank) order.
-func collectDeltaPairs(ctx context.Context, ic *instance.Concrete, body logic.Conjunction, x1, x2 string, dirty *logic.DeltaSet, workers int) ([]value.ID, error) {
-	if workers <= 1 {
-		var pairs []value.ID
-		var stepErr error
-		seen := 0
-		logic.ForEachIDsDelta(ic.Store(), body, dirty, func(stage int, m *logic.IDMatch) bool {
-			seen++
-			if seen&ctxCheckMask == 0 {
-				if stepErr = ctxErr(ctx); stepErr != nil {
-					return false
-				}
-			}
-			b1, _ := m.ID(x1)
-			b2, _ := m.ID(x2)
-			pairs = append(pairs, b1, b2)
-			return true
-		})
-		return pairs, stepErr
-	}
-	type shard struct {
-		perStage [][]value.ID
-		err      error
-	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := &shards[w]
-			s.perStage = make([][]value.ID, len(body))
-			seen := 0
-			logic.ForEachIDsDeltaPart(ic.Store(), body, dirty, w, workers, func(stage int, m *logic.IDMatch) bool {
-				seen++
-				if seen&ctxCheckMask == 0 {
-					if s.err = ctxErr(ctx); s.err != nil {
-						return false
-					}
-				}
-				b1, _ := m.ID(x1)
-				b2, _ := m.ID(x2)
-				s.perStage[stage] = append(s.perStage[stage], b1, b2)
-				return true
-			})
-		}(w)
-	}
-	wg.Wait()
-	var pairs []value.ID
-	for w := range shards {
-		if err := shards[w].err; err != nil {
-			return nil, err
-		}
-	}
-	for stage := 0; stage < len(body); stage++ {
-		for w := range shards {
-			pairs = append(pairs, shards[w].perStage[stage]...)
-		}
-	}
-	return pairs, nil
 }

@@ -1,11 +1,18 @@
 package chase
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/dependency"
 	"repro/internal/fact"
 	"repro/internal/instance"
+	"repro/internal/interval"
+	"repro/internal/logic"
+	"repro/internal/paperex"
+	"repro/internal/schema"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -18,8 +25,14 @@ import (
 // exercises the fast path at all, so a regression that silently falls
 // back on everything cannot pass.
 func TestConcreteDeltaEquivalence(t *testing.T) {
-	fastPaths := 0
-	trials := 0
+	type trial struct {
+		name              string
+		m                 *dependency.Mapping
+		base, delta, full *instance.Concrete
+		workers           int
+		sharded           bool // must take the fast path with sharded egd rounds
+	}
+	var trials []trial
 	for seed := int64(0); seed < 30; seed++ {
 		for _, workers := range []int{1, 2, 4} {
 			if workers > 1 && seed >= 6 {
@@ -33,75 +46,171 @@ func TestConcreteDeltaEquivalence(t *testing.T) {
 			if cut < 1 {
 				cut = 1
 			}
-			baseIC := instance.NewConcreteWith(m.Source, all.Interner())
-			deltaIC := instance.NewConcreteWith(m.Source, all.Interner())
-			fullIC := instance.NewConcreteWith(m.Source, all.Interner())
-			i := 0
-			all.EachFact(func(f fact.CFact) bool {
-				if i < cut {
-					baseIC.MustInsert(f)
-				} else {
-					deltaIC.MustInsert(f)
-				}
-				fullIC.MustInsert(f)
-				i++
-				return true
-			})
+			base, delta, full := splitSource(m, all, func(i int, _ fact.CFact) bool { return i >= cut })
+			trials = append(trials, trial{fmt.Sprintf("seed %d w%d", seed, workers), m, base, delta, full, workers, false})
+		}
+	}
+	// New hires: a delta of far more than parallelCutoffFacts rows, so the
+	// delta run shards its source normalization, its tgd homomorphism
+	// collection and its egd rounds.
+	m := paperex.EmploymentMapping()
+	emp := workload.Employment(workload.EmploymentConfig{Seed: 3, Persons: 120, JobsPerPerson: 3, SalaryCoverage: 0.7, Span: 100})
+	staff := make(map[value.Value]bool)
+	for p := 0; p < 20; p++ {
+		staff[paperex.C(fmt.Sprintf("p%d", p))] = true
+	}
+	for _, workers := range []int{2, 4} {
+		base, delta, full := splitSource(m, emp, func(_ int, f fact.CFact) bool { return !staff[f.Args[0]] })
+		trials = append(trials, trial{fmt.Sprintf("new hires w%d", workers), m, base, delta, full, workers, true})
+	}
 
-			cm, err := CompileMapping(m)
-			if err != nil {
-				t.Fatalf("seed %d: compile: %v", seed, err)
-			}
-			opts := &Options{Workers: workers}
-			wantOut, _, _, wantErr := ConcreteCompiledBase(fullIC, cm, &Options{Workers: workers})
+	fastPaths := 0
+	ran := 0
+	for _, tr := range trials {
+		cm, err := CompileMapping(tr.m)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", tr.name, err)
+		}
+		opts := &Options{Workers: tr.workers}
+		wantOut, _, _, wantErr := ConcreteCompiled(tr.full, cm, &Options{Workers: tr.workers})
 
-			baseOut, _, baseState, baseErr := ConcreteCompiledBase(baseIC, cm, opts)
-			if baseErr != nil {
-				// The base alone has no solution; the combined source cannot
-				// have one either (its egd violations persist).
-				if wantErr == nil {
-					t.Fatalf("seed %d w%d: base chase failed (%v) but full chase succeeded", seed, workers, baseErr)
-				}
-				continue
+		_, _, baseState, baseErr := ConcreteCompiled(tr.base, cm, opts)
+		if baseErr != nil {
+			// The base alone has no solution; the combined source cannot
+			// have one either (its egd violations persist).
+			if wantErr == nil {
+				t.Fatalf("%s: base chase failed (%v) but full chase succeeded", tr.name, baseErr)
 			}
-			_ = baseOut
-			gotOut, gotStats, nextBase, gotErr := ConcreteDelta(baseState, deltaIC, opts)
-			trials++
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("seed %d w%d: delta err = %v, full err = %v", seed, workers, gotErr, wantErr)
-			}
-			if gotErr != nil {
-				continue
-			}
-			if !gotStats.FallbackFullChase {
-				fastPaths++
-			}
-			if got, want := gotOut.String(), wantOut.String(); got != want {
-				t.Fatalf("seed %d w%d (fallback=%v): delta solution diverges from full chase\n--- delta ---\n%s\n--- full ---\n%s",
-					seed, workers, gotStats.FallbackFullChase, got, want)
-			}
-			if nextBase == nil {
-				t.Fatalf("seed %d w%d: delta run returned no base state", seed, workers)
-			}
-			if got, want := nextBase.Solution().String(), wantOut.String(); got != want {
-				t.Fatalf("seed %d w%d: retained solution diverges from returned one", seed, workers)
-			}
-			// Snapshots must agree too (semantic identity on top of the
-			// syntactic one).
-			for _, tp := range instance.SamplePoints(gotOut.Abstract(), wantOut.Abstract()) {
-				if !gotOut.Snapshot(tp).Equal(wantOut.Snapshot(tp)) {
-					t.Fatalf("seed %d w%d: snapshot at %v diverges", seed, workers, tp)
-				}
+			continue
+		}
+		gotOut, gotStats, nextBase, gotErr := ConcreteDelta(baseState, tr.delta, opts)
+		ran++
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%s: delta err = %v, full err = %v", tr.name, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		if !gotStats.FallbackFullChase {
+			fastPaths++
+		}
+		if tr.sharded && (gotStats.FallbackFullChase || gotStats.DeltaFacts < parallelCutoffFacts || gotStats.EgdWorkers != tr.workers) {
+			t.Fatalf("%s: want the fast path with sharded egd rounds, got %+v", tr.name, gotStats)
+		}
+		if got, want := gotOut.String(), wantOut.String(); got != want {
+			t.Fatalf("%s (fallback=%v): delta solution diverges from full chase\n--- delta ---\n%s\n--- full ---\n%s",
+				tr.name, gotStats.FallbackFullChase, got, want)
+		}
+		if nextBase == nil {
+			t.Fatalf("%s: delta run returned no base state", tr.name)
+		}
+		if got, want := nextBase.Solution().String(), wantOut.String(); got != want {
+			t.Fatalf("%s: retained solution diverges from returned one", tr.name)
+		}
+		// Snapshots must agree too (semantic identity on top of the
+		// syntactic one).
+		for _, tp := range instance.SamplePoints(gotOut.Abstract(), wantOut.Abstract()) {
+			if !gotOut.Snapshot(tp).Equal(wantOut.Snapshot(tp)) {
+				t.Fatalf("%s: snapshot at %v diverges", tr.name, tp)
 			}
 		}
 	}
-	if trials == 0 {
+	if ran == 0 {
 		t.Fatal("no trial ran a delta chase")
 	}
 	if fastPaths == 0 {
 		t.Fatal("every trial fell back to a full re-chase; the incremental path was never exercised")
 	}
-	t.Logf("delta equivalence: %d trials, %d fast paths", trials, fastPaths)
+	t.Logf("delta equivalence: %d trials, %d fast paths", ran, fastPaths)
+}
+
+// splitSource splits the facts of all into a base and a delta instance
+// and builds full, the base facts followed by the delta facts: the
+// combined source whose full chase ConcreteDelta must reproduce.
+func splitSource(m *dependency.Mapping, all *instance.Concrete, inDelta func(i int, f fact.CFact) bool) (base, delta, full *instance.Concrete) {
+	base = instance.NewConcreteWith(m.Source, all.Interner())
+	delta = instance.NewConcreteWith(m.Source, all.Interner())
+	full = instance.NewConcreteWith(m.Source, all.Interner())
+	i := 0
+	all.EachFact(func(f fact.CFact) bool {
+		if inDelta(i, f) {
+			delta.MustInsert(f)
+		} else {
+			base.MustInsert(f)
+		}
+		i++
+		return true
+	})
+	for _, part := range []*instance.Concrete{base, delta} {
+		part.EachFact(func(f fact.CFact) bool {
+			full.MustInsert(f)
+			return true
+		})
+	}
+	return base, delta, full
+}
+
+// TestConcreteDeltaBaseRowBudget drives delta egd merges into retained
+// base rows. The base run invents, per key k, nulls v and w with
+// P(k, v) and Q(v, w); the delta's B(k, c) and C(c, d) pin v = c in one
+// egd round, which rewrites the base rows P(k, v) and Q(v, w), and then
+// w = d in the next, which rewrites Q(c, w) again: three base-row
+// rewrites per key. Under deltaBaseRowLimit the run stays on the fast
+// path; past it, it re-chases from scratch. Either way the solution is
+// the full re-chase's.
+func TestConcreteDeltaBaseRowBudget(t *testing.T) {
+	k, v, w, c, d := logic.Var("k"), logic.Var("v"), logic.Var("w"), logic.Var("c"), logic.Var("d")
+	m := &dependency.Mapping{
+		Source: schema.MustNew(schema.MustRelation("A", "k"), schema.MustRelation("B", "k", "v"), schema.MustRelation("C", "v", "w")),
+		Target: schema.MustNew(schema.MustRelation("P", "k", "v"), schema.MustRelation("Q", "v", "w")),
+		TGDs: []dependency.TGD{
+			{Name: "invent", Body: logic.Conjunction{logic.NewAtom("A", k)},
+				Head: logic.Conjunction{logic.NewAtom("P", k, v), logic.NewAtom("Q", v, w)}},
+			{Name: "pin-p", Body: logic.Conjunction{logic.NewAtom("B", k, v)}, Head: logic.Conjunction{logic.NewAtom("P", k, v)}},
+			{Name: "pin-q", Body: logic.Conjunction{logic.NewAtom("C", v, w)}, Head: logic.Conjunction{logic.NewAtom("Q", v, w)}},
+		},
+		EGDs: []dependency.EGD{
+			{Name: "p-key", Body: logic.Conjunction{logic.NewAtom("P", k, c), logic.NewAtom("P", k, d)}, X1: "c", X2: "d"},
+			{Name: "q-key", Body: logic.Conjunction{logic.NewAtom("Q", v, c), logic.NewAtom("Q", v, d)}, X1: "c", X2: "d"},
+		},
+	}
+	cm, err := CompileMapping(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv := interval.MustNew(0, 10)
+	for _, keys := range []int{20, 100} {
+		all := instance.NewConcrete(m.Source)
+		for i := 0; i < keys; i++ {
+			all.MustInsert(fact.NewC("A", iv, paperex.C(fmt.Sprintf("k%d", i))))
+		}
+		for i := 0; i < keys; i++ {
+			all.MustInsert(fact.NewC("B", iv, paperex.C(fmt.Sprintf("k%d", i)), paperex.C(fmt.Sprintf("c%d", i))))
+			all.MustInsert(fact.NewC("C", iv, paperex.C(fmt.Sprintf("c%d", i)), paperex.C(fmt.Sprintf("d%d", i))))
+		}
+		base, delta, full := splitSource(m, all, func(_ int, f fact.CFact) bool { return f.Rel != "A" })
+		want, _, _, err := ConcreteCompiled(full, cm, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, st, err := ConcreteCompiled(base, cm, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats, _, err := ConcreteDelta(st, delta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if over := 3*keys > deltaBaseRowLimit; stats.FallbackFullChase != over {
+			t.Fatalf("keys=%d: FallbackFullChase = %v, want %v (%+v)", keys, stats.FallbackFullChase, over, stats)
+		}
+		if !stats.FallbackFullChase && stats.BaseRowsRewritten != 3*keys {
+			t.Fatalf("keys=%d: BaseRowsRewritten = %d, want %d", keys, stats.BaseRowsRewritten, 3*keys)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("keys=%d: delta solution diverges from full chase\n--- delta ---\n%s\n--- full ---\n%s", keys, got, want)
+		}
+	}
 }
 
 // TestConcreteDeltaChains applies two deltas in sequence and compares
@@ -139,8 +248,8 @@ func TestConcreteDeltaChains(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
-		wantOut, _, _, wantErr := ConcreteCompiledBase(ics[3], cm, nil)
-		_, _, st0, err0 := ConcreteCompiledBase(ics[0], cm, nil)
+		wantOut, _, _, wantErr := ConcreteCompiled(ics[3], cm, nil)
+		_, _, st0, err0 := ConcreteCompiled(ics[0], cm, nil)
 		if err0 != nil {
 			if wantErr == nil {
 				t.Fatalf("seed %d: base failed but full succeeded", seed)
@@ -178,7 +287,7 @@ func TestConcreteDeltaEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, st, err := ConcreteCompiledBase(ic, cm, nil)
+	out, _, st, err := ConcreteCompiled(ic, cm, nil)
 	if err != nil {
 		t.Skipf("base chase failed: %v", err)
 	}

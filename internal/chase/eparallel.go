@@ -2,14 +2,14 @@ package chase
 
 import (
 	"context"
-	"sync"
 
+	"repro/internal/dependency"
 	"repro/internal/logic"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
 
-// The partitioned parallel egd phase.
+// The egd round's merge-candidate scan and merge step.
 //
 // An egd round has three parts: renormalize the target w.r.t. the egd
 // bodies (Smart strategy), scan every egd body for merge candidates, and
@@ -17,9 +17,8 @@ import (
 // enumeration-heavy and read-only, so they parallelize the same way the
 // tgd phase does: the intermediate target is frozen (all lazy structures
 // built, reads mutation-free), each worker sweeps one contiguous shard of
-// every conjunction via logic.ForEachIDsPartMulti, and the shards
-// concatenate in worker-rank order to exactly the sequential enumeration
-// order.
+// every conjunction, and the shards concatenate in worker-rank order to
+// exactly the sequential enumeration order.
 //
 // Byte-identical output to the sequential chase is preserved because the
 // order-sensitive state never leaves the merge step:
@@ -29,12 +28,11 @@ import (
 //     hash-dedup over the rank-ordered concatenation, reproducing the
 //     sequential set list, and fragmentation runs sequentially on it.
 //
-//   - Merge-candidate scan (collectEgdPairs below): workers record the
-//     raw (X1, X2) ID pairs of every match; the replay walks them in
-//     (egd, worker-rank, shard) order, applying canon/union against the
-//     round's union-find exactly as the sequential scan would during
-//     enumeration — same merge sequence, same canonical representatives,
-//     same first failure, same trace events.
+//   - Merge-candidate scan (scanEgds): workers record the raw (X1, X2) ID
+//     pairs of every match; the replay walks them in (egd, stage,
+//     worker-rank) order, applying mergeStep exactly as the sequential
+//     scan does during enumeration — same merge sequence, same canonical
+//     representatives, same first failure, same trace events.
 //
 //   - The rewrite (SubstituteIDs) stays sequential. A frozen store
 //     forbids substitution, so the round rewrites a Clone — Store.Clone
@@ -48,68 +46,137 @@ import (
 // below parallelCutoffFacts also stay sequential, where the freeze +
 // fan-out overhead dominates.
 
-// egdScanSpec describes one egd for the sharded merge-candidate scan:
-// the body to enumerate and the two equated variables to project out of
-// each match.
-type egdScanSpec struct {
-	body   logic.Conjunction
-	x1, x2 string
+// mergeStep is the chase step of the egd labeled dep on the candidate
+// pair (b1, b2): it unites their classes in uf and reports whether two
+// classes merged. Equating two distinct constants is the failing step:
+// no solution exists.
+func mergeStep(uf *valueUF, dep string, b1, b2 value.ID, opts *Options, stats *Stats) (bool, error) {
+	v1, v2 := uf.canon(b1), uf.canon(b2)
+	if v1 == v2 {
+		return false, nil
+	}
+	in := uf.in
+	if err := uf.union(v1, v2); err != nil {
+		opts.emit(EventEgdFail, dep, "constants clash: %v ≠ %v", in.Resolve(v1), in.Resolve(v2))
+		return false, &FailError{Dep: dep, V1: in.Resolve(v1), V2: in.Resolve(v2)}
+	}
+	stats.EgdMerges++
+	if opts.tracing() {
+		opts.emit(EventEgdMerge, dep, "%v = %v", in.Resolve(v1), in.Resolve(v2))
+	}
+	return true, nil
 }
 
-// egdShard is one worker's share of the merge-candidate scan: per egd,
-// the flat (b1, b2) ID pairs of shard w in enumeration order. Pairs with
-// b1 == b2 are dropped at the source — the replay's canon check would
-// skip them unconditionally.
-type egdShard struct {
-	pairs [][]value.ID
-	err   error
-}
-
-// collectEgdPairs fans the merge-candidate scan out over workers shards.
-// st must be frozen. The returned shards replay in (egd, worker-rank)
-// order to the sequential scan's candidate stream.
-func collectEgdPairs(ctx context.Context, st *storage.Store, specs []egdScanSpec, workers int) ([]egdShard, error) {
-	bodies := make([]logic.Conjunction, len(specs))
-	for i := range specs {
-		bodies[i] = specs[i].body
-	}
-	shards := make([]egdShard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			shards[w] = enumerateEgdShard(ctx, st, specs, bodies, w, workers)
-		}(w)
-	}
-	wg.Wait()
-	for w := range shards {
-		if err := shards[w].err; err != nil {
-			return nil, err
+// scanEgds is one egd round's merge-candidate scan: it enumerates
+// bodies[i], the body of egds[i], over st and feeds every match's
+// (X1, X2) pair to mergeStep against uf. With a nil delta it enumerates
+// every homomorphism; otherwise only those touching a delta row, in the
+// stage order of logic.ForEachIDsDelta.
+//
+// With workers ≤ 1 the scan streams, merging during the enumeration and,
+// when stepwise, stopping after the first merge. Otherwise st must be
+// frozen: each worker collects the pairs of its shard, and the pairs
+// replay in (egd, stage, worker-rank) order — the sequential candidate
+// stream — so the union-find sees the identical merge sequence.
+func scanEgds(ctx context.Context, st *storage.Store, egds []dependency.EGD, bodies []logic.Conjunction, delta *logic.DeltaSet, workers int, stepwise bool, uf *valueUF, opts *Options, stats *Stats) error {
+	stages := 1
+	if delta != nil {
+		for _, b := range bodies {
+			stages = max(stages, len(b))
 		}
 	}
-	return shards, nil
-}
-
-// enumerateEgdShard runs one worker: shard w of every egd body against
-// the frozen target, recording the equated-variable ID pairs per match.
-func enumerateEgdShard(ctx context.Context, st *storage.Store, specs []egdScanSpec, bodies []logic.Conjunction, w, workers int) (out egdShard) {
-	out.pairs = make([][]value.ID, len(specs))
-	seen := 0
-	logic.ForEachIDsPartMulti(st, bodies, w, workers, func(ci int, m *logic.IDMatch) bool {
-		seen++
-		if seen&ctxCheckMask == 0 {
-			if out.err = ctxErr(ctx); out.err != nil {
-				return false
+	// each enumerates shard w of parts, yielding matches with their egd
+	// index and stage; yield returning false stops the sweep.
+	each := func(w, parts int, yield func(i, stage int, m *logic.IDMatch) bool) {
+		for i, body := range bodies {
+			ok := true
+			if delta == nil {
+				logic.ForEachIDsPart(st, body, nil, w, parts, func(m *logic.IDMatch) bool {
+					ok = yield(i, 0, m)
+					return ok
+				})
+			} else {
+				logic.ForEachIDsDeltaPart(st, body, delta, w, parts, func(stage int, m *logic.IDMatch) bool {
+					ok = yield(i, stage, m)
+					return ok
+				})
+			}
+			if !ok {
+				return
 			}
 		}
-		b1, _ := m.ID(specs[ci].x1)
-		b2, _ := m.ID(specs[ci].x2)
-		if b1 == b2 {
+	}
+
+	if workers <= 1 {
+		var err error
+		seen := 0
+		each(0, 1, func(i, _ int, m *logic.IDMatch) bool {
+			seen++
+			if seen&ctxCheckMask == 0 {
+				if err = ctxErr(ctx); err != nil {
+					return false
+				}
+			}
+			d := &egds[i]
+			b1, _ := m.ID(d.X1)
+			b2, _ := m.ID(d.X2)
+			merged, stepErr := mergeStep(uf, d.Name, b1, b2, opts, stats)
+			if stepErr != nil {
+				err = stepErr
+				return false
+			}
+			return !(merged && stepwise)
+		})
+		return err
+	}
+
+	// Per worker, the flat (b1, b2) pairs of each (egd, stage) in
+	// enumeration order. Pairs with b1 == b2 are dropped at the source —
+	// mergeStep would skip them unconditionally.
+	pairs := make([][][]value.ID, workers)
+	errs := make([]error, workers)
+	fanOut(workers, func(w int) {
+		out := make([][]value.ID, len(egds)*stages)
+		seen := 0
+		each(w, workers, func(i, stage int, m *logic.IDMatch) bool {
+			seen++
+			if seen&ctxCheckMask == 0 {
+				if errs[w] = ctxErr(ctx); errs[w] != nil {
+					return false
+				}
+			}
+			b1, _ := m.ID(egds[i].X1)
+			b2, _ := m.ID(egds[i].X2)
+			if b1 != b2 {
+				k := i*stages + stage
+				out[k] = append(out[k], b1, b2)
+			}
 			return true
-		}
-		out.pairs[ci] = append(out.pairs[ci], b1, b2)
-		return true
+		})
+		pairs[w] = out
 	})
-	return out
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	seen := 0
+	for k := 0; k < len(egds)*stages; k++ {
+		dep := egds[k/stages].Name
+		for w := range pairs {
+			ps := pairs[w][k]
+			for j := 0; j < len(ps); j += 2 {
+				seen++
+				if seen&ctxCheckMask == 0 {
+					if err := ctxErr(ctx); err != nil {
+						return err
+					}
+				}
+				if _, err := mergeStep(uf, dep, ps[j], ps[j+1], opts, stats); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -26,8 +26,9 @@ func Pointwise(ic *instance.Concrete, m *dependency.Mapping, horizon interval.Ti
 		return nil, Stats{}, err
 	}
 	var total Stats
-	gen := opts.gen()
+	gen := &value.NullGen{}
 	ctx := opts.ctx()
+	popts := opts.quiet()
 	out := make([]*instance.Snapshot, 0, int(horizon))
 	for tp := interval.Time(0); tp < horizon; tp++ {
 		if err := ctxErr(ctx); err != nil {
@@ -46,13 +47,8 @@ func Pointwise(ic *instance.Concrete, m *dependency.Mapping, horizon interval.Ti
 		}
 		point := tp
 		fresh := func() value.Value { return value.NewProjectedNull(gen.Fresh(), point) }
-		tgt, stats, err := snapshotCompiled(src, cm, fresh, opts)
-		total.TGDHoms += stats.TGDHoms
-		total.TGDFires += stats.TGDFires
-		total.FactsCreated += stats.FactsCreated
-		total.NullsCreated += stats.NullsCreated
-		total.EgdRounds += stats.EgdRounds
-		total.EgdMerges += stats.EgdMerges
+		tgt, stats, err := snapshot(src, cm, fresh, popts)
+		total.Add(stats)
 		if err != nil {
 			return nil, total, fmt.Errorf("at time point %v: %w", tp, err)
 		}

@@ -116,7 +116,7 @@ func TestChaseIncrementalRewriteSemantics(t *testing.T) {
 }
 
 // TestRewriteConcreteIsIncremental is the acceptance check that
-// rewriteConcrete no longer rebuilds the whole store per egd round: on a
+// the egd rewrite no longer rebuilds the whole store per egd round: on a
 // target where only a few facts contain the merged null, the touched-row
 // count must equal those few facts, not the instance size.
 func TestRewriteConcreteIsIncremental(t *testing.T) {
@@ -145,7 +145,11 @@ func TestRewriteConcreteIsIncremental(t *testing.T) {
 		tgt.MustInsert(fact.CFact{Rel: "Q", T: span, Args: []value.Value{value.NewConst(fmt.Sprintf("q%d", i))}})
 	}
 
-	out, stats, err := EgdPhase(tgt, mp, nil)
+	cm, err := CompileMapping(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, stats, err := EgdPhase(tgt, cm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +163,5 @@ func TestRewriteConcreteIsIncremental(t *testing.T) {
 	}
 	if out.Len() != bystanders+1 {
 		t.Fatalf("collapsed instance has %d facts, want %d", out.Len(), bystanders+1)
-	}
-	// The caller's target must not have been mutated by the egd phase.
-	if tgt.Len() != bystanders+2 {
-		t.Fatalf("EgdPhase mutated its input: %d facts, want %d", tgt.Len(), bystanders+2)
 	}
 }

@@ -3,32 +3,21 @@ package chase
 import (
 	"fmt"
 
-	"repro/internal/dependency"
 	"repro/internal/fact"
 	"repro/internal/instance"
 	"repro/internal/logic"
 	"repro/internal/value"
 )
 
-// Snapshot runs the standard relational chase of Fagin et al. on a single
+// snapshot runs the standard relational chase of Fagin et al. on a single
 // snapshot: all s-t tgd steps against the (static) source snapshot,
-// followed by egd steps to a fixpoint. freshNull supplies the labeled
-// null created per existential variable per firing. The source snapshot
-// is never modified.
+// followed by egd rounds to a fixpoint, both over the plain bodies of
+// cm. freshNull supplies the labeled null created per existential
+// variable per firing. The source snapshot is never modified.
 //
 // This is the per-snapshot building block of the abstract chase (§3): the
 // paper applies it independently to every db_ℓ of the abstract instance.
-func Snapshot(src *instance.Snapshot, m *dependency.Mapping, freshNull func() value.Value, opts *Options) (*instance.Snapshot, Stats, error) {
-	cm, err := CompileMapping(m)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return snapshotCompiled(src, cm, freshNull, opts)
-}
-
-// snapshotCompiled is Snapshot against a pre-compiled mapping — the
-// abstract chase compiles once and runs it per segment.
-func snapshotCompiled(src *instance.Snapshot, cm *Compiled, freshNull func() value.Value, opts *Options) (*instance.Snapshot, Stats, error) {
+func snapshot(src *instance.Snapshot, cm *Compiled, freshNull func() value.Value, opts *Options) (*instance.Snapshot, Stats, error) {
 	var stats Stats
 	ctx := opts.ctx()
 	// Share the source snapshot's interner (or the Options override) so
@@ -75,126 +64,39 @@ func snapshotCompiled(src *instance.Snapshot, cm *Compiled, freshNull func() val
 		}
 	}
 
-	// EGD phase.
-	out, egdStats, err := snapshotEgds(tgt, cm, opts)
-	stats.EgdRounds, stats.EgdMerges = egdStats.EgdRounds, egdStats.EgdMerges
-	stats.RowsRewritten = egdStats.RowsRewritten
-	stats.EgdWorkers = egdStats.EgdWorkers
+	out, err := snapshotEgds(tgt, cm, opts, &stats)
 	return out, stats, err
 }
 
 // snapshotEgds applies the egds of the compiled mapping to the snapshot
-// until satisfied (the snapshot chase matches the plain, non-temporal
-// egd bodies). The snapshot egd loop owns its target (Snapshot builds
-// it), so rounds rewrite in place; with Options.Workers ≥ 2 a round over
-// a large enough snapshot freezes it, fans the merge-candidate scan out
-// over worker shards, replays the pairs in rank order (byte-identical to
-// the sequential scan; see eparallel.go), and rewrites a layout-
-// preserving clone. The returned snapshot may come back frozen then.
-func snapshotEgds(tgt *instance.Snapshot, cm *Compiled, opts *Options) (*instance.Snapshot, Stats, error) {
-	var stats Stats
+// until satisfied, matching the plain, non-temporal egd bodies. It owns
+// tgt, as concreteEgds owns its target; the result may come back frozen.
+func snapshotEgds(tgt *instance.Snapshot, cm *Compiled, opts *Options, stats *Stats) (*instance.Snapshot, error) {
 	ctx := opts.ctx()
-	strat := opts.egd()
 	workers := opts.workers()
-	in := tgt.Interner()
-	stats.EgdWorkers = 1
+	stepwise := opts.egd() == EgdStepwise
+	stats.EgdWorkers = max(stats.EgdWorkers, 1)
 	for {
 		stats.EgdRounds++
 		if err := ctxErr(ctx); err != nil {
-			return nil, stats, err
+			return nil, err
 		}
-		uf := newValueUF(in)
 		scanW := 1
-		if workers > 1 && len(cm.egds) > 0 && strat != EgdStepwise && tgt.Len() >= parallelCutoffFacts {
+		if workers > 1 && len(cm.egdBodies) > 0 && !stepwise && tgt.Len() >= parallelCutoffFacts {
 			scanW = workers
-		}
-		if scanW > 1 {
 			tgt.Store().Freeze()
-			if scanW > stats.EgdWorkers {
-				stats.EgdWorkers = scanW
-			}
-			specs := make([]egdScanSpec, len(cm.egds))
-			for i := range cm.egds {
-				specs[i] = egdScanSpec{body: cm.egds[i].d.Body, x1: cm.egds[i].d.X1, x2: cm.egds[i].d.X2}
-			}
-			shards, err := collectEgdPairs(ctx, tgt.Store(), specs, scanW)
-			if err != nil {
-				return nil, stats, err
-			}
-			seen := 0
-			for di := range cm.egds {
-				d := &cm.egds[di]
-				for w := 0; w < scanW; w++ {
-					pairs := shards[w].pairs[di]
-					for i := 0; i < len(pairs); i += 2 {
-						seen++
-						if seen&ctxCheckMask == 0 {
-							if err := ctxErr(ctx); err != nil {
-								return nil, stats, err
-							}
-						}
-						v1, v2 := uf.canon(pairs[i]), uf.canon(pairs[i+1])
-						if v1 == v2 {
-							continue
-						}
-						if err := uf.union(v1, v2); err != nil {
-							return nil, stats, &FailError{Dep: d.d.Name, V1: in.Resolve(v1), V2: in.Resolve(v2)}
-						}
-						stats.EgdMerges++
-					}
-				}
-			}
-		} else {
-			stop := false
-			seen := 0
-			var stepErr error
-			for _, d := range cm.egds {
-				x1, x2 := d.d.X1, d.d.X2
-				logic.ForEachIDs(tgt.Store(), d.d.Body, nil, func(h *logic.IDMatch) bool {
-					seen++
-					if seen&ctxCheckMask == 0 {
-						if stepErr = ctxErr(ctx); stepErr != nil {
-							return false
-						}
-					}
-					b1, _ := h.ID(x1)
-					b2, _ := h.ID(x2)
-					v1, v2 := uf.canon(b1), uf.canon(b2)
-					if v1 == v2 {
-						return true
-					}
-					if err := uf.union(v1, v2); err != nil {
-						stepErr = &FailError{Dep: d.d.Name, V1: in.Resolve(v1), V2: in.Resolve(v2)}
-						return false
-					}
-					stats.EgdMerges++
-					stop = strat == EgdStepwise // one merge per round
-					return !stop
-				})
-				if stepErr != nil {
-					return nil, stats, stepErr
-				}
-				if stop {
-					break
-				}
-			}
+			stats.EgdWorkers = max(stats.EgdWorkers, scanW)
+		}
+		uf := newValueUF(tgt.Interner())
+		if err := scanEgds(ctx, tgt.Store(), cm.m.EGDs, cm.egdPlain, nil, scanW, stepwise, uf, opts, stats); err != nil {
+			return nil, err
 		}
 		if !uf.dirty() {
-			return tgt, stats, nil
+			return tgt, nil
 		}
 		if tgt.Store().Frozen() {
 			tgt = tgt.Clone()
 		}
-		stats.RowsRewritten += rewriteSnapshot(tgt, uf)
+		stats.RowsRewritten += rewrite(tgt.Store(), uf)
 	}
-}
-
-// rewriteSnapshot applies the union-find substitution to the snapshot in
-// place, touching only the rows that contain a merged ID (see
-// rewriteConcrete) and returning how many it rewrote. The snapshot egd
-// loop owns its target (Snapshot builds it), so no defensive copy is
-// needed — only a frozen target (published for a parallel scan) is
-// cloned, layout-preserving, before the rewrite.
-func rewriteSnapshot(s *instance.Snapshot, uf *valueUF) int {
-	return s.Store().SubstituteIDs(uf.substituted(), uf.canon)
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+
+	"repro/internal/paperex"
 )
 
 // TestStatsJSONRoundTrip pins the Stats wire encoding: every exported
@@ -77,6 +79,51 @@ func TestStatsJSONFieldNames(t *testing.T) {
 	} {
 		if !strings.Contains(string(data), `"`+want+`"`) {
 			t.Fatalf("published field %q missing from encoding:\n%s", want, data)
+		}
+	}
+}
+
+// TestChaseStatsTotals pins the totals of the chases assembled from
+// per-snapshot runs, on the Figure 4 employment chase: every counter is
+// summed over the snapshots (RowsRewritten included) and the worker
+// fields report the widest run (EgdWorkers 1, not 0).
+func TestChaseStatsTotals(t *testing.T) {
+	// Add carries every field: adding a filled Stats to a zero one
+	// reproduces it.
+	var filled, sum Stats
+	rv := reflect.ValueOf(&filled).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Field(i); f.Kind() == reflect.Bool {
+			f.SetBool(true)
+		} else {
+			f.SetInt(int64(i + 1))
+		}
+	}
+	sum.Add(filled)
+	if sum != filled {
+		t.Fatalf("Stats.Add drops fields:\n got %+v\nwant %+v", sum, filled)
+	}
+
+	ic := paperex.Figure4()
+	m := paperex.EmploymentMapping()
+	_, got, err := Pointwise(ic, m, 2020, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{TGDHoms: 23, TGDFires: 23, FactsCreated: 23, NullsCreated: 13,
+		EgdRounds: 2027, EgdMerges: 10, RowsRewritten: 10, EgdWorkers: 1}
+	if got != want {
+		t.Fatalf("pointwise stats:\n got %+v\nwant %+v", got, want)
+	}
+	for _, workers := range []int{0, 4} {
+		_, got, err := Abstract(ic.Abstract(), m, &Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Stats{TGDHoms: 13, TGDFires: 13, FactsCreated: 13, NullsCreated: 8,
+			EgdRounds: 10, EgdMerges: 5, RowsRewritten: 5, EgdWorkers: 1}
+		if got != want {
+			t.Fatalf("abstract stats at workers=%d:\n got %+v\nwant %+v", workers, got, want)
 		}
 	}
 }

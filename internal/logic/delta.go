@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/storage"
@@ -9,11 +10,13 @@ import (
 
 // DeltaSet marks, per relation, a set of "delta" rows of one store: the
 // rows the incremental chase considers new or dirty. Membership is
-// O(1); Rows materializes a sorted view lazily. The zero value is not
-// usable — construct with NewDeltaSet.
+// O(1), and Add keeps a sorted view per relation, so every read method
+// is free of writes and any number of goroutines may read one set
+// concurrently while nobody adds to it. The zero value is not usable —
+// construct with NewDeltaSet.
 type DeltaSet struct {
 	member map[string]map[int]bool
-	sorted map[string][]int // per-relation sorted cache; nil entry = stale
+	sorted map[string][]int // per-relation marked rows, ascending
 }
 
 // NewDeltaSet returns an empty delta set.
@@ -22,17 +25,26 @@ func NewDeltaSet() *DeltaSet {
 }
 
 // Add marks one row of a relation as delta. Adding a row twice is a
-// no-op.
+// no-op. Rows arriving in ascending order, the shape of an appended
+// suffix, extend the sorted view in O(1); an out-of-order row is
+// inserted in place.
 func (d *DeltaSet) Add(rel string, row int) {
 	m := d.member[rel]
 	if m == nil {
 		m = make(map[int]bool)
 		d.member[rel] = m
 	}
-	if !m[row] {
-		m[row] = true
-		d.sorted[rel] = nil
+	if m[row] {
+		return
 	}
+	m[row] = true
+	s := d.sorted[rel]
+	if n := len(s); n == 0 || s[n-1] < row {
+		d.sorted[rel] = append(s, row)
+		return
+	}
+	i, _ := slices.BinarySearch(s, row)
+	d.sorted[rel] = slices.Insert(s, i, row)
 }
 
 // AddRange marks rows [from, to) of a relation as delta — the shape of
@@ -49,22 +61,10 @@ func (d *DeltaSet) Contains(rel string, row int) bool {
 }
 
 // Rows returns the marked rows of the relation in ascending order. The
-// returned slice is owned by the set; do not mutate it.
+// returned slice is owned by the set and valid until the next Add; do
+// not mutate it.
 func (d *DeltaSet) Rows(rel string) []int {
-	m := d.member[rel]
-	if len(m) == 0 {
-		return nil
-	}
-	if s := d.sorted[rel]; s != nil {
-		return s
-	}
-	s := make([]int, 0, len(m))
-	for row := range m {
-		s = append(s, row)
-	}
-	sort.Ints(s)
-	d.sorted[rel] = s
-	return s
+	return d.sorted[rel]
 }
 
 // Len returns the total number of marked rows across relations.

@@ -313,7 +313,7 @@ func ChaseCompiled(ic *instance.Concrete, cm *Compiled, opts *chase.Options) (*i
 	stats.NormalizedSourceFacts = src.Len()
 
 	// Share the normalized source's interner so the whole run is
-	// ID-compatible (see chase.Concrete).
+	// ID-compatible (see chase.ConcreteCompiled).
 	tgt := instance.NewConcreteWith(m.Target, src.Interner())
 	for i, d := range m.TGDs {
 		ms := logic.FindAll(src.Store(), bodies[i], nil)
@@ -375,15 +375,10 @@ func ChaseCompiled(ic *instance.Concrete, cm *Compiled, opts *chase.Options) (*i
 	}
 
 	// Plain egd phase via the standard machinery, pre-compiled. tgt was
-	// built by this run, so the egd phase takes ownership (no defensive
-	// clone; with Options.Workers ≥ 2 it runs partitioned and may return
-	// the solution frozen).
-	out, egdStats, err := chase.EgdPhaseCompiledOwned(tgt, cm.egds, opts)
-	stats.EgdRounds = egdStats.EgdRounds
-	stats.EgdMerges = egdStats.EgdMerges
-	stats.NormalizeRuns += egdStats.NormalizeRuns
-	stats.RowsRewritten = egdStats.RowsRewritten
-	stats.EgdWorkers = egdStats.EgdWorkers
+	// built by this run, so the egd phase takes it over (with
+	// Options.Workers ≥ 2 it may return the solution frozen).
+	out, egdStats, err := chase.EgdPhase(tgt, cm.egds, opts)
+	stats.Add(egdStats)
 	return out, stats, err
 }
 

@@ -452,7 +452,7 @@ func (ex *Exchange) Run(ctx context.Context, src *Instance, opts ...Option) (*So
 	if ex.tm != nil {
 		jc, stats, err = temporal.ChaseCompiled(src.c, ex.tcm, copts)
 	} else {
-		jc, stats, base, err = chase.ConcreteCompiledBase(src.c, ex.cm, copts)
+		jc, stats, base, err = chase.ConcreteCompiled(src.c, ex.cm, copts)
 	}
 	if err != nil {
 		return nil, err
@@ -560,16 +560,17 @@ func (ex *Exchange) RunDelta(ctx context.Context, sol *Solution, delta *Instance
 
 // RunAbstract runs the abstract chase on ⟦src⟧ segment-wise (§3) — the
 // semantic reference the c-chase is proven equivalent to (Corollary 20),
-// exposed for verification and experiments. Segments are chased on a
-// worker pool sized by WithParallelism. Not available for temporal
-// mappings.
+// exposed for verification and experiments. As many segments as
+// WithParallelism allows are chased at once; with more than one, null
+// family ids follow the scheduling (the snapshots are isomorphic either
+// way). Not available for temporal mappings.
 func (ex *Exchange) RunAbstract(ctx context.Context, src *Instance, opts ...Option) (*instance.Abstract, Stats, error) {
 	ctx = ctxOrBackground(ctx)
 	cfg := ex.cfg.apply(opts)
 	if ex.tm != nil {
 		return nil, Stats{}, fmt.Errorf("tdx: the abstract chase is not defined for temporal (§7) mappings")
 	}
-	return chase.AbstractParallelCompiled(src.c.Abstract(), ex.cm, ex.chaseOptions(ctx, cfg), cfg.parallelism)
+	return chase.Abstract(src.c.Abstract(), ex.cm.Mapping(), ex.chaseOptions(ctx, cfg))
 }
 
 // Normalize returns the source normalized w.r.t. the mapping's tgd
