@@ -48,7 +48,6 @@ var experiments = []experiment{
 	{"perf-query", "naïve query evaluation scaling", runPerfQuery},
 	{"perf-delta", "incremental exchange: RunDelta over a frozen base vs full re-chase", runPerfDelta},
 	{"perf-snapshot", "persistence: mmap snapshot load vs cold JSON decode + freeze", runPerfSnapshot},
-	{"perf-encode", "serialization: streamed columnar JSON encode vs materialize + marshal", runPerfEncode},
 	{"abl-egd", "ablation: batch (union-find) vs stepwise egd application", runAblEgd},
 	{"abl-norm-strategy", "ablation: chase end-to-end under smart vs naive normalization", runAblNormStrategy},
 	{"ext-temporal", "§7 extension: modal-operator mappings (PhD example, ◆)", runExtTemporal},

@@ -100,7 +100,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "concurrent chase bound: beyond it chases queue up to -queue-wait, then 429; 0 means unlimited")
 	queueWait := flag.Duration("queue-wait", server.DefaultQueueWait, "how long an over--max-inflight chase queues for a slot before 429")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBody, "request body size cap in bytes (413 beyond it)")
-	streamThreshold := flag.Int("stream-threshold", server.DefaultStreamThreshold, "solution fact count at which responses switch from buffered (Content-Length) to chunked streaming; negative streams everything")
 	accessLog := flag.Bool("access-log", false, "log one structured line per request (method, path, status, bytes, duration)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown drain window for in-flight requests")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
@@ -122,7 +121,6 @@ func main() {
 		MaxInflight:     *maxInflight,
 		QueueWait:       *queueWait,
 		MaxBodyBytes:    *maxBody,
-		StreamThreshold: *streamThreshold,
 		StateDir:        *stateDir,
 		MaxRunSnapshots: *maxRunSnapshots,
 	}
@@ -220,8 +218,7 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("tdxd: %v", err)
 	}
-	// Serving is done: release the gossip socket and sync the durable
-	// counters.
+	// Serving is done: release the gossip socket.
 	if err := srv.Close(); err != nil {
 		log.Printf("tdxd: close: %v", err)
 	}

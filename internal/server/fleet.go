@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	tdx "repro"
 	"repro/internal/fleet"
 )
 
@@ -176,16 +175,18 @@ func (s *Server) forwardExchange(w http.ResponseWriter, r *http.Request, hash st
 	if len(candidates) == 0 {
 		return false
 	}
-	budget, err := s.runBudget(r)
+	ctx, cancel, err := s.budgetContext(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return true
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
 	// The body must be buffered: a transport failure after the first
-	// candidate consumed part of it would otherwise kill the retry.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	// candidate consumed part of it would otherwise kill the retry. The
+	// read is budget-bounded like every other body read, so a trickling
+	// client cannot hold the handler past its deadline.
+	s.boundBody(ctx, w, r)
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeError(w, bodyErrStatus(err), fmt.Errorf("source body: %w", err))
 		return true
@@ -262,7 +263,6 @@ func (s *Server) fleetFallbackCompile(hash string) (*Entry, bool) {
 		s.logf("fleet: manifest payload for %.12s: bad options: %v", hash, err)
 		return nil, false
 	}
-	opts = append(opts, tdx.WithRunInterner())
 	entry, err := s.reg.RegisterReplay(row.Mapping, opts...)
 	if err != nil {
 		s.logf("fleet: mapping %.12s does not compile here: %v", hash, err)

@@ -434,6 +434,57 @@ func TestFleetTwoNodeFailover(t *testing.T) {
 	}
 }
 
+// TestFleetForwardBodyBudget: a node reads the body of a request it
+// will forward under the request budget, so a client trickling the body
+// to a node that does not hold the hash gets its 504 when ?timeout=
+// lapses, not once the whole body has arrived.
+func TestFleetForwardBodyBudget(t *testing.T) {
+	nodes := startFleet(t, 2)
+	a, b := nodes[0], nodes[1]
+	hash := registerOn(t, a, readTestdata(t, "employment.tdx"))
+	waitFor(t, "fact replication to node-1", func() bool {
+		_, ok := b.srv.Fleet().ManifestPayload(hash)
+		return ok
+	})
+
+	// 60 bytes at one byte per 50ms: the whole body takes 3s to send.
+	body := strings.Repeat("E(Ada, IBM) @ [2012, 2014)\n", 3)[:60]
+	pr, pw := io.Pipe()
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for i := 0; i < len(body); i++ {
+			if _, err := pw.Write([]byte{body[i]}); err != nil {
+				return
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+		pw.Close()
+	}()
+	req, err := http.NewRequest("POST", b.url()+"/v1/exchanges/"+hash+"/run?timeout=300ms", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	elapsed := time.Since(started)
+	pr.Close() // stops the trickle
+	<-sent
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("trickled forward: status %d, want 504", resp.StatusCode)
+	}
+	if elapsed > 1500*time.Millisecond {
+		t.Fatalf("trickled forward answered after %v; the budget was 300ms", elapsed)
+	}
+	if f := b.srv.forwards.Load(); f != 0 {
+		t.Fatalf("node-1 relayed %d requests whose body never arrived", f)
+	}
+}
+
 // TestFleetUnknownHash: a hash nobody holds 404s with the fleet-wide
 // message, from any node, without hanging on forwards.
 func TestFleetUnknownHash(t *testing.T) {

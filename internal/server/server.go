@@ -21,7 +21,7 @@
 // application/json) or the TDX fact text format (any other content
 // type). Exchange-endpoint bodies are read fully (bounded by
 // MaxBodyBytes) and content-hashed: the hash keys an in-memory LRU of
-// decoded source instances (MaxSources) and — with a state directory —
+// the last 32 decoded source instances and — with a state directory —
 // the disk cache of chased solutions, so re-posting a document skips
 // decoding, and re-running one skips the chase entirely.
 // Per-request query parameters ride the engine's functional
@@ -40,8 +40,8 @@
 //
 // The response side is bounded too: solution-bearing responses are
 // framed (stream.go) — the small head fields marshal normally, then the
-// solution document streams chunked straight off the frozen columnar
-// store, so serving an n-fact solution never stages an n-sized buffer.
+// solution document streams straight off the frozen columnar store, so
+// serving an n-fact solution never stages an n-sized buffer.
 // Admission control bounds the chase concurrency itself: with
 // MaxInflight set, at most that many chases run at once, the overflow
 // queues up to QueueWait for a freed slot, and chases still waiting when
@@ -102,9 +102,6 @@ type Config struct {
 	// MaxRunSnapshots bounds the disk run cache under StateDir/runs.
 	// <= 0 means DefaultMaxRunSnapshots.
 	MaxRunSnapshots int
-	// MaxSources bounds the in-memory cache of decoded source instances.
-	// 0 means DefaultMaxSources; negative disables the cache.
-	MaxSources int
 	// MaxInflight bounds concurrent chases (runs and session deltas).
 	// Arrivals beyond it queue up to QueueWait for a freed slot, then get
 	// 429. <= 0 means unlimited (the gauges still report).
@@ -112,10 +109,6 @@ type Config struct {
 	// QueueWait bounds how long an over-MaxInflight chase waits for a
 	// slot before 429. <= 0 means DefaultQueueWait.
 	QueueWait time.Duration
-	// StreamThreshold is the solution fact count at which responses
-	// switch from buffered-with-Content-Length to chunked streaming.
-	// 0 means DefaultStreamThreshold; negative streams everything.
-	StreamThreshold int
 	// Logf receives operational messages (persistence failures, warm
 	// start skips). nil means log.Printf.
 	Logf func(format string, args ...any)
@@ -142,13 +135,6 @@ const DefaultMaxTimeout = 60 * time.Second
 // DefaultMaxBody bounds request bodies when the configuration does not.
 const DefaultMaxBody int64 = 64 << 20
 
-// DefaultStreamThreshold is the solution fact count at which responses
-// switch to chunked streaming when the configuration does not say.
-// Below it a response buffers (one Content-Length frame beats chunked
-// overhead for small documents); at or past it the solution streams in
-// flush-chunk slices.
-const DefaultStreamThreshold = 4096
-
 // Server implements the tdxd HTTP API over a compiled-exchange
 // registry. Create with New, mount with Handler; safe for concurrent
 // use.
@@ -160,7 +146,6 @@ type Server struct {
 	state    *stateStore // nil without Config.StateDir
 	gate     *gate       // admission control on chase work
 	fleet    *fleetState // nil without Config.FleetConfig
-	streamAt int         // solution fact count switching to chunked streaming
 	logf     func(format string, args ...any)
 	start    time.Time
 
@@ -197,22 +182,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxRunSnapshots <= 0 {
 		cfg.MaxRunSnapshots = DefaultMaxRunSnapshots
 	}
-	if cfg.MaxSources == 0 {
-		cfg.MaxSources = DefaultMaxSources
-	}
-	streamAt := cfg.StreamThreshold
-	if streamAt == 0 {
-		streamAt = DefaultStreamThreshold
-	} else if streamAt < 0 {
-		streamAt = 0 // every solution length is >= 0: always stream
-	}
 	s := &Server{
 		cfg:      cfg,
 		reg:      NewRegistry(cfg.MaxMappings, cfg.Compile),
 		sessions: NewSessionStore(cfg.MaxSessions),
-		sources:  newSourceCache(cfg.MaxSources),
+		sources:  newSourceCache(),
 		gate:     newGate(cfg.MaxInflight, cfg.QueueWait),
-		streamAt: streamAt,
 		logf:     cfg.Logf,
 		start:    time.Now(),
 	}
@@ -225,7 +200,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.state = state
-		s.sourceCacheHits.Store(state.sourceCacheHits())
 		s.sessions.OnEvict(func(sess *Session) {
 			if err := state.forgetSession(sess.ID); err != nil {
 				s.logf("state: drop evicted session %s: %v", sess.ID, err)
@@ -241,20 +215,12 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Close releases what New acquired: the fleet node (gossip socket and
-// loops) and a final state-manifest sync so restart-durable counters
-// survive a graceful shutdown. Safe without fleet or state; safe to
-// call once after serving stops.
+// loops). Safe without fleet; safe to call once after serving stops.
 func (s *Server) Close() error {
-	var err error
-	if s.fleet != nil {
-		err = s.fleet.node.Close()
+	if s.fleet == nil {
+		return nil
 	}
-	if s.state != nil {
-		if serr := s.state.syncCounters(s.sourceCacheHits.Load()); serr != nil && err == nil {
-			err = serr
-		}
-	}
-	return err
+	return s.fleet.node.Close()
 }
 
 // WarmStart replays the persisted manifest: registered mappings
@@ -275,7 +241,6 @@ func (s *Server) WarmStart() error {
 			s.logf("state: mapping %.12s: bad options: %v", m.Hash, err)
 			continue
 		}
-		opts = append(opts, tdx.WithRunInterner())
 		entry, err := s.reg.RegisterReplay(m.Mapping, opts...)
 		if err != nil {
 			s.logf("state: mapping %.12s no longer compiles: %v", m.Hash, err)
@@ -304,48 +269,7 @@ func (s *Server) WarmStart() error {
 		s.sessions.AddWithID(ms.ID, entry, sol, ms.Deltas)
 		s.warmStarts.Add(1)
 	}
-	s.prefillSources()
 	return nil
-}
-
-// prefillSources re-decodes the persisted source bodies (DIR/sources)
-// through the replayed exchanges, so post-restart requests hit the
-// decoded-source cache exactly as they did before the restart. Entries
-// are matched by the fingerprint prefix in the file name; bodies whose
-// exchange did not replay (evicted, or no longer compiling) are
-// dropped along with files that no longer decode.
-func (s *Server) prefillSources() {
-	saved := s.state.savedSources()
-	if len(saved) == 0 {
-		return
-	}
-	byPrefix := make(map[string]*Entry)
-	for _, e := range s.reg.Entries() {
-		if len(e.Hash) >= 16 {
-			byPrefix[e.Hash[:16]] = e
-		}
-	}
-	for _, sv := range saved {
-		entry, ok := byPrefix[sv.entryPrefix]
-		if !ok {
-			_ = os.Remove(s.state.sourcePath(sv.entryPrefix, sv.srcKey))
-			continue
-		}
-		var src *tdx.Instance
-		var err error
-		if sv.jsonBody {
-			src, err = entry.Exchange.DecodeSourceJSON(bytes.NewReader(sv.body))
-		} else {
-			src, err = entry.Exchange.ParseSource(string(sv.body))
-		}
-		if err != nil {
-			s.logf("state: source %.12s no longer decodes: %v", sv.srcKey, err)
-			_ = os.Remove(s.state.sourcePath(sv.entryPrefix, sv.srcKey))
-			continue
-		}
-		src.Freeze()
-		s.sources.put(entry.Hash+"\x00"+sv.srcKey, src)
-	}
 }
 
 // Registry exposes the compiled-exchange registry (tests, metrics).
@@ -437,10 +361,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Every run of a registered exchange gets a per-run interner seeded
-	// from the frozen mapping domain: a registry entry serving unbounded
-	// distinct inputs must not grow with them.
-	opts = append(opts, tdx.WithRunInterner())
 	entry, cached, err := s.reg.Register(ctx, req.Mapping, opts...)
 	if err != nil {
 		// Compilation failures are the client's mapping (400); an
@@ -603,37 +523,35 @@ func (s *Server) runExchange(ctx context.Context, w http.ResponseWriter, r *http
 func (s *Server) decodeBody(entry *Entry, jsonBody bool, body []byte, srcKey string) (*tdx.Instance, error) {
 	ck := entry.Hash + "\x00" + srcKey
 	if src, ok := s.sources.get(ck); ok {
-		hits := s.sourceCacheHits.Add(1)
-		if s.state != nil {
-			// Keep the manifest's durable copy current; it rides the next
-			// manifest write to disk.
-			s.state.noteSourceHits(hits)
-		}
+		s.sourceCacheHits.Add(1)
 		return src, nil
 	}
-	var src *tdx.Instance
-	var err error
-	if jsonBody {
-		src, err = entry.Exchange.DecodeSourceJSON(bytes.NewReader(body))
-	} else {
-		if strings.TrimSpace(string(body)) == "" {
-			return nil, errors.New("source body is empty; send TDX fact text or the TDX JSON instance format")
-		}
-		src, err = entry.Exchange.ParseSource(string(body))
-	}
+	src, err := parseSource(entry.Exchange, jsonBody, body)
 	if err != nil {
-		return nil, fmt.Errorf("source body: %w", err)
+		return nil, err
 	}
 	// Freeze before publishing: a frozen instance is safe to share
 	// across the concurrent runs a cache hit implies.
 	src.Freeze()
 	s.sources.put(ck, src)
-	if s.state != nil {
-		// Persist the raw body so a restarted daemon re-decodes it at boot
-		// (WarmStart) instead of on the first request.
-		if err := s.state.saveSource(entry.Hash, srcKey, jsonBody, body); err != nil {
-			s.logf("state: persist source %.12s: %v", srcKey, err)
+	return src, nil
+}
+
+// parseSource decodes a request body on ex: the TDX JSON instance format
+// for JSON bodies, the TDX fact text format otherwise.
+func parseSource(ex *tdx.Exchange, jsonBody bool, body []byte) (*tdx.Instance, error) {
+	var src *tdx.Instance
+	var err error
+	if jsonBody {
+		src, err = ex.DecodeSourceJSON(bytes.NewReader(body))
+	} else {
+		if strings.TrimSpace(string(body)) == "" {
+			return nil, errors.New("source body is empty; send TDX fact text or the TDX JSON instance format")
 		}
+		src, err = ex.ParseSource(string(body))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("source body: %w", err)
 	}
 	return src, nil
 }
@@ -679,7 +597,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		tails = append(tails, tailDoc{name: "answers", stream: instanceDoc(ans)})
 	}
-	s.writeFramed(w, http.StatusOK, head, tails, s.streamLen(sol.Len()))
+	s.writeFramed(w, http.StatusOK, head, tails)
 }
 
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
@@ -716,7 +634,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		ElapsedMs: elapsedMs(elapsed),
 	}
 	tails := []tailDoc{{name: "answers", stream: instanceDoc(ans)}}
-	s.writeFramed(w, http.StatusOK, head, tails, s.streamLen(ans.Len()))
+	s.writeFramed(w, http.StatusOK, head, tails)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -759,7 +677,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		{name: "facts", stream: snapshotFactsDoc(snap)},
 		{name: "rendering", stream: marshalDoc(snap.String())},
 	}
-	s.writeFramed(w, http.StatusOK, head, tails, s.streamLen(len(snap.Facts())))
+	s.writeFramed(w, http.StatusOK, head, tails)
 }
 
 // handleSessionCreate materializes a frozen base solution from the body
@@ -790,7 +708,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		ElapsedMs: elapsedMs(elapsed),
 	}
 	tails := []tailDoc{{name: "solution", stream: instanceDoc(&sol.Instance)}}
-	s.writeFramed(w, http.StatusCreated, head, tails, s.streamLen(sol.Len()))
+	s.writeFramed(w, http.StatusCreated, head, tails)
 }
 
 // handleSessionFacts ingests a delta of new source facts into a session:
@@ -826,7 +744,12 @@ func (s *Server) handleSessionFacts(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 	s.boundBody(ctx, w, r)
-	delta, err := s.decodeSource(r, sess.Entry.Exchange)
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeError(w, bodyErrStatus(err), fmt.Errorf("source body: %w", err))
+		return
+	}
+	delta, err := parseSource(sess.Entry.Exchange, isJSON(r), body)
 	if err != nil {
 		writeError(w, bodyErrStatus(err), err)
 		return
@@ -868,12 +791,10 @@ func (s *Server) handleSessionFacts(w http.ResponseWriter, r *http.Request) {
 		Deltas:    deltas,
 	}
 	tails := []tailDoc{{name: "diff", stream: diffDoc(diff)}}
-	size := diff.Added.Len() + diff.Removed.Len()
 	if wantSolution {
 		tails = append(tails, tailDoc{name: "solution", stream: instanceDoc(&next.Instance)})
-		size += next.Len()
 	}
-	s.writeFramed(w, http.StatusOK, head, tails, s.streamLen(size))
+	s.writeFramed(w, http.StatusOK, head, tails)
 }
 
 // handleSessionDelete drops a session, releasing its pinned solution
@@ -917,7 +838,7 @@ func answerStatus(err error) int {
 // engine options layered over the server and exchange defaults.
 func (s *Server) runOptions(r *http.Request) ([]tdx.Option, error) {
 	q := r.URL.Query()
-	opts := []tdx.Option{tdx.WithParallelism(s.cfg.Parallelism), tdx.WithRunInterner()}
+	opts := []tdx.Option{tdx.WithParallelism(s.cfg.Parallelism)}
 	if v := q.Get("parallel"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
@@ -967,31 +888,6 @@ func (s *Server) runBudget(r *http.Request) (time.Duration, error) {
 		d = s.cfg.MaxTimeout
 	}
 	return d, nil
-}
-
-// decodeSource turns the request body into a request-scoped source
-// instance: the TDX JSON format (streamed) for JSON content types, the
-// TDX fact text format otherwise.
-func (s *Server) decodeSource(r *http.Request, ex *tdx.Exchange) (*tdx.Instance, error) {
-	if isJSON(r) {
-		src, err := ex.DecodeSourceJSON(r.Body)
-		if err != nil {
-			return nil, fmt.Errorf("source body: %w", err)
-		}
-		return src, nil
-	}
-	text, err := io.ReadAll(r.Body)
-	if err != nil {
-		return nil, fmt.Errorf("source body: %w", err)
-	}
-	if strings.TrimSpace(string(text)) == "" {
-		return nil, errors.New("source body is empty; send TDX fact text or the TDX JSON instance format")
-	}
-	src, err := ex.ParseSource(string(text))
-	if err != nil {
-		return nil, fmt.Errorf("source body: %w", err)
-	}
-	return src, nil
 }
 
 // isJSON reports whether the request declares a JSON body.

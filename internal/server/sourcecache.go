@@ -7,9 +7,8 @@ import (
 	tdx "repro"
 )
 
-// DefaultMaxSources bounds the decoded-source cache when the
-// configuration does not.
-const DefaultMaxSources = 32
+// maxSources bounds the decoded-source cache.
+const maxSources = 32
 
 // sourceCache is an LRU of decoded, frozen source instances keyed by
 // (exchange fingerprint, body content hash): a client re-posting the
@@ -18,10 +17,9 @@ const DefaultMaxSources = 32
 // instances are safe to share across concurrent runs, which is what
 // makes the cache sound. All methods are safe for concurrent use.
 type sourceCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
+	mu      sync.Mutex
+	entries map[string]*list.Element
+	order   *list.List // front = most recently used
 }
 
 type sourceCacheEntry struct {
@@ -29,13 +27,12 @@ type sourceCacheEntry struct {
 	src *tdx.Instance
 }
 
-// newSourceCache returns a cache of the given capacity; zero or
-// negative disables caching (every get misses, puts are dropped).
-func newSourceCache(capacity int) *sourceCache {
+// newSourceCache returns an empty cache holding at most maxSources
+// entries.
+func newSourceCache() *sourceCache {
 	return &sourceCache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
+		entries: make(map[string]*list.Element),
+		order:   list.New(),
 	}
 }
 
@@ -51,9 +48,6 @@ func (c *sourceCache) get(key string) (*tdx.Instance, bool) {
 }
 
 func (c *sourceCache) put(key string, src *tdx.Instance) {
-	if c.capacity <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -62,15 +56,9 @@ func (c *sourceCache) put(key string, src *tdx.Instance) {
 		return
 	}
 	c.entries[key] = c.order.PushFront(&sourceCacheEntry{key: key, src: src})
-	for c.order.Len() > c.capacity {
+	for c.order.Len() > maxSources {
 		el := c.order.Back()
 		c.order.Remove(el)
 		delete(c.entries, el.Value.(*sourceCacheEntry).key)
 	}
-}
-
-func (c *sourceCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }

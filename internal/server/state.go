@@ -23,6 +23,10 @@ import (
 //	                    content, run options) — the disk run cache
 //	DIR/sessions/       one solution snapshot per live session
 //
+// Older daemons also wrote DIR/sources (raw source bodies) and a
+// "counters" manifest field. Both are ignored: the directory is left as
+// found, and the field is dropped by the next manifest write.
+//
 // The manifest holds only what cannot be derived from snapshots: the
 // mapping texts (snapshots carry data, not dependencies) and the
 // session ids binding snapshot files to registry entries. Everything
@@ -41,19 +45,6 @@ type manifest struct {
 	Version  int               `json:"version"`
 	Mappings []manifestMapping `json:"mappings"`
 	Sessions []manifestSession `json:"sessions"`
-	Counters manifestCounters  `json:"counters"`
-}
-
-// manifestCounters carries the restart-durable counters: totals whose
-// meaning spans daemon lifetimes. They are refreshed in memory as the
-// counters move and hit disk with whichever manifest save comes next
-// (plus a final sync on graceful shutdown), so a crash loses at most
-// the tail since the last save — acceptable for observability counters.
-type manifestCounters struct {
-	// SourceCacheHits continues the decoded-source cache hit count
-	// across restarts: the cache itself is persisted (DIR/sources), so
-	// its effectiveness metric must not reset on every boot.
-	SourceCacheHits int64 `json:"sourceCacheHits"`
 }
 
 // manifestMapping re-registers one mapping at boot: the canonical
@@ -90,7 +81,7 @@ type stateStore struct {
 // newStateStore opens (creating as needed) a state directory and reads
 // its manifest.
 func newStateStore(dir string, maxRuns int) (*stateStore, error) {
-	for _, d := range []string{dir, filepath.Join(dir, "runs"), filepath.Join(dir, "sessions"), filepath.Join(dir, "sources")} {
+	for _, d := range []string{dir, filepath.Join(dir, "runs"), filepath.Join(dir, "sessions")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("state dir: %w", err)
 		}
@@ -235,14 +226,13 @@ func (st *stateStore) saveRun(key string, sol *tdx.Solution) error {
 	if err := sol.WriteSnapshotFile(st.runPath(key)); err != nil {
 		return err
 	}
-	return st.pruneDir("runs", ".snap")
+	return st.pruneRuns()
 }
 
-// pruneDir bounds one cache directory under the state dir to maxRuns
-// files of the given extension, dropping the oldest by modification
-// time.
-func (st *stateStore) pruneDir(sub, ext string) error {
-	dir := filepath.Join(st.dir, sub)
+// pruneRuns bounds the run cache directory to maxRuns snapshot files,
+// dropping the oldest by modification time.
+func (st *stateStore) pruneRuns() error {
+	dir := filepath.Join(st.dir, "runs")
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -253,7 +243,7 @@ func (st *stateStore) pruneDir(sub, ext string) error {
 	}
 	files := make([]aged, 0, len(ents))
 	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != ext {
+		if e.IsDir() || filepath.Ext(e.Name()) != ".snap" {
 			continue
 		}
 		fi, err := e.Info()
@@ -273,114 +263,6 @@ func (st *stateStore) pruneDir(sub, ext string) error {
 		}
 	}
 	return firstErr
-}
-
-// Source persistence: the decoded-source cache (sourcecache.go) is
-// rebuildable from request bodies, so what DIR/sources holds is the
-// bodies themselves — one file per (exchange, source content) pair,
-// a one-byte format discriminator ('j' JSON, 't' fact text) followed
-// by the raw body. A warm boot re-decodes them through the already
-// replayed exchanges and prefills the cache, so the first post-restart
-// request that misses the run cache still skips source decoding.
-// The directory shares the run cache's size bound.
-
-// sourcePath is the persisted body of one cached source. The name
-// carries everything a warm boot needs: a 16-hex prefix of the owning
-// exchange's fingerprint and the full source content key.
-func (st *stateStore) sourcePath(entryHash, srcKey string) string {
-	return filepath.Join(st.dir, "sources", fmt.Sprintf("%.16s-%s.src", entryHash, sanitize(srcKey)))
-}
-
-// saveSource persists one decoded source's raw body.
-func (st *stateStore) saveSource(entryHash, srcKey string, jsonBody bool, body []byte) error {
-	format := byte('t')
-	if jsonBody {
-		format = 'j'
-	}
-	path := st.sourcePath(entryHash, srcKey)
-	tmp, err := os.CreateTemp(filepath.Dir(path), "source-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append([]byte{format}, body...)); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return st.pruneDir("sources", ".src")
-}
-
-// savedSource is one persisted source body, keyed for cache prefill.
-type savedSource struct {
-	entryPrefix string // first 16 hex of the owning exchange fingerprint
-	srcKey      string // full source content key
-	jsonBody    bool
-	body        []byte
-}
-
-// savedSources reads every persisted source body, dropping undecodable
-// files (they are cache entries; losing one costs a decode, not data).
-func (st *stateStore) savedSources() []savedSource {
-	dir := filepath.Join(st.dir, "sources")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []savedSource
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != ".src" {
-			continue
-		}
-		stem := name[:len(name)-len(".src")]
-		sep := len(stem) > 17 && stem[16] == '-'
-		if !sep {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil || len(data) < 2 || (data[0] != 'j' && data[0] != 't') {
-			_ = os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		out = append(out, savedSource{
-			entryPrefix: stem[:16],
-			srcKey:      stem[17:],
-			jsonBody:    data[0] == 'j',
-			body:        data[1:],
-		})
-	}
-	return out
-}
-
-// sourceCacheHits reads the persisted hit counter (0 on a fresh dir).
-func (st *stateStore) sourceCacheHits() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.man.Counters.SourceCacheHits
-}
-
-// noteSourceHits refreshes the in-memory counter row without forcing a
-// manifest write; the next save (a mapping or session event, or the
-// shutdown sync) carries it to disk.
-func (st *stateStore) noteSourceHits(n int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.man.Counters.SourceCacheHits = n
-}
-
-// syncCounters persists the durable counters now — the graceful
-// shutdown path.
-func (st *stateStore) syncCounters(sourceHits int64) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.man.Counters.SourceCacheHits = sourceHits
-	return st.saveLocked()
 }
 
 // sanitize keeps ids filesystem-safe; session ids are hex, so this only

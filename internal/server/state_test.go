@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -216,53 +218,85 @@ func TestSourceCacheCounters(t *testing.T) {
 	}
 }
 
-// TestSourceCachePersistsAcrossRestart is the durable-source contract:
-// a restarted daemon prefills the decoded-source cache from the state
-// directory, so the first post-restart request that misses the run
-// cache still skips source decoding — and the hit counter continues
-// from its pre-restart value instead of resetting.
-func TestSourceCachePersistsAcrossRestart(t *testing.T) {
+// TestWarmStartOlderStateDir: a state directory written by an older
+// daemon — raw source bodies under DIR/sources and a "counters" field in
+// the manifest — still warm-starts. The mapping replays with no
+// request-driven compile, the first /run comes byte-identical from the
+// disk run cache, the source-cache hit counter starts from boot, and
+// DIR/sources is left as it was found.
+func TestWarmStartOlderStateDir(t *testing.T) {
 	dir := t.TempDir()
 	source := readTestdata(t, "employment.facts")
 
 	s1 := mustNew(t, quietCfg(t, dir))
 	h1 := s1.Handler()
 	hash := register(t, h1, readTestdata(t, "employment.tdx"))
-	runSolution(t, h1, hash, source) // decodes and persists the source
-	// Different run options → run-cache miss, source-cache hit.
-	if rec := do(h1, "POST", "/v1/exchanges/"+hash+"/run?norm=naive", "", source); rec.Code != http.StatusOK {
-		t.Fatalf("naive run: status %d: %s", rec.Code, rec.Body)
+	cold := runSolution(t, h1, hash, source)
+
+	// Add what older daemons also wrote: the durable counter row and the
+	// run's body in DIR/sources, tagged 't' for fact text.
+	manPath := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hz := health(t, h1); hz.SourceCacheHits != 1 {
-		t.Fatalf("pre-restart sourceCacheHits = %d, want 1", hz.SourceCacheHits)
+	var man map[string]any
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
 	}
-	// Graceful shutdown syncs the durable counters.
-	if err := s1.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	man["counters"] = map[string]any{"sourceCacheHits": 3}
+	if data, err = json.MarshalIndent(man, "", "  "); err != nil {
+		t.Fatal(err)
 	}
+	if err := os.WriteFile(manPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sources := filepath.Join(dir, "sources")
+	if err := os.Mkdir(sources, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("%.16s-%s.src", hash, sourceKey(false, []byte(source)))
+	if err := os.WriteFile(filepath.Join(sources, name), append([]byte{'t'}, source...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := readDir(t, sources)
 
 	s2 := mustNew(t, quietCfg(t, dir))
 	if err := s2.WarmStart(); err != nil {
 		t.Fatalf("WarmStart: %v", err)
 	}
 	h2 := s2.Handler()
-	if hz := health(t, h2); hz.SourceCacheHits != 1 {
-		t.Fatalf("restart reset sourceCacheHits to %d", hz.SourceCacheHits)
+	if hz := health(t, h2); hz.Compiles != 0 || hz.WarmStarts != 1 || hz.SourceCacheHits != 0 {
+		t.Fatalf("warm boot healthz: %+v", hz)
 	}
-	// Yet another options variant: run-cache miss, but the prefilled
-	// source cache answers the decode — the first post-restart request
-	// is already a hit.
-	if rec := do(h2, "POST", "/v1/exchanges/"+hash+"/run?egd=stepwise", "", source); rec.Code != http.StatusOK {
-		t.Fatalf("post-restart run: status %d: %s", rec.Code, rec.Body)
+	warm := runSolution(t, h2, hash, source)
+	if !bytes.Equal(cold, warm) {
+		t.Fatalf("warm-started solution differs:\ncold: %s\nwarm: %s", cold, warm)
 	}
-	if hz := health(t, h2); hz.SourceCacheHits != 2 {
-		t.Fatalf("post-restart sourceCacheHits = %d, want 2 (prefilled cache missed)", hz.SourceCacheHits)
+	if hz := health(t, h2); hz.SnapshotLoads != 1 || hz.Compiles != 0 {
+		t.Fatalf("first warm run did not come from the run cache: %+v", hz)
 	}
-	// The persisted body survived on disk.
-	ents, err := os.ReadDir(filepath.Join(dir, "sources"))
-	if err != nil || len(ents) == 0 {
-		t.Fatalf("no persisted sources (err=%v, %d files)", err, len(ents))
+	if after := readDir(t, sources); !maps.Equal(before, after) {
+		t.Fatalf("DIR/sources changed: %v -> %v", before, after)
 	}
+}
+
+// readDir maps each file name in dir to its contents.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(ents))
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
 }
 
 // TestRunCachePruned bounds the disk run cache: distinct sources beyond

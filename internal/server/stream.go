@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,11 +19,11 @@ import (
 // written straight off the frozen columnar store via
 // jsonio.EncodeCompactTo. The solution is encoded exactly once, to the
 // socket; nothing re-marshals it as a json.RawMessage copy, so the
-// serving layer never holds a solution-sized buffer on the streamed
-// path. The wire bytes are identical to what the former
-// writeJSON(struct{...RawMessage...}) produced: json.Marshal compacts an
-// embedded RawMessage, and EncodeCompactTo is byte-identical to
-// json.Compact over the buffered document.
+// serving layer never holds a solution-sized buffer. The wire bytes are
+// identical to what the former writeJSON(struct{...RawMessage...})
+// produced: json.Marshal compacts an embedded RawMessage, and
+// EncodeCompactTo is byte-identical to json.Compact over the buffered
+// document.
 
 // tailDoc is one streamed tail field of a framed response: name is the
 // JSON key, stream writes the field's value (one complete JSON value,
@@ -108,33 +107,22 @@ func marshalDoc(v any) func(io.Writer) error {
 
 // writeFramed writes one response document: head's marshaled fields
 // followed by the tail fields in order, closed with "}\n" like every
-// other response. Small documents (stream false) are framed into one
-// buffer and sent with a Content-Length; large ones stream through a
-// chunk-sized bufio writer, so the peak server-side buffer is one chunk
-// no matter how large the solution is. Both paths produce identical
-// bytes.
-func (s *Server) writeFramed(w http.ResponseWriter, status int, head any, tails []tailDoc, stream bool) {
+// other response. The document streams through a chunk-sized bufio
+// writer, so the peak server-side buffer is one chunk no matter how
+// large the solution is. A document that fits net/http's pre-chunking
+// buffer (2 KB) still goes out with a Content-Length; larger ones are
+// sent chunked.
+func (s *Server) writeFramed(w http.ResponseWriter, status int, head any, tails []tailDoc) {
 	headBytes, err := json.Marshal(head)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if !stream {
-		var buf bytes.Buffer
-		if err := frameInto(&buf, headBytes, tails); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
-		w.WriteHeader(status)
-		_, _ = w.Write(buf.Bytes())
-		return
-	}
-	// Streaming: the status line is committed before the body exists, so
-	// a failure past this point can only be logged, not reported — the
-	// client sees a truncated document (and, over HTTP/1.1 chunked
-	// encoding, a missing terminal chunk).
+	// The status line is committed before the body exists, so a failure
+	// past this point can only be logged, not reported — the client sees
+	// a truncated document (and, over HTTP/1.1 chunked encoding, a
+	// missing terminal chunk).
 	w.WriteHeader(status)
 	bw := bufio.NewWriterSize(w, flushChunk)
 	if err := frameInto(bw, headBytes, tails); err != nil {
@@ -146,7 +134,7 @@ func (s *Server) writeFramed(w http.ResponseWriter, status int, head any, tails 
 	}
 }
 
-// flushChunk sizes the streaming path's write buffer; it matches the
+// flushChunk sizes writeFramed's write buffer; it matches the
 // encoder's internal chunk so socket writes stay large and regular.
 const flushChunk = 32 << 10
 
@@ -170,14 +158,6 @@ func frameInto(w io.Writer, headBytes []byte, tails []tailDoc) error {
 	}
 	_, err := io.WriteString(w, "}\n")
 	return err
-}
-
-// streamLen decides the path for a response whose streamed tails carry
-// n facts total: at or past the stream threshold the response chunks
-// straight to the socket, below it it buffers and carries a
-// Content-Length.
-func (s *Server) streamLen(n int) bool {
-	return n >= s.streamAt
 }
 
 // loggingWriter observes the status and byte count of a response for the

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,9 +21,10 @@ import (
 	"repro/internal/value"
 )
 
-// TestWriteFramedIdentity is the framing contract: the buffered path
-// (Content-Length) and the streaming path (chunked) of writeFramed
-// produce byte-identical documents for the same head and tails.
+// TestWriteFramedIdentity is the framing contract: writeFramed emits
+// one line of valid JSON ending in a newline, carrying the head's fields
+// and then each tail field, and every tail is byte-identical to its
+// document encoded on its own.
 func TestWriteFramedIdentity(t *testing.T) {
 	s := mustNew(t, Config{})
 	ex := tdx.MustCompile(readTestdata(t, "employment.tdx"), tdx.WithRunInterner())
@@ -44,25 +46,14 @@ func TestWriteFramedIdentity(t *testing.T) {
 		{name: "answers", stream: instanceDoc(ans)},
 	}
 
-	buffered := httptest.NewRecorder()
-	s.writeFramed(buffered, http.StatusOK, head, tails, false)
-	streamed := httptest.NewRecorder()
-	s.writeFramed(streamed, http.StatusOK, head, tails, true)
-
-	if !bytes.Equal(buffered.Body.Bytes(), streamed.Body.Bytes()) {
-		t.Fatalf("buffered and streamed framings differ:\n%s\nvs\n%s", buffered.Body, streamed.Body)
+	rec := httptest.NewRecorder()
+	s.writeFramed(rec, http.StatusOK, head, tails)
+	body := rec.Body.Bytes()
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, content type %q", rec.Code, rec.Header().Get("Content-Type"))
 	}
-	if cl := buffered.Header().Get("Content-Length"); cl != fmt.Sprint(buffered.Body.Len()) {
-		t.Fatalf("buffered Content-Length %q, body %d bytes", cl, buffered.Body.Len())
-	}
-	if cl := streamed.Header().Get("Content-Length"); cl != "" {
-		t.Fatalf("streamed response declares Content-Length %q; it must chunk", cl)
-	}
-	// The document is one line of valid JSON ending in \n, like every
-	// response the server writes.
-	body := buffered.Body.Bytes()
-	if body[len(body)-1] != '\n' {
-		t.Fatal("framed document does not end in newline")
+	if bytes.Count(body, []byte("\n")) != 1 || body[len(body)-1] != '\n' {
+		t.Fatalf("framed document is not one newline-terminated line:\n%s", body)
 	}
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(body, &doc); err != nil {
@@ -73,101 +64,92 @@ func TestWriteFramedIdentity(t *testing.T) {
 			t.Fatalf("framed document misses %q: %s", key, body)
 		}
 	}
+	for key, inst := range map[string]*tdx.Instance{"solution": &sol.Instance, "answers": ans} {
+		if want := compactDoc(t, inst); !bytes.Equal(doc[key], want) {
+			t.Fatalf("framed %s differs from its standalone document:\n%s\nvs\n%s", key, doc[key], want)
+		}
+	}
 }
 
-// TestStreamedEndpointsMatchBuffered drives every solution-bearing
-// endpoint through an always-streaming server and an always-buffering
-// one, asserting the documents agree on all content fields (elapsedMs
-// and session ids are wall-clock/random and excluded).
-func TestStreamedEndpointsMatchBuffered(t *testing.T) {
-	streaming := mustNew(t, Config{StreamThreshold: -1})
-	buffering := mustNew(t, Config{StreamThreshold: 1 << 30})
-	hs, hb := streaming.Handler(), buffering.Handler()
+// compactDoc renders an instance's TDX JSON document compacted, the way
+// the wire carries it.
+func compactDoc(t *testing.T, inst *tdx.Instance) []byte {
+	t.Helper()
+	data, err := inst.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := json.Compact(&out, data); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestFramingOverRealListener checks the one response path over a real
+// socket: a document that fits net/http's 2 KB pre-chunking buffer still
+// goes out with a Content-Length, a larger one arrives chunked, and both
+// carry the direct engine run's documents.
+func TestFramingOverRealListener(t *testing.T) {
 	mapping := readTestdata(t, "employment.tdx")
-	facts := readTestdata(t, "employment.facts")
-	hash := register(t, hs, mapping)
-	if got := register(t, hb, mapping); got != hash {
-		t.Fatalf("hash mismatch across servers: %s vs %s", got, hash)
+	small := readTestdata(t, "employment.facts")
+	var big strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&big, "E(p%d, IBM) @ [2012, 2014)\nS(p%d, %dk) @ [2013, inf)\n", i, i, 10+i)
 	}
-
-	compare := func(target, body string, wantStatus int, skip ...string) {
-		t.Helper()
-		skipKeys := map[string]bool{"elapsedMs": true, "sessionId": true}
-		for _, k := range skip {
-			skipKeys[k] = true
-		}
-		rs := do(hs, "POST", target, "", body)
-		rb := do(hb, "POST", target, "", body)
-		if rs.Code != wantStatus || rb.Code != wantStatus {
-			t.Fatalf("%s: status %d (streamed) / %d (buffered), want %d\n%s\n%s",
-				target, rs.Code, rb.Code, wantStatus, rs.Body, rb.Body)
-		}
-		if cl := rs.Header().Get("Content-Length"); cl != "" {
-			t.Fatalf("%s: streaming server set Content-Length %q", target, cl)
-		}
-		if cl := rb.Header().Get("Content-Length"); cl == "" {
-			t.Fatalf("%s: buffering server set no Content-Length", target)
-		}
-		var ds, db map[string]json.RawMessage
-		if err := json.Unmarshal(rs.Body.Bytes(), &ds); err != nil {
-			t.Fatalf("%s: streamed body: %v\n%s", target, err, rs.Body)
-		}
-		if err := json.Unmarshal(rb.Body.Bytes(), &db); err != nil {
-			t.Fatalf("%s: buffered body: %v\n%s", target, err, rb.Body)
-		}
-		if len(ds) != len(db) {
-			t.Fatalf("%s: key sets differ:\n%s\nvs\n%s", target, rs.Body, rb.Body)
-		}
-		for key, sv := range ds {
-			if skipKeys[key] {
-				continue
-			}
-			if !bytes.Equal(sv, db[key]) {
-				t.Fatalf("%s: field %q differs:\n%s\nvs\n%s", target, key, sv, db[key])
-			}
-		}
+	ex := tdx.MustCompile(mapping, tdx.WithRunInterner())
+	src, err := ex.ParseSource(small)
+	if err != nil {
+		t.Fatal(err)
 	}
+	wantAns, err := ex.Answer(t.Context(), src, "q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantSol := directSolution(t, mapping, big.String())
 
-	compare("/v1/exchanges/"+hash+"/run", facts, http.StatusOK)
-	compare("/v1/exchanges/"+hash+"/run?query=q", facts, http.StatusOK)
-	compare("/v1/exchanges/"+hash+"/answer?query=q", facts, http.StatusOK)
-	compare("/v1/exchanges/"+hash+"/snapshot?at=2013", facts, http.StatusOK)
-	compare("/v1/exchanges/"+hash+"/sessions", facts, http.StatusCreated)
-
-	// Session deltas: ids differ per server, so open one on each and
-	// compare the delta documents.
-	openOn := func(h http.Handler) string {
+	ts := httptest.NewServer(mustNew(t, Config{}).Handler())
+	defer ts.Close()
+	post := func(path, body string) (*http.Response, map[string]json.RawMessage) {
 		t.Helper()
-		rec := do(h, "POST", "/v1/exchanges/"+hash+"/sessions", "", facts)
-		if rec.Code != http.StatusCreated {
-			t.Fatalf("open session: status %d: %s", rec.Code, rec.Body)
-		}
-		var resp sessionWire
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(body))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.SessionID
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, data)
+		}
+		if resp.ContentLength >= 0 && resp.ContentLength != int64(len(data)) {
+			t.Fatalf("%s: Content-Length %d, body %d bytes", path, resp.ContentLength, len(data))
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("%s: %v\n%s", path, err, data)
+		}
+		return resp, doc
 	}
-	ids, idb := openOn(hs), openOn(hb)
-	delta := "E(Carol, IBM) @ [2015, 2019)\nS(Carol, 21k) @ [2015, 2019)"
-	rs := do(hs, "POST", "/v1/sessions/"+ids+"/facts?solution=true", "", delta)
-	rb := do(hb, "POST", "/v1/sessions/"+idb+"/facts?solution=true", "", delta)
-	if rs.Code != http.StatusOK || rb.Code != http.StatusOK {
-		t.Fatalf("delta: status %d / %d\n%s\n%s", rs.Code, rb.Code, rs.Body, rb.Body)
+	post("/v1/mappings", mapping)
+	hash := ex.Fingerprint()
+
+	resp, doc := post("/v1/exchanges/"+hash+"/answer?query=q", small)
+	if resp.ContentLength < 0 || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("small /answer: Content-Length %d, Transfer-Encoding %q; want a Content-Length", resp.ContentLength, resp.TransferEncoding)
 	}
-	var fs, fb factsWire
-	if err := json.Unmarshal(rs.Body.Bytes(), &fs); err != nil {
-		t.Fatalf("streamed delta body: %v\n%s", err, rs.Body)
+	if !bytes.Equal(doc["answers"], compactDoc(t, wantAns)) {
+		t.Fatalf("small /answer differs from the direct run:\n%s", doc["answers"])
 	}
-	if err := json.Unmarshal(rb.Body.Bytes(), &fb); err != nil {
-		t.Fatalf("buffered delta body: %v\n%s", err, rb.Body)
+
+	resp, doc = post("/v1/exchanges/"+hash+"/run", big.String())
+	if resp.ContentLength != -1 || len(resp.TransferEncoding) != 1 || resp.TransferEncoding[0] != "chunked" {
+		t.Fatalf("large /run: Content-Length %d, Transfer-Encoding %q; want chunked", resp.ContentLength, resp.TransferEncoding)
 	}
-	if fs.Diff.AddedFacts == 0 || fs.Diff.AddedFacts != fb.Diff.AddedFacts ||
-		!bytes.Equal(fs.Diff.Added, fb.Diff.Added) || !bytes.Equal(fs.Diff.Removed, fb.Diff.Removed) {
-		t.Fatalf("delta diffs differ:\n%s\nvs\n%s", rs.Body, rb.Body)
-	}
-	if !bytes.Equal(fs.Solution, fb.Solution) || len(fs.Solution) == 0 {
-		t.Fatalf("delta solutions differ:\n%s\nvs\n%s", fs.Solution, fb.Solution)
+	if !bytes.Equal(doc["solution"], wantSol) {
+		t.Fatalf("large /run differs from the direct run:\n%s", doc["solution"])
 	}
 }
 
@@ -417,7 +399,7 @@ func TestStreamedRunHoldsNoSolutionBuffer(t *testing.T) {
 	w := &discardResponseWriter{}
 	w.Header() // pre-build outside the measured region
 	allocs := testing.AllocsPerRun(5, func() {
-		s.writeFramed(w, http.StatusOK, head, tails, true)
+		s.writeFramed(w, http.StatusOK, head, tails)
 	})
 	if allocs > 96 {
 		t.Fatalf("streamed 10k-fact response allocated %v times; want a small constant", allocs)
@@ -426,31 +408,23 @@ func TestStreamedRunHoldsNoSolutionBuffer(t *testing.T) {
 
 // BenchmarkServerRunStream isolates the serve path — framing and
 // streaming a finished solution through the response writer — at
-// 1k/10k/100k facts, streamed vs buffered. allocs/op and B/op on the
-// streamed rows are O(1) in the fact count; the buffered rows stage the
-// document once.
+// 1k/10k/100k facts. allocs/op and B/op are O(1) in the fact count.
 func BenchmarkServerRunStream(b *testing.B) {
 	s := mustNew(b, Config{})
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		inst := bigSolutionInstance(n)
 		head := runResponse{Hash: "h"}
 		tails := []tailDoc{{name: "solution", stream: instanceDoc(inst)}}
-		for _, mode := range []struct {
-			name   string
-			stream bool
-		}{{"streamed", true}, {"buffered", false}} {
-			b.Run(fmt.Sprintf("%s/%dk", mode.name, n/1000), func(b *testing.B) {
-				w := &discardResponseWriter{}
-				w.Header()
-				s.writeFramed(w, http.StatusOK, head, tails, mode.stream) // size probe
-				b.SetBytes(w.n)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					w.h.Del("Content-Length")
-					s.writeFramed(w, http.StatusOK, head, tails, mode.stream)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			w := &discardResponseWriter{}
+			w.Header()
+			s.writeFramed(w, http.StatusOK, head, tails) // size probe
+			b.SetBytes(w.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.writeFramed(w, http.StatusOK, head, tails)
+			}
+		})
 	}
 }
