@@ -11,8 +11,7 @@
 //
 //	tdxd [-addr :8080] [-max-mappings 64] [-max-sessions 64] [-max-timeout 60s] [-parallel 0]
 //	     [-max-inflight 0] [-queue-wait 2s] [-max-body 64MiB] [-access-log] [-pprof addr] [-state DIR]
-//	     [-advertise host:port] [-peers udp,udp,...] [-gossip udp] [-node-id id] [-gossip-secret s]
-//	     [-gossip-interval 1s]
+//	     [-gossip udp] [-peers udp,udp,...] [-node-id id] [-gossip-secret s] [-gossip-interval 1s]
 //
 // Endpoints (see package repro/internal/server and the README for the
 // full API):
@@ -52,16 +51,17 @@
 // /run from the snapshot cache, byte-identical to the pre-restart
 // response.
 //
-// With -advertise the daemon joins (or founds) a tdxd fleet: nodes
-// gossip signed, TTL'd facts about who holds which compiled exchange
-// over UDP (internal/fleet), and requests addressed to an exchange this
-// node does not hold are forwarded to the nodes that do — consistent
-// hashing over the exchange fingerprint keeps each mapping hot on a few
-// owners, and any node answers any request byte-identically. -peers
-// seeds the mesh (any one live node suffices; membership is discovered
-// transitively), -advertise is the HTTP address peers forward to, and
-// -node-id pins the node's ring identity — persisted under -state, so a
-// restarted node keeps its placement. See the README's fleet section.
+// With -gossip the daemon joins (or founds) a tdxd fleet: nodes gossip
+// signed, TTL'd facts over UDP (internal/fleet) about which compiled
+// exchanges they hold, each carrying the manifest row that reproduces
+// it. A request addressed to an exchange this node does not hold
+// compiles that row here and is served locally, so any node answers
+// any request byte-identically, also after the registering node dies.
+// -gossip is the UDP address to gossip on, -peers seeds the mesh (any
+// one live node suffices; membership is discovered transitively), and
+// -node-id pins the node's fleet identity, persisted under -state so a
+// restarted node rejoins as the same member. See the README's fleet
+// section.
 //
 // Shutdown is graceful: on SIGTERM or SIGINT the listener closes, then
 // in-flight runs get a drain window to finish; runs still going when it
@@ -105,10 +105,9 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 	stateDir := flag.String("state", "", "persist warm-start state (mapping manifest, session and run snapshots) under this directory; off when empty")
 	maxRunSnapshots := flag.Int("max-run-snapshots", server.DefaultMaxRunSnapshots, "disk run-cache bound under -state DIR/runs (oldest snapshots pruned beyond it)")
-	advertise := flag.String("advertise", "", "fleet mode: the HTTP host:port peers forward requests to (this node's reachable -addr); off when empty")
-	peers := flag.String("peers", "", "comma-separated UDP gossip addresses seeding the fleet mesh (any one live node suffices)")
-	gossipBind := flag.String("gossip", "", "UDP gossip bind address (default 127.0.0.1:0; bind a reachable address for real fleets)")
-	nodeID := flag.String("node-id", "", "stable fleet identity (ring position); default: read or created under -state DIR/node-id, else derived fresh")
+	gossipBind := flag.String("gossip", "", "fleet mode: the UDP address to gossip on (bind one peers can reach); off when empty")
+	peers := flag.String("peers", "", "comma-separated UDP gossip addresses seeding the fleet mesh (any one live node suffices); requires -gossip")
+	nodeID := flag.String("node-id", "", "stable fleet identity; default: read or created under -state DIR/node-id, else derived fresh")
 	gossipSecret := flag.String("gossip-secret", "", "shared fleet secret: gossip packets are HMAC-signed and mis-signed peers ignored; empty means unsigned (loopback only)")
 	gossipInterval := flag.Duration("gossip-interval", fleet.DefaultInterval, "gossip period; fact TTL (failure detection) is 5x this")
 	flag.Parse()
@@ -127,21 +126,20 @@ func main() {
 	if *accessLog {
 		cfg.AccessLogf = log.Printf
 	}
-	if *advertise == "" && *peers != "" {
-		log.Fatal("tdxd: -peers requires -advertise (the HTTP address peers forward requests to)")
+	if *gossipBind == "" && *peers != "" {
+		log.Fatal("tdxd: -peers requires -gossip (the UDP address this node gossips on)")
 	}
-	if *advertise != "" {
+	if *gossipBind != "" {
 		id, err := resolveNodeID(*nodeID, *stateDir)
 		if err != nil {
 			log.Fatalf("tdxd: node id: %v", err)
 		}
 		cfg.FleetConfig = &fleet.Config{
-			ID:            id,
-			AdvertiseHTTP: *advertise,
-			BindUDP:       *gossipBind,
-			Peers:         splitPeers(*peers),
-			Interval:      *gossipInterval,
-			Secret:        *gossipSecret,
+			ID:       id,
+			BindUDP:  *gossipBind,
+			Peers:    splitPeers(*peers),
+			Interval: *gossipInterval,
+			Secret:   *gossipSecret,
 		}
 	}
 	srv, err := server.New(cfg)
@@ -156,8 +154,8 @@ func main() {
 	}
 	if n := srv.Fleet(); n != nil {
 		n.Start()
-		log.Printf("tdxd: fleet node %s gossiping on %s (advertising %s, %d seed peers)",
-			n.ID(), n.GossipAddr(), *advertise, len(splitPeers(*peers)))
+		log.Printf("tdxd: fleet node %s gossiping on %s (%d seed peers)",
+			n.ID(), n.GossipAddr(), len(splitPeers(*peers)))
 	}
 
 	// baseCtx underlies every request context: canceling it aborts
@@ -238,9 +236,9 @@ func splitPeers(s string) []string {
 
 // resolveNodeID settles this node's fleet identity. Priority: the
 // explicit -node-id; then the id persisted under -state (so a restarted
-// node keeps its ring position, and with it the exchanges consistent
-// hashing already placed on it); else a freshly derived one. Whatever
-// wins is persisted when a state directory exists.
+// node rejoins as the same member instead of leaving its old identity
+// to expire from its peers' views); else a freshly derived one.
+// Whatever wins is persisted when a state directory exists.
 func resolveNodeID(explicit, stateDir string) (string, error) {
 	if stateDir == "" {
 		if explicit != "" {

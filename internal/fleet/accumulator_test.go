@@ -8,27 +8,27 @@ import (
 func TestAccumulatorNewestStampWins(t *testing.T) {
 	a := NewAccumulator()
 	t0 := time.Unix(0, 0)
-	f := Fact{Kind: KindExchange, Node: "n1", Hash: "h1", Stamp: 10, TTL: time.Second, Addr: "a1"}
+	f := Fact{Kind: KindExchange, Node: "n1", Hash: "h1", Stamp: 10, TTL: time.Second, Gossip: "a1"}
 	if !a.Observe(f, t0) {
 		t.Fatal("first observation taught nothing")
 	}
 	// An older stamp must not regress the view.
 	old := f
-	old.Stamp, old.Addr = 5, "stale"
+	old.Stamp, old.Gossip = 5, "stale"
 	if a.Observe(old, t0) {
 		t.Fatal("older stamp reported novel")
 	}
 	got, ok := a.Lookup(KindExchange, "n1", "h1", t0)
-	if !ok || got.Addr != "a1" {
+	if !ok || got.Gossip != "a1" {
 		t.Fatalf("older stamp overwrote: %+v", got)
 	}
 	// A newer stamp replaces it.
 	newer := f
-	newer.Stamp, newer.Addr = 20, "a2"
+	newer.Stamp, newer.Gossip = 20, "a2"
 	if !a.Observe(newer, t0) {
 		t.Fatal("newer stamp reported stale")
 	}
-	if got, _ := a.Lookup(KindExchange, "n1", "h1", t0); got.Addr != "a2" {
+	if got, _ := a.Lookup(KindExchange, "n1", "h1", t0); got.Gossip != "a2" {
 		t.Fatalf("newer stamp did not replace: %+v", got)
 	}
 	// Re-observing the same stamp is an echo: not news, and NOT a TTL

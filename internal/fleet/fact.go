@@ -1,25 +1,24 @@
-// Package fleet scales tdxd out to a cooperating set of nodes. It is
-// built in the wirelink shape: each node periodically gossips small,
-// optionally signed, TTL'd *facts* over UDP — "node N serves HTTP at A
-// and gossips at G under load L", "node N holds the compiled exchange
-// with fingerprint H (and here is the manifest row that reproduces
-// it)" — and accumulates the facts it hears, expiring what goes stale.
-// Every node thereby converges on the fleet's registry contents without
-// any coordinator, consensus round, or external dependency.
+// Package fleet lets tdxd nodes share their registries. It is built in
+// the wirelink shape: each node periodically gossips small, optionally
+// signed, TTL'd *facts* over UDP — "node N gossips at G under load L",
+// "node N holds the compiled exchange with fingerprint H, and here is
+// the manifest row that reproduces it" — and accumulates the facts it
+// hears, expiring what goes stale. Every node thereby converges on the
+// fleet's registry contents without any coordinator, consensus round,
+// or external dependency.
 //
-// On top of that shared knowledge sits a consistent-hash ring over the
-// live node IDs: the exchange fingerprint (tdx.Exchange.Fingerprint,
-// the same content hash tdxd's HTTP API addresses exchanges by) is the
-// routing key, so each compiled exchange stays hot on a few owner
-// nodes and any client-facing node knows where to send a request for
-// it. The serving tier (internal/server) forwards to owners, serves
-// locally when it is one, and — because exchange facts carry the
-// warm-start manifest row as payload — can fall back to compiling
-// locally when every owner is unreachable.
+// That shared knowledge is all a node needs to answer for the whole
+// fleet. An exchange is named by its fingerprint
+// (tdx.Exchange.Fingerprint, the content hash of its canonical
+// mapping), and the c-chase result depends only on the mapping and the
+// source, so the serving tier (internal/server) answers a fingerprint
+// it does not hold by compiling the gossiped manifest row locally: the
+// same bytes as the node that registered it, also after that node has
+// died.
 //
 // The package is transport-complete but policy-free: it moves and
-// expires knowledge and answers placement questions; what to do with a
-// route is the server's business.
+// expires knowledge and answers membership and manifest lookups; what
+// to do with them is the server's business.
 package fleet
 
 import (
@@ -35,8 +34,8 @@ import (
 type Kind uint8
 
 const (
-	// KindNode asserts liveness: the origin node exists, serves HTTP at
-	// Addr, gossips at Gossip, and reports Load in-flight chases.
+	// KindNode asserts liveness: the origin node exists, gossips at
+	// Gossip, and reports Load in-flight chases.
 	KindNode Kind = iota + 1
 	// KindExchange asserts possession: the origin node holds the
 	// compiled exchange with fingerprint Hash; Payload carries the
@@ -65,26 +64,18 @@ type Fact struct {
 	// Node is the originating node's ID. Knowledge is per-origin: two
 	// nodes holding the same exchange gossip two distinct facts.
 	Node string
-	// Addr is the origin's advertised HTTP address — where forwarded
-	// requests go.
-	Addr string
 	// Gossip is the origin's UDP gossip address — where packets go.
 	Gossip string
 	// Hash is the exchange fingerprint (KindExchange only).
 	Hash string
-	// Load is the origin's in-flight chase count (KindNode only), a
-	// routing hint for breaking ties between owners.
+	// Load is the origin's in-flight chase count (KindNode only), as
+	// /healthz reports it for each member.
 	Load int64
 	// Stamp is the origin's assertion time, unix nanoseconds, re-minted
 	// by the origin every gossip round. Newer stamps win, and only a
 	// strictly newer stamp refreshes a receiver's TTL — peers echoing a
 	// held stamp back and forth cannot keep a dead origin's facts alive.
 	Stamp int64
-	// Registered is when the origin first asserted this fact (for
-	// KindExchange: the exchange's registration time), unix nanoseconds.
-	// Unlike Stamp it is stable across refreshes — the routing tier
-	// breaks ties with it.
-	Registered int64
 	// TTL is how long a receiver may trust this fact without a refresh.
 	TTL time.Duration
 	// Payload is kind-specific opaque data (KindExchange: the manifest
@@ -102,9 +93,9 @@ func (f Fact) Key() string {
 //
 //	byte    version (wireVersion)
 //	uvarint fact count
-//	facts   each: kind byte, then node, addr, gossip, hash, payload as
+//	facts   each: kind byte, then node, gossip, hash, payload as
 //	        uvarint-length-prefixed bytes, then load (varint), stamp
-//	        (varint), registered (varint), ttl nanoseconds (varint)
+//	        (varint), ttl nanoseconds (varint)
 //	[32]byte HMAC-SHA256 over everything before it (signed packets only)
 //
 // Signing is symmetric-key: every node of one fleet shares a secret,
@@ -113,7 +104,13 @@ func (f Fact) Key() string {
 // rejects unsigned packets and vice versa, so mixed configurations fail
 // loudly instead of half-merging.
 
-const wireVersion = 1
+const wireVersion = 2
+
+// minFactLen is the fewest bytes one encoded fact can take: the kind
+// byte, four empty length-prefixed strings and three one-byte varints.
+// It bounds how many facts a packet can really hold, whatever its count
+// header claims.
+const minFactLen = 8
 
 // MaxDatagram bounds one gossip packet. 60 KiB stays under the 64 KiB
 // UDP payload ceiling with headroom for the signature; EncodePackets
@@ -140,14 +137,12 @@ func appendString(b []byte, s string) []byte {
 func appendFact(b []byte, f Fact) []byte {
 	b = append(b, byte(f.Kind))
 	b = appendString(b, f.Node)
-	b = appendString(b, f.Addr)
 	b = appendString(b, f.Gossip)
 	b = appendString(b, f.Hash)
 	b = binary.AppendUvarint(b, uint64(len(f.Payload)))
 	b = append(b, f.Payload...)
 	b = binary.AppendVarint(b, f.Load)
 	b = binary.AppendVarint(b, f.Stamp)
-	b = binary.AppendVarint(b, f.Registered)
 	b = binary.AppendVarint(b, int64(f.TTL))
 	return b
 }
@@ -278,12 +273,10 @@ func DecodePacket(b []byte, secret string) ([]Fact, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A datagram bounds the plausible fact count; reject absurd headers
-	// before allocating for them.
-	if count > MaxDatagram {
-		return nil, ErrBadPacket
-	}
-	facts := make([]Fact, 0, count)
+	// The count header is the sender's claim; the bytes present bound
+	// what the packet can really hold, so size the slice by those. A
+	// count they cannot cover fails in the loop below.
+	facts := make([]Fact, 0, min(count, uint64((len(r.b)-r.pos)/minFactLen)))
 	for i := uint64(0); i < count; i++ {
 		if r.pos >= len(r.b) {
 			return nil, ErrBadPacket
@@ -292,9 +285,6 @@ func DecodePacket(b []byte, secret string) ([]Fact, error) {
 		f.Kind = Kind(r.b[r.pos])
 		r.pos++
 		if f.Node, err = r.string(); err != nil {
-			return nil, err
-		}
-		if f.Addr, err = r.string(); err != nil {
 			return nil, err
 		}
 		if f.Gossip, err = r.string(); err != nil {
@@ -314,9 +304,6 @@ func DecodePacket(b []byte, secret string) ([]Fact, error) {
 			return nil, err
 		}
 		if f.Stamp, err = r.varint(); err != nil {
-			return nil, err
-		}
-		if f.Registered, err = r.varint(); err != nil {
 			return nil, err
 		}
 		ttl, err := r.varint()

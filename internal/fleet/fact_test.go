@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -12,24 +15,27 @@ func sampleFacts() []Fact {
 		{
 			Kind:   KindNode,
 			Node:   "alpha",
-			Addr:   "127.0.0.1:8080",
 			Gossip: "127.0.0.1:9999",
 			Load:   3,
 			Stamp:  42,
 			TTL:    5 * time.Second,
 		},
 		{
-			Kind:       KindExchange,
-			Node:       "alpha",
-			Addr:       "127.0.0.1:8080",
-			Gossip:     "127.0.0.1:9999",
-			Hash:       "deadbeef",
-			Stamp:      41,
-			Registered: 40,
-			TTL:        10 * time.Second,
-			Payload:    []byte(`{"mapping":"tgd sigma: ..."}`),
+			Kind:    KindExchange,
+			Node:    "alpha",
+			Gossip:  "127.0.0.1:9999",
+			Hash:    "deadbeef",
+			Stamp:   41,
+			TTL:     10 * time.Second,
+			Payload: []byte(`{"mapping":"tgd sigma: ..."}`),
 		},
 	}
+}
+
+// oversizedCountPacket is a 4-byte unsigned datagram whose count header
+// claims MaxDatagram facts and which carries none of them.
+func oversizedCountPacket() []byte {
+	return binary.AppendUvarint([]byte{wireVersion}, MaxDatagram)
 }
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -46,17 +52,8 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("secret=%q: decode: %v", secret, err)
 		}
-		if len(got) != len(facts) {
-			t.Fatalf("secret=%q: %d facts, want %d", secret, len(got), len(facts))
-		}
-		for i := range facts {
-			w, g := facts[i], got[i]
-			if w.Kind != g.Kind || w.Node != g.Node || w.Addr != g.Addr || w.Gossip != g.Gossip ||
-				w.Hash != g.Hash || w.Load != g.Load || w.Stamp != g.Stamp ||
-				w.Registered != g.Registered || w.TTL != g.TTL ||
-				!bytes.Equal(w.Payload, g.Payload) {
-				t.Fatalf("secret=%q: fact %d: got %+v want %+v", secret, i, g, w)
-			}
+		if !reflect.DeepEqual(got, facts) {
+			t.Fatalf("secret=%q: got %+v want %+v", secret, got, facts)
 		}
 	}
 }
@@ -95,6 +92,36 @@ func TestCodecMalformed(t *testing.T) {
 		if _, err := DecodePacket(c, ""); err == nil {
 			t.Errorf("case %d: malformed packet decoded", i)
 		}
+	}
+	// A packet from a version-1 node is refused by its version byte.
+	v1 := append([]byte(nil), packets[0]...)
+	v1[0] = 1
+	if _, err := DecodePacket(v1, ""); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("version-1 packet: err %v, want ErrBadVersion", err)
+	}
+}
+
+// TestCodecOversizedCount: the count header is untrusted, so a packet
+// claiming far more facts than its bytes can hold must be rejected
+// without allocating for the claim.
+func TestCodecOversizedCount(t *testing.T) {
+	pkt := oversizedCountPacket()
+	if len(pkt) != 4 {
+		t.Fatalf("packet is %d bytes, want 4", len(pkt))
+	}
+	if _, err := DecodePacket(pkt, ""); !errors.Is(err, ErrBadPacket) {
+		t.Fatalf("err %v, want ErrBadPacket", err)
+	}
+	const runs = 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_, _ = DecodePacket(pkt, "")
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 1<<10 {
+		t.Fatalf("decoding the oversized-count packet allocates %d bytes, want < 1 KiB", perOp)
 	}
 }
 
@@ -138,4 +165,49 @@ func TestCodecSplitsLargeSets(t *testing.T) {
 	if len(packets) != 1 {
 		t.Fatalf("remaining fact not packed: %d packets", len(packets))
 	}
+}
+
+// FuzzDecodePacket feeds arbitrary datagrams to the decoder, signed and
+// unsigned: decoding never panics, and every packet it accepts
+// re-encodes through EncodePackets to facts that decode equal.
+func FuzzDecodePacket(f *testing.F) {
+	const secret = "fuzz-secret"
+	for _, s := range []string{"", secret} {
+		packets, _ := EncodePackets(sampleFacts(), s)
+		f.Add(packets[0])
+	}
+	f.Add(oversizedCountPacket())
+	unsigned, _ := EncodePackets(sampleFacts(), "")
+	f.Add(unsigned[0][:len(unsigned[0])/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, s := range []string{"", secret} {
+			facts, err := DecodePacket(data, s)
+			// EncodePackets reserves room for a worst-case count header,
+			// so a fact filling a datagram at the bound would not fit one
+			// alone; below it every accepted fact must re-encode.
+			if err != nil || len(data) > MaxDatagram-binary.MaxVarintLen64 {
+				continue
+			}
+			packets, skipped := EncodePackets(facts, s)
+			if len(skipped) != 0 {
+				t.Fatalf("secret=%q: %d decoded facts do not re-encode", s, len(skipped))
+			}
+			var again []Fact
+			for _, p := range packets {
+				got, err := DecodePacket(p, s)
+				if err != nil {
+					t.Fatalf("secret=%q: re-encoded packet does not decode: %v", s, err)
+				}
+				again = append(again, got...)
+			}
+			if len(again) != len(facts) {
+				t.Fatalf("secret=%q: %d facts decode as %d after re-encoding", s, len(facts), len(again))
+			}
+			for i := range facts {
+				if !reflect.DeepEqual(again[i], facts[i]) {
+					t.Fatalf("secret=%q: fact %d: %+v re-decodes as %+v", s, i, facts[i], again[i])
+				}
+			}
+		}
+	})
 }

@@ -12,15 +12,13 @@ import (
 	"time"
 )
 
-// Config parameterizes a fleet node. ID and AdvertiseHTTP are required;
-// everything else has a serviceable default.
+// Config parameterizes a fleet node. ID is required; everything else
+// has a serviceable default.
 type Config struct {
-	// ID is this node's stable identity — the label its facts carry and
-	// the ring hashes. tdxd persists one under -state so restarts keep
-	// their ring position.
+	// ID is this node's stable identity — the label its facts carry.
+	// tdxd persists one under -state so a restarted node is recognized
+	// as the same member.
 	ID string
-	// AdvertiseHTTP is the HTTP address peers forward requests to.
-	AdvertiseHTTP string
 	// BindUDP is the local gossip listen address ("127.0.0.1:0" when
 	// empty — loopback, kernel-chosen port).
 	BindUDP string
@@ -36,9 +34,6 @@ type Config struct {
 	// Fanout is how many peers each round pushes to (DefaultFanout when
 	// <= 0).
 	Fanout int
-	// Owners is the replication factor routing aims at: how many ring
-	// owners a fingerprint routes to (DefaultOwners when <= 0).
-	Owners int
 	// Secret, when non-empty, HMAC-signs every packet; peers with a
 	// different secret (or none) are ignored.
 	Secret string
@@ -61,21 +56,17 @@ const DefaultTTLIntervals = 5
 // DefaultFanout is the per-round push fan-out.
 const DefaultFanout = 3
 
-// DefaultOwners is the routing replication factor.
-const DefaultOwners = 2
-
 // Member is one live fleet node as the membership view knows it.
 type Member struct {
 	ID     string
-	Addr   string // HTTP address for forwarding
 	Gossip string // UDP address for gossip
 	Load   int64
 }
 
 // Node is one gossiping fleet member: it periodically pushes its full
 // fact view to a few random peers, accumulates what it hears, expires
-// the stale, and answers placement questions over the converged view.
-// Create with New, run with Start, stop with Close.
+// the stale, and answers membership and manifest lookups over the
+// converged view. Create with New, run with Start, stop with Close.
 type Node struct {
 	cfg   Config
 	acc   *Accumulator
@@ -101,15 +92,12 @@ type Node struct {
 
 // New binds the gossip socket and builds a node. local supplies the
 // node's own KindExchange facts each round — what this node holds, as
-// (fingerprint, registered-at, manifest payload) — with origin fields
-// (Node, Addr, Gossip, TTL) filled in by the node; nil means none. The
-// node does not gossip until Start.
+// (fingerprint, manifest payload) — with origin fields (Node, Gossip,
+// TTL) filled in by the node; nil means none. The node does not gossip
+// until Start.
 func New(cfg Config, local func(now time.Time) []Fact) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, errors.New("fleet: Config.ID is required")
-	}
-	if cfg.AdvertiseHTTP == "" {
-		return nil, errors.New("fleet: Config.AdvertiseHTTP is required")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
@@ -119,9 +107,6 @@ func New(cfg Config, local func(now time.Time) []Fact) (*Node, error) {
 	}
 	if cfg.Fanout <= 0 {
 		cfg.Fanout = DefaultFanout
-	}
-	if cfg.Owners <= 0 {
-		cfg.Owners = DefaultOwners
 	}
 	bind := cfg.BindUDP
 	if bind == "" {
@@ -147,8 +132,8 @@ func New(cfg Config, local func(now time.Time) []Fact) (*Node, error) {
 	if n.logf == nil {
 		n.logf = log.Printf
 	}
-	// Seed the view with ourselves so placement works before the first
-	// round (a single-node fleet owns everything immediately).
+	// Seed the view with ourselves so membership is complete before the
+	// first round.
 	n.refreshLocal(time.Now())
 	return n, nil
 }
@@ -234,7 +219,6 @@ func (n *Node) refreshLocal(now time.Time) {
 	n.acc.Drop(n.cfg.ID)
 	for _, f := range facts {
 		f.Node = n.cfg.ID
-		f.Addr = n.cfg.AdvertiseHTTP
 		f.Gossip = n.GossipAddr()
 		f.Stamp = stamp
 		if f.TTL <= 0 {
@@ -357,7 +341,7 @@ func (n *Node) Members() []Member {
 	now := time.Now()
 	var out []Member
 	for _, f := range n.acc.Nodes(now) {
-		out = append(out, Member{ID: f.Node, Addr: f.Addr, Gossip: f.Gossip, Load: f.Load})
+		out = append(out, Member{ID: f.Node, Gossip: f.Gossip, Load: f.Load})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -374,96 +358,11 @@ func (n *Node) Peers() int {
 	return c
 }
 
-// Ring returns the consistent-hash ring over the current live
-// membership.
-func (n *Node) Ring() *Ring {
-	members := n.Members()
-	ids := make([]string, len(members))
-	for i, m := range members {
-		ids[i] = m.ID
-	}
-	return NewRing(0, ids...)
-}
-
-// IsOwner reports whether this node is among the ring owners of hash.
-func (n *Node) IsOwner(hash string) bool {
-	for _, id := range n.Ring().Owners(hash, n.cfg.Owners) {
-		if id == n.cfg.ID {
-			return true
-		}
-	}
-	return false
-}
-
-// Route returns the remote candidates for a request addressed to hash,
-// most preferred first: ring owners that hold the compiled exchange,
-// then ring owners that would fault it in (forwarding there is how an
-// exchange migrates onto its owners), then any other live holder (load
-// then ID order). Self never appears — the caller serves locally when
-// it can.
-func (n *Node) Route(hash string) []Member {
-	now := time.Now()
-	members := n.Members()
-	byID := make(map[string]Member, len(members))
-	ids := make([]string, 0, len(members))
-	for _, m := range members {
-		byID[m.ID] = m
-		ids = append(ids, m.ID)
-	}
-	holders := make(map[string]bool)
-	for _, f := range n.acc.Holders(hash, now) {
-		holders[f.Node] = true
-	}
-	owners := NewRing(0, ids...).Owners(hash, n.cfg.Owners)
-	isOwner := make(map[string]bool, len(owners))
-	var out []Member
-	picked := make(map[string]bool)
-	add := func(id string) {
-		if id == n.cfg.ID || picked[id] {
-			return
-		}
-		m, ok := byID[id]
-		if !ok {
-			return
-		}
-		picked[id] = true
-		out = append(out, m)
-	}
-	for _, id := range owners {
-		isOwner[id] = true
-		if holders[id] {
-			add(id)
-		}
-	}
-	for _, id := range owners {
-		add(id)
-	}
-	rest := make([]Member, 0, len(holders))
-	for id := range holders {
-		if id != n.cfg.ID && !picked[id] && !isOwner[id] {
-			if m, ok := byID[id]; ok {
-				rest = append(rest, m)
-			}
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool {
-		if rest[i].Load != rest[j].Load {
-			return rest[i].Load < rest[j].Load
-		}
-		return rest[i].ID < rest[j].ID
-	})
-	for _, m := range rest {
-		add(m.ID)
-	}
-	return out
-}
-
 // ManifestPayload returns some live holder's gossiped manifest payload
 // for hash — the warm-start manifest row that lets this node compile
-// the exchange locally when every remote candidate is unreachable.
-// Holders are consulted in Facts order (deterministic); the payloads
-// are interchangeable because the manifest row reproduces the canonical
-// mapping and its fingerprint.
+// the exchange locally. Holders are consulted in Facts order
+// (deterministic); the payloads are interchangeable because the
+// manifest row reproduces the canonical mapping and its fingerprint.
 func (n *Node) ManifestPayload(hash string) ([]byte, bool) {
 	for _, f := range n.acc.Holders(hash, time.Now()) {
 		if len(f.Payload) > 0 {

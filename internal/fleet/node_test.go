@@ -12,12 +12,11 @@ import (
 func newTestNode(t *testing.T, id string, peers []string, local func(time.Time) []Fact) *Node {
 	t.Helper()
 	n, err := New(Config{
-		ID:            id,
-		AdvertiseHTTP: "127.0.0.1:0", // placeholder; transport tests never forward
-		Peers:         peers,
-		Interval:      20 * time.Millisecond,
-		TTL:           300 * time.Millisecond,
-		Secret:        "test-fleet",
+		ID:       id,
+		Peers:    peers,
+		Interval: 20 * time.Millisecond,
+		TTL:      300 * time.Millisecond,
+		Secret:   "test-fleet",
 	}, local)
 	if err != nil {
 		t.Fatal(err)
@@ -62,11 +61,15 @@ func TestNodeConvergence(t *testing.T) {
 			return len(h) == 1 && h[0].Node == "a"
 		})
 	}
-	// Placement agrees everywhere: same membership, same ring.
-	wantOwners := a.Ring().Owners("h1", 2)
-	for _, n := range []*Node{b, c} {
-		if got := n.Ring().Owners("h1", 2); fmt.Sprint(got) != fmt.Sprint(wantOwners) {
-			t.Fatalf("node %s owners %v, node a says %v", n.ID(), got, wantOwners)
+	// Membership agrees everywhere, and each member is listed under the
+	// gossip address it bound.
+	all := []*Node{a, b, c}
+	for _, n := range all {
+		for i, m := range n.Members() {
+			want := all[i]
+			if m.ID != want.ID() || m.Gossip != want.GossipAddr() {
+				t.Fatalf("node %s member %d = %+v, want %s at %s", n.ID(), i, m, want.ID(), want.GossipAddr())
+			}
 		}
 	}
 	// The manifest payload traveled with the fact.
@@ -129,13 +132,13 @@ func TestNodeWithdrawal(t *testing.T) {
 }
 
 func TestNodeSecretMismatch(t *testing.T) {
-	a, err := New(Config{ID: "a", AdvertiseHTTP: "x", Interval: 20 * time.Millisecond, Secret: "one"}, nil)
+	a, err := New(Config{ID: "a", Interval: 20 * time.Millisecond, Secret: "one"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 	a.Start()
-	b, err := New(Config{ID: "b", AdvertiseHTTP: "x", Interval: 20 * time.Millisecond, Secret: "two",
+	b, err := New(Config{ID: "b", Interval: 20 * time.Millisecond, Secret: "two",
 		Peers: []string{a.GossipAddr()}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -145,57 +148,5 @@ func TestNodeSecretMismatch(t *testing.T) {
 	eventually(t, "a drops mis-signed packets", func() bool { return a.BadPackets() > 0 })
 	if len(a.Members()) != 1 || len(b.Members()) != 1 {
 		t.Fatalf("mis-signed fleets merged: a=%d b=%d members", len(a.Members()), len(b.Members()))
-	}
-}
-
-func TestNodeRouteOrdersOwnersFirst(t *testing.T) {
-	// Build the view by hand on an unstarted node: no goroutines, no
-	// timing. d routes h: owners that hold it come first, then owners
-	// that would fault it in, then remaining holders; self never shows.
-	n, err := New(Config{ID: "d", AdvertiseHTTP: "http://d", Owners: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	now := time.Now()
-	ids := []string{"a", "b", "c", "d"}
-	for _, id := range ids {
-		n.acc.Observe(Fact{Kind: KindNode, Node: id, Addr: "http://" + id, Stamp: 1, TTL: time.Minute}, now)
-	}
-	const hash = "some-fingerprint"
-	owners := NewRing(0, ids...).Owners(hash, 2)
-	// Every non-self member holds the exchange.
-	for _, id := range ids {
-		if id == "d" {
-			continue
-		}
-		n.acc.Observe(Fact{Kind: KindExchange, Node: id, Hash: hash, Stamp: 1, TTL: time.Minute}, now)
-	}
-	route := n.Route(hash)
-	var want []string
-	for _, id := range owners {
-		if id != "d" {
-			want = append(want, id)
-		}
-	}
-	for _, id := range ids {
-		dup := id == "d"
-		for _, w := range want {
-			dup = dup || w == id
-		}
-		if !dup {
-			want = append(want, id)
-		}
-	}
-	if len(route) != len(want) {
-		t.Fatalf("route %v, want ids %v", route, want)
-	}
-	for i, m := range route {
-		if m.ID != want[i] {
-			t.Fatalf("route[%d] = %s, want %s (route %v owners %v)", i, m.ID, want[i], route, owners)
-		}
-		if m.ID == "d" {
-			t.Fatal("route contains self")
-		}
 	}
 }

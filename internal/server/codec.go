@@ -193,9 +193,10 @@ type healthResponse struct {
 	InflightHighWater int64  `json:"inflightHighWater"`
 	Queued            int64  `json:"queued"`
 	Rejected          int64  `json:"rejected"`
-	// Fleet is the fleet-mode membership and relay block: node identity,
-	// live members, and the forward/gossip/expiry counters. Omitted on a
-	// standalone daemon, so the single-node healthz shape is unchanged.
+	// Fleet is the fleet-mode membership block: node identity, live
+	// members, and the fault-in compile, gossip and expiry counters.
+	// Omitted on a standalone daemon, so the single-node healthz shape is
+	// unchanged.
 	Fleet *fleetHealth `json:"fleet,omitempty"`
 }
 

@@ -59,9 +59,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	m("tdxd_peers", "gauge", "Live fleet members known via gossip, excluding this node.",
 		peers)
-	m("tdxd_forwards_total", "counter", "Exchange requests relayed to a fleet peer.",
-		s.forwards.Load())
-	m("tdxd_fleet_compiles_total", "counter", "Fallback compiles from gossiped manifest payloads.",
+	m("tdxd_fleet_compiles_total", "counter", "Fault-in compiles from gossiped manifest payloads.",
 		s.fleetCompiles.Load())
 	m("tdxd_gossip_sent_total", "counter", "Gossip datagrams pushed to peers.",
 		gossipSent)

@@ -117,10 +117,10 @@ type Config struct {
 	// access logging; request counting happens regardless.
 	AccessLogf func(format string, args ...any)
 	// FleetConfig, when non-nil, joins this server to a tdxd fleet: the
-	// node gossips the registry contents and requests addressed to an
-	// exchange this node does not hold are forwarded to (or, failing
-	// that, compiled from) the fleet. See fleet.go. nil means a
-	// standalone daemon.
+	// node gossips the registry contents, and a request addressed to an
+	// exchange this node does not hold compiles it here from a peer's
+	// gossiped manifest row. See fleet.go. nil means a standalone
+	// daemon.
 	FleetConfig *fleet.Config
 }
 
@@ -165,8 +165,7 @@ type Server struct {
 	errors5xx atomic.Int64 // responses with a 5xx status
 
 	// Fleet observability (zero outside fleet mode).
-	forwards      atomic.Int64 // exchange requests relayed to a fleet peer
-	fleetCompiles atomic.Int64 // fallback compiles from gossiped manifest payloads
+	fleetCompiles atomic.Int64 // fault-in compiles from gossiped manifest payloads
 }
 
 // New builds a Server from the configuration. It fails only when
@@ -241,7 +240,7 @@ func (s *Server) WarmStart() error {
 			s.logf("state: mapping %.12s: bad options: %v", m.Hash, err)
 			continue
 		}
-		entry, err := s.reg.RegisterReplay(m.Mapping, opts...)
+		entry, err := s.reg.RegisterReplay(context.TODO(), m.Mapping, nil, opts...)
 		if err != nil {
 			s.logf("state: mapping %.12s no longer compiles: %v", m.Hash, err)
 			continue
@@ -401,9 +400,31 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// resolve looks up the {hash} path segment in the registry. Fleet mode
-// widens it: see resolveOrForward (fleet.go), which every exchange
-// handler goes through.
+// resolve looks up the {hash} path segment in the registry, writing a
+// 404 on a miss. In fleet mode a miss first faults the exchange in from
+// the gossiped manifest (faultIn, fleet.go), so any node answers any
+// fingerprint the fleet holds; ctx, the request budget, bounds the wait
+// for that compile.
+func (s *Server) resolve(ctx context.Context, w http.ResponseWriter, r *http.Request) (*Entry, bool) {
+	hash := r.PathValue("hash")
+	if entry, ok := s.reg.Get(hash); ok {
+		return entry, true
+	}
+	if s.fleet == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no exchange with hash %q is registered", hash))
+		return nil, false
+	}
+	entry, err := s.faultIn(ctx, hash)
+	if err != nil {
+		writeError(w, runStatus(err), err)
+		return nil, false
+	}
+	if entry == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no exchange with hash %q is registered anywhere in the fleet", hash))
+		return nil, false
+	}
+	return entry, true
+}
 
 // budgetContext bounds the request context by the per-request run
 // budget. The returned context covers the whole pipeline — decode, run,
@@ -557,7 +578,13 @@ func parseSource(ex *tdx.Exchange, jsonBody bool, body []byte) (*tdx.Instance, e
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	entry, ok := s.resolveOrForward(w, r)
+	ctx, cancel, err := s.budgetContext(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+	entry, ok := s.resolve(ctx, w, r)
 	if !ok {
 		return
 	}
@@ -569,12 +596,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel, err := s.budgetContext(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
 	sol, elapsed, ok := s.runExchange(ctx, w, r, entry)
 	if !ok {
 		return
@@ -601,7 +622,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
-	entry, ok := s.resolveOrForward(w, r)
+	ctx, cancel, err := s.budgetContext(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+	entry, ok := s.resolve(ctx, w, r)
 	if !ok {
 		return
 	}
@@ -612,12 +639,6 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel, err := s.budgetContext(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
 	sol, elapsed, ok := s.runExchange(ctx, w, r, entry)
 	if !ok {
 		return
@@ -638,7 +659,13 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	entry, ok := s.resolveOrForward(w, r)
+	ctx, cancel, err := s.budgetContext(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+	entry, ok := s.resolve(ctx, w, r)
 	if !ok {
 		return
 	}
@@ -652,12 +679,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, badParam("at", err))
 		return
 	}
-	ctx, cancel, err := s.budgetContext(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
 	sol, elapsed, ok := s.runExchange(ctx, w, r, entry)
 	if !ok {
 		return
@@ -685,16 +706,16 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // posted to /v1/sessions/{id}/facts extend the solution via the
 // semi-naive delta chase instead of re-chasing the base.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	entry, ok := s.resolveOrForward(w, r)
-	if !ok {
-		return
-	}
 	ctx, cancel, err := s.budgetContext(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()
+	entry, ok := s.resolve(ctx, w, r)
+	if !ok {
+		return
+	}
 	sol, elapsed, ok := s.runExchange(ctx, w, r, entry)
 	if !ok {
 		return

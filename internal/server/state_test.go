@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -371,11 +372,14 @@ func TestWarmStartCorruptSnapshot(t *testing.T) {
 }
 
 // TestRegisterReplayCompiles covers the replay path at the registry
-// level: same entry, no Compiles increment.
+// level: same entry, no Compiles increment, and onNew only for the
+// replay that registered the entry.
 func TestRegisterReplayCompiles(t *testing.T) {
 	reg := NewRegistry(4, nil)
 	text := readTestdata(t, "employment.tdx")
-	entry, err := reg.RegisterReplay(text)
+	var fresh []*Entry
+	onNew := func(e *Entry) { fresh = append(fresh, e) }
+	entry, err := reg.RegisterReplay(context.Background(), text, onNew)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,11 +389,14 @@ func TestRegisterReplayCompiles(t *testing.T) {
 	if got, ok := reg.Get(entry.Hash); !ok || got != entry {
 		t.Fatal("replayed entry not resident")
 	}
-	again, err := reg.RegisterReplay(text)
+	again, err := reg.RegisterReplay(context.Background(), text, onNew)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != entry {
 		t.Fatal("second replay duplicated the entry")
+	}
+	if len(fresh) != 1 || fresh[0] != entry {
+		t.Fatalf("onNew ran for %d entries, want once for the replayed one", len(fresh))
 	}
 }

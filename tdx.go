@@ -273,9 +273,9 @@ func (ex *Exchange) RunFingerprint(opts ...Option) string {
 // makes the fingerprint a safe registry key: tdxd's compiled-exchange
 // registry is keyed on it, and a client holding a fingerprint can
 // address the exchange without re-sending the mapping. In fleet mode
-// the fingerprint is also the routing key: it is hashed onto the
-// fleet's consistent-hash ring to pick the owning nodes, and gossiped
-// so any node can locate — or reproduce — the exchange it names.
+// the fingerprint is gossiped with the canonical mapping, so a node
+// that does not hold the exchange compiles the mapping itself and
+// serves the same bytes.
 func (ex *Exchange) Fingerprint() string { return ex.fp }
 
 // seedDomain interns every literal of the mapping's dependencies and
