@@ -10,8 +10,8 @@
 // Usage:
 //
 //	tdxd [-addr :8080] [-max-mappings 64] [-max-sessions 64] [-max-timeout 60s] [-parallel 0]
-//	     [-max-inflight 0] [-queue-wait 2s] [-max-body 64MiB] [-access-log] [-pprof addr] [-state DIR]
-//	     [-gossip udp] [-peers udp,udp,...] [-node-id id] [-gossip-secret s] [-gossip-interval 1s]
+//	     [-max-inflight 0] [-queue-wait 2s] [-max-body 64MiB] [-access-log] [-drain 10s]
+//	     [-pprof addr] [-state DIR] [-max-run-snapshots 128]
 //
 // Endpoints (see package repro/internal/server and the README for the
 // full API):
@@ -51,17 +51,12 @@
 // /run from the snapshot cache, byte-identical to the pre-restart
 // response.
 //
-// With -gossip the daemon joins (or founds) a tdxd fleet: nodes gossip
-// signed, TTL'd facts over UDP (internal/fleet) about which compiled
-// exchanges they hold, each carrying the manifest row that reproduces
-// it. A request addressed to an exchange this node does not hold
-// compiles that row here and is served locally, so any node answers
-// any request byte-identically, also after the registering node dies.
-// -gossip is the UDP address to gossip on, -peers seeds the mesh (any
-// one live node suffices; membership is discovered transitively), and
-// -node-id pins the node's fleet identity, persisted under -state so a
-// restarted node rejoins as the same member. See the README's fleet
-// section.
+// Several daemons need no coordination: an exchange's hash is the
+// content hash of its canonical mapping and output-affecting options, so
+// every daemon that registers the same mapping serves it under the same
+// hash with the same bytes. A client that gets 404 for a hash re-POSTs
+// the mapping with the same envelope and retries (see the README's
+// "Several daemons" section).
 //
 // Shutdown is graceful: on SIGTERM or SIGINT the listener closes, then
 // in-flight runs get a drain window to finish; runs still going when it
@@ -71,8 +66,6 @@ package main
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -82,12 +75,9 @@ import (
 	_ "net/http/pprof" // debug listener endpoints; see -pprof
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/server"
 )
 
@@ -105,11 +95,6 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 	stateDir := flag.String("state", "", "persist warm-start state (mapping manifest, session and run snapshots) under this directory; off when empty")
 	maxRunSnapshots := flag.Int("max-run-snapshots", server.DefaultMaxRunSnapshots, "disk run-cache bound under -state DIR/runs (oldest snapshots pruned beyond it)")
-	gossipBind := flag.String("gossip", "", "fleet mode: the UDP address to gossip on (bind one peers can reach); off when empty")
-	peers := flag.String("peers", "", "comma-separated UDP gossip addresses seeding the fleet mesh (any one live node suffices); requires -gossip")
-	nodeID := flag.String("node-id", "", "stable fleet identity; default: read or created under -state DIR/node-id, else derived fresh")
-	gossipSecret := flag.String("gossip-secret", "", "shared fleet secret: gossip packets are HMAC-signed and mis-signed peers ignored; empty means unsigned (loopback only)")
-	gossipInterval := flag.Duration("gossip-interval", fleet.DefaultInterval, "gossip period; fact TTL (failure detection) is 5x this")
 	flag.Parse()
 
 	cfg := server.Config{
@@ -126,22 +111,6 @@ func main() {
 	if *accessLog {
 		cfg.AccessLogf = log.Printf
 	}
-	if *gossipBind == "" && *peers != "" {
-		log.Fatal("tdxd: -peers requires -gossip (the UDP address this node gossips on)")
-	}
-	if *gossipBind != "" {
-		id, err := resolveNodeID(*nodeID, *stateDir)
-		if err != nil {
-			log.Fatalf("tdxd: node id: %v", err)
-		}
-		cfg.FleetConfig = &fleet.Config{
-			ID:       id,
-			BindUDP:  *gossipBind,
-			Peers:    splitPeers(*peers),
-			Interval: *gossipInterval,
-			Secret:   *gossipSecret,
-		}
-	}
 	srv, err := server.New(cfg)
 	if err != nil {
 		log.Fatalf("tdxd: %v", err)
@@ -151,11 +120,6 @@ func main() {
 			log.Fatalf("tdxd: warm start: %v", err)
 		}
 		log.Printf("tdxd: state dir %s (run-cache bound %d)", *stateDir, *maxRunSnapshots)
-	}
-	if n := srv.Fleet(); n != nil {
-		n.Start()
-		log.Printf("tdxd: fleet node %s gossiping on %s (%d seed peers)",
-			n.ID(), n.GossipAddr(), len(splitPeers(*peers)))
 	}
 
 	// baseCtx underlies every request context: canceling it aborts
@@ -210,76 +174,10 @@ func main() {
 		if err := hs.Close(); err != nil {
 			log.Printf("tdxd: close: %v", err)
 		}
-		_ = srv.Close()
 		os.Exit(1)
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("tdxd: %v", err)
 	}
-	// Serving is done: release the gossip socket.
-	if err := srv.Close(); err != nil {
-		log.Printf("tdxd: close: %v", err)
-	}
 	fmt.Fprintln(os.Stderr, "tdxd: bye")
-}
-
-// splitPeers parses the -peers list.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// resolveNodeID settles this node's fleet identity. Priority: the
-// explicit -node-id; then the id persisted under -state (so a restarted
-// node rejoins as the same member instead of leaving its old identity
-// to expire from its peers' views); else a freshly derived one.
-// Whatever wins is persisted when a state directory exists.
-func resolveNodeID(explicit, stateDir string) (string, error) {
-	if stateDir == "" {
-		if explicit != "" {
-			return explicit, nil
-		}
-		return freshNodeID()
-	}
-	path := filepath.Join(stateDir, "node-id")
-	if explicit == "" {
-		if data, err := os.ReadFile(path); err == nil {
-			if id := strings.TrimSpace(string(data)); id != "" {
-				return id, nil
-			}
-		}
-	}
-	id := explicit
-	if id == "" {
-		var err error
-		if id, err = freshNodeID(); err != nil {
-			return "", err
-		}
-	}
-	if err := os.MkdirAll(stateDir, 0o755); err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(path, []byte(id+"\n"), 0o644); err != nil {
-		return "", err
-	}
-	return id, nil
-}
-
-// freshNodeID derives a new identity: hostname plus random suffix, so
-// ids are human-attributable and collision-free.
-func freshNodeID() (string, error) {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", err
-	}
-	host, err := os.Hostname()
-	if err != nil || host == "" {
-		host = "tdxd"
-	}
-	return host + "-" + hex.EncodeToString(b[:]), nil
 }

@@ -15,6 +15,13 @@ import (
 	"repro/internal/value"
 )
 
+// instanceJSON is the wire form of a whole instance, as legacyEncode
+// marshals it.
+type instanceJSON struct {
+	Schema []relJSON  `json:"schema,omitempty"`
+	Facts  []factJSON `json:"facts"`
+}
+
 // legacyEncode is the pre-streaming implementation of Encode, kept here
 // as the byte-identity reference: materialize the sorted fact set, build
 // the []factJSON mirror with rendered strings, and MarshalIndent the

@@ -24,14 +24,9 @@ type factJSON struct {
 	Interval string   `json:"interval"`
 }
 
-// instanceJSON is the wire form of an instance: an optional schema
-// (relation name → attribute list, with declaration order preserved
-// separately) plus the fact list.
-type instanceJSON struct {
-	Schema []relJSON  `json:"schema,omitempty"`
-	Facts  []factJSON `json:"facts"`
-}
-
+// relJSON is the wire form of one schema relation. A document is an
+// object with an optional "schema" array of these, in declaration order,
+// then a "facts" array of factJSON.
 type relJSON struct {
 	Name  string   `json:"name"`
 	Attrs []string `json:"attrs"`
@@ -54,26 +49,9 @@ func Encode(c *instance.Concrete) ([]byte, error) {
 // schema, facts are validated against it; otherwise the instance is
 // schemaless. Argument strings that parse as nulls or intervals become
 // those values (the value syntax is injective for strings produced by
-// Encode).
+// Encode). It is DecodeReader over the bytes with no expected schema.
 func Decode(data []byte) (*instance.Concrete, error) {
-	var in instanceJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("jsonio: %w", err)
-	}
-	var sch *schema.Schema
-	if len(in.Schema) > 0 {
-		var err error
-		if sch, err = buildSchema(in.Schema); err != nil {
-			return nil, err
-		}
-	}
-	out := instance.NewConcrete(sch)
-	for i, fj := range in.Facts {
-		if err := insertFact(out, i, fj); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return DecodeReader(bytes.NewReader(data), nil)
 }
 
 // DecodeReader decodes an instance from a JSON stream without
@@ -87,9 +65,13 @@ func Decode(data []byte) (*instance.Concrete, error) {
 // validates on insert; a schema section in the document is then only
 // cross-checked (each declared relation must exist in expect with the
 // same arity). When expect is nil the document's schema section governs,
-// as in Decode — but it must precede the facts array in the stream
-// (Encode always writes it first); a schema arriving after facts have
-// begun is an error rather than a silent re-validation gap.
+// but it must precede the facts array in the stream (Encode always
+// writes it first); a schema arriving after facts have begun is an error
+// rather than a silent re-validation gap.
+//
+// Top-level keys match exactly ("facts", "schema"); any other key,
+// including one differing only in case, is skipped. "facts": null, which
+// Encode writes for an instance with no facts, reads as no facts.
 func DecodeReader(r io.Reader, expect *schema.Schema) (*instance.Concrete, error) {
 	dec := json.NewDecoder(r)
 	if err := expectDelim(dec, '{'); err != nil {
@@ -149,10 +131,17 @@ func DecodeReader(r io.Reader, expect *schema.Schema) (*instance.Concrete, error
 				return nil, fmt.Errorf("jsonio: duplicate facts section")
 			}
 			factsSeen = true
-			if err := expectDelim(dec, '['); err != nil {
-				return nil, err
-			}
 			inst := ensure(nil)
+			tok, err := dec.Token()
+			if err != nil {
+				return nil, fmt.Errorf("jsonio: %w", err)
+			}
+			if tok == nil { // "facts": null
+				continue
+			}
+			if tok != json.Delim('[') {
+				return nil, fmt.Errorf("jsonio: expected %q, found %v", "[", tok)
+			}
 			for i := 0; dec.More(); i++ {
 				var fj factJSON
 				if err := dec.Decode(&fj); err != nil {
@@ -166,8 +155,7 @@ func DecodeReader(r io.Reader, expect *schema.Schema) (*instance.Concrete, error
 				return nil, err
 			}
 		default:
-			// Unknown keys are skipped, mirroring encoding/json's
-			// tolerance in Decode.
+			// Unknown keys are skipped, for forward compatibility.
 			var skip json.RawMessage
 			if err := dec.Decode(&skip); err != nil {
 				return nil, fmt.Errorf("jsonio: %w", err)

@@ -193,11 +193,6 @@ type healthResponse struct {
 	InflightHighWater int64  `json:"inflightHighWater"`
 	Queued            int64  `json:"queued"`
 	Rejected          int64  `json:"rejected"`
-	// Fleet is the fleet-mode membership block: node identity, live
-	// members, and the fault-in compile, gossip and expiry counters.
-	// Omitted on a standalone daemon, so the single-node healthz shape is
-	// unchanged.
-	Fleet *fleetHealth `json:"fleet,omitempty"`
 }
 
 // errorResponse is the body of every non-2xx response.

@@ -49,24 +49,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.snapshotWrites.Load())
 	m("tdxd_source_cache_hits_total", "counter", "Decoded request bodies served from the in-memory source cache.",
 		s.sourceCacheHits.Load())
-	// Fleet counters are always exposed (zero on a standalone daemon) so
-	// one scrape config covers every deployment shape.
-	var peers, gossipSent, gossipReceived, factsExpired int64
-	if s.fleet != nil {
-		n := s.fleet.node
-		peers = int64(n.Peers())
-		gossipSent, gossipReceived, factsExpired = n.GossipSent(), n.GossipReceived(), n.FactsExpired()
-	}
-	m("tdxd_peers", "gauge", "Live fleet members known via gossip, excluding this node.",
-		peers)
-	m("tdxd_fleet_compiles_total", "counter", "Fault-in compiles from gossiped manifest payloads.",
-		s.fleetCompiles.Load())
-	m("tdxd_gossip_sent_total", "counter", "Gossip datagrams pushed to peers.",
-		gossipSent)
-	m("tdxd_gossip_received_total", "counter", "Gossip datagrams accepted and merged.",
-		gossipReceived)
-	m("tdxd_facts_expired_total", "counter", "Gossiped facts dropped by TTL expiry.",
-		factsExpired)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
 	w.WriteHeader(http.StatusOK)

@@ -114,26 +114,23 @@ func requestKey(text string, opts []tdx.Option) string {
 // publishes its entry for later registrations — abandoned work is
 // still deduplicated, never repeated.
 func (r *Registry) Register(ctx context.Context, text string, opts ...tdx.Option) (*Entry, bool, error) {
-	return r.register(ctx, text, opts, false, nil)
+	return r.register(ctx, text, opts, false)
 }
 
 // RegisterReplay registers a mapping through Register's deduplicated
-// compile without counting toward Compiles — the warm-start and fleet
-// fault-in path. Compiles is the request-driven compilation counter
-// (what a restarted daemon's clients would have paid again), so
-// boot-time replays of the persisted manifest must not inflate it: a
-// warm-started daemon whose first request needs no compile reports
-// compiles == 0. onNew, when non-nil, runs once per compile that
-// registers a new entry, however many callers share it, and before any
-// of them returns.
-func (r *Registry) RegisterReplay(ctx context.Context, text string, onNew func(*Entry), opts ...tdx.Option) (*Entry, error) {
-	e, _, err := r.register(ctx, text, opts, true, onNew)
+// compile without counting toward Compiles — the warm-start path.
+// Compiles is the request-driven compilation counter (what a restarted
+// daemon's clients would have paid again), so boot-time replays of the
+// persisted manifest must not inflate it: a warm-started daemon whose
+// first request needs no compile reports compiles == 0.
+func (r *Registry) RegisterReplay(ctx context.Context, text string, opts ...tdx.Option) (*Entry, error) {
+	e, _, err := r.register(ctx, text, opts, true)
 	return e, err
 }
 
 // register is Register and RegisterReplay: replay compiles do not count
-// toward Compiles, and onNew runs as RegisterReplay describes.
-func (r *Registry) register(ctx context.Context, text string, opts []tdx.Option, replay bool, onNew func(*Entry)) (*Entry, bool, error) {
+// toward Compiles.
+func (r *Registry) register(ctx context.Context, text string, opts []tdx.Option, replay bool) (*Entry, bool, error) {
 	raw := requestKey(text, opts)
 	r.mu.Lock()
 	// Fast path: this exact request resolved before and the entry is
@@ -155,7 +152,7 @@ func (r *Registry) register(ctx context.Context, text string, opts []tdx.Option,
 		// other waiters or waste the work.
 		fl = &flight{done: make(chan struct{})}
 		r.inflight[raw] = fl
-		go r.compileFlight(fl, raw, text, opts, replay, onNew)
+		go r.compileFlight(fl, raw, text, opts, replay)
 	}
 	r.mu.Unlock()
 	select {
@@ -168,7 +165,7 @@ func (r *Registry) register(ctx context.Context, text string, opts []tdx.Option,
 
 // compileFlight performs one deduplicated compilation and publishes the
 // result into the registry and onto the flight.
-func (r *Registry) compileFlight(fl *flight, raw, text string, opts []tdx.Option, replay bool, onNew func(*Entry)) {
+func (r *Registry) compileFlight(fl *flight, raw, text string, opts []tdx.Option, replay bool) {
 	ex, err := r.compile(text, opts...)
 
 	r.mu.Lock()
@@ -208,9 +205,6 @@ func (r *Registry) compileFlight(fl *flight, raw, text string, opts []tdx.Option
 		e.rawKeys = append(e.rawKeys[:0], e.rawKeys[1:]...)
 	}
 	r.mu.Unlock()
-	if onNew != nil && !fl.cached {
-		onNew(e)
-	}
 	close(fl.done)
 }
 

@@ -27,8 +27,9 @@
 // Per-request query parameters ride the engine's functional
 // options: ?timeout= bounds the run through the existing context
 // plumbing (capped by the server's MaxTimeout), ?parallel= sizes the
-// chase worker pool, ?norm=, ?egd=, and ?coalesce= override the
-// exchange's compile-time defaults for that run only.
+// chase worker pool (capped at GOMAXPROCS), ?norm=, ?egd=, and
+// ?coalesce= override the exchange's compile-time defaults for that run
+// only.
 //
 // Memory bounding is structural: the registry is LRU-bounded
 // (MaxMappings), compilation of concurrent duplicate registrations is
@@ -65,13 +66,13 @@ import (
 	"mime"
 	"net/http"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	tdx "repro"
-	"repro/internal/fleet"
 )
 
 // Config parameterizes a Server. The zero value serves with the
@@ -116,12 +117,6 @@ type Config struct {
 	// (method, path, status, response bytes, duration). nil disables
 	// access logging; request counting happens regardless.
 	AccessLogf func(format string, args ...any)
-	// FleetConfig, when non-nil, joins this server to a tdxd fleet: the
-	// node gossips the registry contents, and a request addressed to an
-	// exchange this node does not hold compiles it here from a peer's
-	// gossiped manifest row. See fleet.go. nil means a standalone
-	// daemon.
-	FleetConfig *fleet.Config
 }
 
 // DefaultMaxRunSnapshots bounds the disk run cache when the
@@ -145,7 +140,6 @@ type Server struct {
 	sources  *sourceCache
 	state    *stateStore // nil without Config.StateDir
 	gate     *gate       // admission control on chase work
-	fleet    *fleetState // nil without Config.FleetConfig
 	logf     func(format string, args ...any)
 	start    time.Time
 
@@ -163,9 +157,6 @@ type Server struct {
 	// Serving observability, surfaced on /metrics.
 	requests  atomic.Int64 // HTTP requests served (all endpoints)
 	errors5xx atomic.Int64 // responses with a 5xx status
-
-	// Fleet observability (zero outside fleet mode).
-	fleetCompiles atomic.Int64 // fault-in compiles from gossiped manifest payloads
 }
 
 // New builds a Server from the configuration. It fails only when
@@ -205,21 +196,7 @@ func New(cfg Config) (*Server, error) {
 			}
 		})
 	}
-	if cfg.FleetConfig != nil {
-		if err := s.newFleet(*cfg.FleetConfig); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
-}
-
-// Close releases what New acquired: the fleet node (gossip socket and
-// loops). Safe without fleet; safe to call once after serving stops.
-func (s *Server) Close() error {
-	if s.fleet == nil {
-		return nil
-	}
-	return s.fleet.node.Close()
 }
 
 // WarmStart replays the persisted manifest: registered mappings
@@ -240,7 +217,7 @@ func (s *Server) WarmStart() error {
 			s.logf("state: mapping %.12s: bad options: %v", m.Hash, err)
 			continue
 		}
-		entry, err := s.reg.RegisterReplay(context.TODO(), m.Mapping, nil, opts...)
+		entry, err := s.reg.RegisterReplay(context.TODO(), m.Mapping, opts...)
 		if err != nil {
 			s.logf("state: mapping %.12s no longer compiles: %v", m.Hash, err)
 			continue
@@ -248,7 +225,6 @@ func (s *Server) WarmStart() error {
 		if entry.Hash != m.Hash {
 			s.logf("state: mapping %.12s recompiled to %.12s; serving under the new hash", m.Hash, entry.Hash)
 		}
-		s.rememberOptions(entry.Hash, m.Options)
 		s.warmStarts.Add(1)
 	}
 	for _, ms := range man.Sessions {
@@ -311,7 +287,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		InflightHighWater: s.gate.highWater.Load(),
 		Queued:            s.gate.queued.Load(),
 		Rejected:          s.gate.rejected.Load(),
-		Fleet:             s.fleetHealthBlock(),
 	})
 }
 
@@ -375,11 +350,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			s.logf("state: persist mapping %.12s: %v", entry.Hash, err)
 		}
 	}
-	if s.fleet != nil {
-		// Gossip the new holding now, not a gossip interval later.
-		s.rememberOptions(entry.Hash, req.Options)
-		s.fleet.node.Poke()
-	}
 	status := http.StatusCreated
 	if cached {
 		status = http.StatusOK
@@ -401,29 +371,18 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolve looks up the {hash} path segment in the registry, writing a
-// 404 on a miss. In fleet mode a miss first faults the exchange in from
-// the gossiped manifest (faultIn, fleet.go), so any node answers any
-// fingerprint the fleet holds; ctx, the request budget, bounds the wait
-// for that compile.
-func (s *Server) resolve(ctx context.Context, w http.ResponseWriter, r *http.Request) (*Entry, bool) {
+// 404 on a miss. A fingerprint names its exchange everywhere (the
+// canonical mapping plus the output-affecting options), so a client that
+// gets the 404 — the entry was evicted, or another daemon registered it
+// — re-POSTs the mapping with the same envelope, gets the same hash back
+// and retries.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*Entry, bool) {
 	hash := r.PathValue("hash")
-	if entry, ok := s.reg.Get(hash); ok {
-		return entry, true
-	}
-	if s.fleet == nil {
+	entry, ok := s.reg.Get(hash)
+	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no exchange with hash %q is registered", hash))
-		return nil, false
 	}
-	entry, err := s.faultIn(ctx, hash)
-	if err != nil {
-		writeError(w, runStatus(err), err)
-		return nil, false
-	}
-	if entry == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no exchange with hash %q is registered anywhere in the fleet", hash))
-		return nil, false
-	}
-	return entry, true
+	return entry, ok
 }
 
 // budgetContext bounds the request context by the per-request run
@@ -584,7 +543,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	entry, ok := s.resolve(ctx, w, r)
+	entry, ok := s.resolve(w, r)
 	if !ok {
 		return
 	}
@@ -628,7 +587,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	entry, ok := s.resolve(ctx, w, r)
+	entry, ok := s.resolve(w, r)
 	if !ok {
 		return
 	}
@@ -665,7 +624,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	entry, ok := s.resolve(ctx, w, r)
+	entry, ok := s.resolve(w, r)
 	if !ok {
 		return
 	}
@@ -712,7 +671,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	entry, ok := s.resolve(ctx, w, r)
+	entry, ok := s.resolve(w, r)
 	if !ok {
 		return
 	}
@@ -865,7 +824,10 @@ func (s *Server) runOptions(r *http.Request) ([]tdx.Option, error) {
 		if err != nil {
 			return nil, badParam("parallel", err)
 		}
-		opts = append(opts, tdx.WithParallelism(n))
+		// Capped at the CPU count: every worker costs a goroutine and a
+		// shard buffer, so an uncapped client value can exhaust memory,
+		// and solutions are byte-identical at any worker count.
+		opts = append(opts, tdx.WithParallelism(min(n, runtime.GOMAXPROCS(0))))
 	}
 	if v := q.Get("norm"); v != "" {
 		norm, err := tdx.ParseNorm(v)

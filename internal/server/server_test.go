@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,6 +236,119 @@ func directSourceJSON(t testing.TB, ex *tdx.Exchange, facts string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// directSolution chases the source on a freshly compiled exchange and
+// returns its fingerprint and compacted solution document — the
+// engine-level baseline a served solution must match byte for byte.
+func directSolution(t *testing.T, mapping, source string, opts ...tdx.Option) (string, []byte) {
+	t.Helper()
+	ex, err := tdx.Compile(mapping, append(opts, tdx.WithRunInterner())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := ex.ParseSource(source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := ex.Run(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := sol.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, doc); err != nil {
+		t.Fatal(err)
+	}
+	return ex.Fingerprint(), compact.Bytes()
+}
+
+// TestReRegisterOn404 pins the client pattern for several daemons: a
+// daemon that never saw a mapping answers 404 for its hash, and
+// re-registering the mapping there with the same envelope returns the
+// same hash and then serves the same solution bytes.
+func TestReRegisterOn404(t *testing.T) {
+	mapping := readTestdata(t, "employment.tdx")
+	facts := readTestdata(t, "employment.facts")
+	env, err := json.Marshal(registerRequest{Mapping: mapping, Options: requestOptions{Norm: "naive", Coalesce: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerEnv := func(h http.Handler) string {
+		t.Helper()
+		rec := do(h, "POST", "/v1/mappings", "application/json", string(env))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("register: status %d: %s", rec.Code, rec.Body)
+		}
+		var resp registerResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Hash
+	}
+	a := mustNew(t, Config{}).Handler()
+	b := mustNew(t, Config{}).Handler()
+
+	hash := registerEnv(a)
+	if rec := do(b, "POST", "/v1/exchanges/"+hash+"/run", "", facts); rec.Code != http.StatusNotFound {
+		t.Fatalf("unregistered hash on B: status %d: %s", rec.Code, rec.Body)
+	}
+	if got := registerEnv(b); got != hash {
+		t.Fatalf("re-registering on B returned hash %s, A's is %s", got, hash)
+	}
+	solA := runSolution(t, a, hash, facts)
+	solB := runSolution(t, b, hash, facts)
+	if !bytes.Equal(solA, solB) {
+		t.Fatalf("B's solution differs from A's:\n%s\nvs\n%s", solB, solA)
+	}
+	wantHash, want := directSolution(t, mapping, facts, tdx.WithNorm(tdx.NormNaive), tdx.WithCoalesce(true))
+	if hash != wantHash || !bytes.Equal(solB, want) {
+		t.Fatalf("served exchange differs from the direct run (hash %s vs %s)", hash, wantHash)
+	}
+}
+
+// TestParallelCappedAtCPUs: ?parallel= asks for at most GOMAXPROCS
+// workers, so an outsized value costs no more than the CPU count, and
+// the solution is the ?parallel=1 one.
+func TestParallelCappedAtCPUs(t *testing.T) {
+	s := mustNew(t, Config{})
+	h := s.Handler()
+	hash := register(t, h, readTestdata(t, "employment.tdx"))
+	// 200 source facts: past the engine's 128-fact cutoff, below which
+	// the chase ignores the worker count.
+	var facts strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&facts, "E(p%d, IBM) @ [2012, 2014)\nS(p%d, %dk) @ [2013, inf)\n", i, i, 10+i)
+	}
+	run := func(parallel string) (tgdWorkers, egdWorkers int, solution json.RawMessage) {
+		t.Helper()
+		rec := do(h, "POST", "/v1/exchanges/"+hash+"/run?parallel="+parallel, "", facts.String())
+		if rec.Code != http.StatusOK {
+			t.Fatalf("?parallel=%s: status %d: %s", parallel, rec.Code, rec.Body)
+		}
+		var resp struct {
+			Stats struct {
+				TGDWorkers int `json:"tgdWorkers"`
+				EgdWorkers int `json:"egdWorkers"`
+			} `json:"stats"`
+			Solution json.RawMessage `json:"solution"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Stats.TGDWorkers, resp.Stats.EgdWorkers, resp.Solution
+	}
+	_, _, want := run("1")
+	tgdW, egdW, got := run("10000")
+	if procs := runtime.GOMAXPROCS(0); tgdW > procs || egdW > procs {
+		t.Fatalf("?parallel=10000 ran %d tgd and %d egd workers, GOMAXPROCS is %d", tgdW, egdW, procs)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("?parallel=10000 solution differs from ?parallel=1:\n%s\nvs\n%s", got, want)
+	}
 }
 
 func TestRunQueryAndAnswer(t *testing.T) {
@@ -697,6 +812,50 @@ func TestOversizeBodyIs413(t *testing.T) {
 	hash := register(t, h2, readTestdata(t, "employment.tdx"))
 	if rec := do(h2, "POST", "/v1/exchanges/"+hash+"/run", "", big); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("run oversize: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestTrickledBodyBudget: the body is read under the request budget, so
+// a client trickling it over a real connection gets its 504 when
+// ?timeout= lapses, not once the whole body has arrived.
+func TestTrickledBodyBudget(t *testing.T) {
+	s := mustNew(t, Config{})
+	hash := register(t, s.Handler(), readTestdata(t, "employment.tdx"))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// 60 bytes at one byte per 50ms: the whole body takes 3s to send.
+	body := strings.Repeat("E(Ada, IBM) @ [2012, 2014)\n", 3)[:60]
+	pr, pw := io.Pipe()
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for i := 0; i < len(body); i++ {
+			if _, err := pw.Write([]byte{body[i]}); err != nil {
+				return
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+		pw.Close()
+	}()
+	req, err := http.NewRequest("POST", ts.URL+"/v1/exchanges/"+hash+"/run?timeout=300ms", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	elapsed := time.Since(started)
+	pr.Close() // stops the trickle
+	<-sent
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("trickled body: status %d, want 504", resp.StatusCode)
+	}
+	if elapsed > 1500*time.Millisecond {
+		t.Fatalf("trickled body answered after %v; the budget was 300ms", elapsed)
 	}
 }
 

@@ -23,9 +23,10 @@ import (
 //	                    content, run options) — the disk run cache
 //	DIR/sessions/       one solution snapshot per live session
 //
-// Older daemons also wrote DIR/sources (raw source bodies) and a
-// "counters" manifest field. Both are ignored: the directory is left as
-// found, and the field is dropped by the next manifest write.
+// Older daemons also wrote DIR/sources (raw source bodies), DIR/node-id
+// (a fleet node's identity) and a "counters" manifest field. All are
+// ignored: the directory and the file are left as found, and the field
+// is dropped by the next manifest write.
 //
 // The manifest holds only what cannot be derived from snapshots: the
 // mapping texts (snapshots carry data, not dependencies) and the

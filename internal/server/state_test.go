@@ -220,11 +220,12 @@ func TestSourceCacheCounters(t *testing.T) {
 }
 
 // TestWarmStartOlderStateDir: a state directory written by an older
-// daemon — raw source bodies under DIR/sources and a "counters" field in
-// the manifest — still warm-starts. The mapping replays with no
-// request-driven compile, the first /run comes byte-identical from the
-// disk run cache, the source-cache hit counter starts from boot, and
-// DIR/sources is left as it was found.
+// daemon — raw source bodies under DIR/sources, a fleet node's DIR/node-id
+// and a "counters" field in the manifest — still warm-starts. The
+// mapping replays with no request-driven compile, the first /run comes
+// byte-identical from the disk run cache, the source-cache hit counter
+// starts from boot, and DIR/sources and DIR/node-id are left as they
+// were found.
 func TestWarmStartOlderStateDir(t *testing.T) {
 	dir := t.TempDir()
 	source := readTestdata(t, "employment.facts")
@@ -234,8 +235,9 @@ func TestWarmStartOlderStateDir(t *testing.T) {
 	hash := register(t, h1, readTestdata(t, "employment.tdx"))
 	cold := runSolution(t, h1, hash, source)
 
-	// Add what older daemons also wrote: the durable counter row and the
-	// run's body in DIR/sources, tagged 't' for fact text.
+	// Add what older daemons also wrote: the durable counter row, the
+	// run's body in DIR/sources, tagged 't' for fact text, and a fleet
+	// node's identity file.
 	manPath := filepath.Join(dir, "manifest.json")
 	data, err := os.ReadFile(manPath)
 	if err != nil {
@@ -261,6 +263,10 @@ func TestWarmStartOlderStateDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := readDir(t, sources)
+	nodeID := filepath.Join(dir, "node-id")
+	if err := os.WriteFile(nodeID, []byte("host-0a1b2c3d4e5f\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2 := mustNew(t, quietCfg(t, dir))
 	if err := s2.WarmStart(); err != nil {
@@ -279,6 +285,9 @@ func TestWarmStartOlderStateDir(t *testing.T) {
 	}
 	if after := readDir(t, sources); !maps.Equal(before, after) {
 		t.Fatalf("DIR/sources changed: %v -> %v", before, after)
+	}
+	if data, err := os.ReadFile(nodeID); err != nil || string(data) != "host-0a1b2c3d4e5f\n" {
+		t.Fatalf("DIR/node-id changed: %q, %v", data, err)
 	}
 }
 
@@ -372,14 +381,11 @@ func TestWarmStartCorruptSnapshot(t *testing.T) {
 }
 
 // TestRegisterReplayCompiles covers the replay path at the registry
-// level: same entry, no Compiles increment, and onNew only for the
-// replay that registered the entry.
+// level: same entry, no Compiles increment.
 func TestRegisterReplayCompiles(t *testing.T) {
 	reg := NewRegistry(4, nil)
 	text := readTestdata(t, "employment.tdx")
-	var fresh []*Entry
-	onNew := func(e *Entry) { fresh = append(fresh, e) }
-	entry, err := reg.RegisterReplay(context.Background(), text, onNew)
+	entry, err := reg.RegisterReplay(context.Background(), text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,14 +395,11 @@ func TestRegisterReplayCompiles(t *testing.T) {
 	if got, ok := reg.Get(entry.Hash); !ok || got != entry {
 		t.Fatal("replayed entry not resident")
 	}
-	again, err := reg.RegisterReplay(context.Background(), text, onNew)
+	again, err := reg.RegisterReplay(context.Background(), text)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != entry {
 		t.Fatal("second replay duplicated the entry")
-	}
-	if len(fresh) != 1 || fresh[0] != entry {
-		t.Fatalf("onNew ran for %d entries, want once for the replayed one", len(fresh))
 	}
 }

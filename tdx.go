@@ -272,10 +272,10 @@ func (ex *Exchange) RunFingerprint(opts ...Option) string {
 // byte-identical solutions for every source instance, which is what
 // makes the fingerprint a safe registry key: tdxd's compiled-exchange
 // registry is keyed on it, and a client holding a fingerprint can
-// address the exchange without re-sending the mapping. In fleet mode
-// the fingerprint is gossiped with the canonical mapping, so a node
-// that does not hold the exchange compiles the mapping itself and
-// serves the same bytes.
+// address the exchange without re-sending the mapping. Any daemon that
+// registers the same mapping with the same options gets the same
+// fingerprint and serves the same bytes, so a client re-registers the
+// mapping wherever the fingerprint is unknown.
 func (ex *Exchange) Fingerprint() string { return ex.fp }
 
 // seedDomain interns every literal of the mapping's dependencies and
