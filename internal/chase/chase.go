@@ -11,7 +11,8 @@
 //  2. tgd phase (tgdPhase): fire every s-t tgd on every homomorphism
 //     into the normalized source, inventing a fresh interval-annotated
 //     null N^h(t) per existential variable per firing; bodies read only
-//     the source, so one pass reaches the tgd fixpoint;
+//     the source, so one pass reaches the tgd fixpoint. The phase has one
+//     kernel, on interned IDs (cparallel.go);
 //  3. egd phase (concreteEgds): rounds of renormalizing the target w.r.t.
 //     the egd bodies, scanning the bodies for merge candidates, merging
 //     them in a union-find (mergeStep) and rewriting the target, until a
@@ -37,9 +38,10 @@
 //     one snapshot, with plain bodies and no normalization — per segment
 //     or per time point.
 //
-// With Options.Workers ≥ 2 stages 2 and 3 shard their enumerations over a
-// frozen instance and replay the shards in rank order, byte-identical to
-// the sequential chase (see cparallel.go and eparallel.go).
+// Stages 2 and 3 shard their enumerations over a frozen instance, one
+// shard per worker, and replay the shards in rank order, so the output
+// does not depend on Options.Workers; one worker is shard 0 run inline
+// (see cparallel.go and eparallel.go).
 package chase
 
 import (
@@ -115,11 +117,9 @@ type Options struct {
 	Workers int
 	// Trace, when set, receives one Event per chase action (normalization
 	// passes, tgd firings, egd merges, failures). For debugging and the
-	// CLI's -trace flag; adds no cost when nil. Event order and count are
-	// deterministic at any Workers setting, but the parallel tgd phase
-	// abbreviates the detail text of tgd-fire events (it fires from
-	// recorded rows, not bindings). The abstract and pointwise chases emit
-	// no events.
+	// CLI's -trace flag; adds no cost when nil. The event stream, detail
+	// text included, is the same at any Workers setting. The abstract and
+	// pointwise chases emit no events.
 	Trace func(Event)
 	// Ctx, when set, is checked throughout the chase loops — normalization
 	// passes, tgd firing rounds, egd match enumeration and rewrite rounds —

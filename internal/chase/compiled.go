@@ -2,9 +2,11 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dependency"
 	"repro/internal/logic"
+	"repro/internal/value"
 )
 
 // Compiled is a schema mapping compiled for repeated chase runs: the
@@ -25,14 +27,25 @@ type Compiled struct {
 
 // compiledTGD caches one tgd's derived forms: the concrete body/head for
 // the c-chase, the existential variable list (shared with the snapshot
-// chase, whose plain body/head live on d), and the universal head
-// variables the parallel chase records per match.
+// chase, whose plain body/head live on d), and the layout the tgd kernel
+// builds head rows from (see cparallel.go).
 type compiledTGD struct {
-	d        dependency.TGD
-	body     logic.Conjunction // ConcreteBody()
-	head     logic.Conjunction // ConcreteHead()
-	exist    []string
-	headVars []string // universal data variables of the head, in first-occurrence order
+	d     dependency.TGD
+	body  logic.Conjunction // ConcreteBody()
+	head  logic.Conjunction // ConcreteHead()
+	exist []string
+	// vecVars names the slots of a firing vector: the universal data
+	// variables of the head in first-occurrence order, then the temporal
+	// variable.
+	vecVars []string
+	// cols gives the source of each stored head position, atoms
+	// concatenated: c < len(vecVars) is firing-vector slot c, a larger c
+	// existential c-len(vecVars), and c < 0 the literal lits[-1-c].
+	cols []int
+	lits []value.Value
+	// plainLits reports that every literal is a constant or a labeled
+	// null, which fact.NewC and Validate leave as they are.
+	plainLits bool
 }
 
 // CompileMapping derives the reusable chase artifacts of a mapping. It
@@ -56,13 +69,23 @@ func CompileMapping(m *dependency.Mapping) (*Compiled, error) {
 			exist: d.Existentials(),
 		}
 		ct := &cm.tgds[i]
-		isExist := make(map[string]bool, len(ct.exist))
-		for _, y := range ct.exist {
-			isExist[y] = true
-		}
 		for _, v := range ct.head.Vars() {
-			if v != dependency.TemporalVar && !isExist[v] {
-				ct.headVars = append(ct.headVars, v)
+			if v != dependency.TemporalVar && !slices.Contains(ct.exist, v) {
+				ct.vecVars = append(ct.vecVars, v)
+			}
+		}
+		ct.vecVars = append(ct.vecVars, dependency.TemporalVar)
+		slots := append(slices.Clone(ct.vecVars), ct.exist...)
+		ct.plainLits = true
+		for _, atom := range ct.head {
+			for _, term := range atom.Terms {
+				if term.IsVar {
+					ct.cols = append(ct.cols, slices.Index(slots, term.Name))
+					continue
+				}
+				ct.cols = append(ct.cols, -1-len(ct.lits))
+				ct.lits = append(ct.lits, term.Val)
+				ct.plainLits = ct.plainLits && (term.Val.IsConst() || term.Val.Kind() == value.Null)
 			}
 		}
 		cm.tgdBodies[i] = ct.body

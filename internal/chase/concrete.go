@@ -1,14 +1,8 @@
 package chase
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/dependency"
-	"repro/internal/fact"
 	"repro/internal/instance"
-	"repro/internal/interval"
-	"repro/internal/logic"
 	"repro/internal/normalize"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -85,76 +79,6 @@ func ConcreteCompiled(ic *instance.Concrete, cm *Compiled, opts *Options) (*inst
 		egdMode: opts.egd(),
 	}
 	return sol, stats, base, nil
-}
-
-// tgdPhaseSeq is the sequential s-t tgd pass: one deterministic sweep
-// over all homomorphisms of every tgd body, firing each new extension
-// into tgt. It is the semantic reference the parallel pass reproduces
-// byte for byte.
-func tgdPhaseSeq(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled, gen *value.NullGen, fires []int, opts *Options, stats *Stats) error {
-	for di := range cm.tgds {
-		d := &cm.tgds[di]
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		ms := logic.FindAll(src.Store(), d.body, nil)
-		stats.TGDHoms += len(ms)
-		for hi, h := range ms {
-			if hi&ctxCheckMask == 0 {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
-			}
-			if logic.Exists(tgt.Store(), d.head, h.Binding) {
-				continue // extension h' to φ+ ∧ ψ+ already exists
-			}
-			tv, ok := h.Binding[dependency.TemporalVar]
-			if !ok || !tv.IsInterval() {
-				return fmt.Errorf("chase: tgd %s: temporal variable unbound", d.d.Name)
-			}
-			t, _ := tv.Interval()
-			if err := fireTGD(tgt, d, h.Binding, t, gen, opts, stats); err != nil {
-				return err
-			}
-			fires[di]++
-		}
-	}
-	return nil
-}
-
-// fireTGD applies one tgd chase step: extends bind with a fresh
-// interval-annotated null per existential variable and inserts every head
-// atom's instantiation at interval t. bind must bind every universal head
-// variable (the caller has already ruled the extension out of tgt); it is
-// cloned, not mutated. Shared by the sequential pass and the parallel
-// merge so both fire identically.
-func fireTGD(tgt *instance.Concrete, d *compiledTGD, bind logic.Binding, t interval.Interval, gen *value.NullGen, opts *Options, stats *Stats) error {
-	stats.TGDFires++
-	opts.emit(EventTGDFire, d.d.Name, "fired at %v with %v", t, bind)
-	ext := bind.Clone()
-	for _, y := range d.exist {
-		ext[y] = gen.FreshAnn(t)
-		stats.NullsCreated++
-	}
-	for _, atom := range d.head {
-		n := len(atom.Terms) - 1 // last term is the temporal variable
-		args := make([]value.Value, n)
-		for i := 0; i < n; i++ {
-			v, ok := ext.Apply(atom.Terms[i])
-			if !ok {
-				return fmt.Errorf("chase: tgd %s: unbound head variable %v", d.d.Name, atom.Terms[i])
-			}
-			args[i] = v
-		}
-		added, err := tgt.Insert(fact.NewC(atom.Rel, t, args...))
-		if err != nil {
-			return fmt.Errorf("chase: tgd %s: %w", d.d.Name, err)
-		}
-		if added {
-			stats.FactsCreated++
-		}
-	}
-	return nil
 }
 
 // concreteEgds is the egd phase (stage 3): rounds of renormalization,

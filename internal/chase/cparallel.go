@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/dependency"
 	"repro/internal/fact"
 	"repro/internal/instance"
 	"repro/internal/interval"
@@ -14,44 +13,38 @@ import (
 	"repro/internal/value"
 )
 
-// The partitioned parallel concrete tgd phase.
+// The tgd kernel: stage 2 of the c-chase on interned IDs.
 //
-// The s-t tgd bodies read only the normalized source, so the expensive
-// part of the phase — enumerating every homomorphism of every body — is
-// embarrassingly parallel: the source store is frozen (all lazy
-// structures built, reads mutation-free) and each worker enumerates one
-// contiguous shard of the candidate range via logic.ForEachIDsPart,
-// whose shards concatenate to exactly the sequential enumeration order.
+// The s-t tgd bodies read only the normalized source, so the phase
+// shards the enumeration of every body's homomorphisms: the source store
+// is frozen (all lazy structures built, reads mutation-free) and worker
+// w enumerates shard w of the candidate range via logic.ForEachIDsPart,
+// whose shards concatenate to exactly the unsharded enumeration order.
+// One worker is shard 0 run inline; there is no other tgd pass.
 //
-// Byte-identical output to the sequential chase is preserved by a
-// two-level scheme keyed on whether a tgd invents nulls:
+// Every match becomes a firing vector: the IDs of the universal head
+// variables, then of the interval, in the target interner. What the
+// worker keeps depends on whether the tgd invents nulls:
 //
-//   - Tgds without existentials fire entirely inside the workers: each
-//     worker instantiates head rows (interning through the shared
-//     thread-safe target interner), dedups them against a private target
-//     store, and records the instantiated rows of every locally-new
-//     firing. The merge replays the records in (tgd, worker-rank, shard)
-//     order with Store.InsertIDs — the same order the sequential pass
-//     fires in — so dedup outcomes, row numbering, fire counts, and
-//     fact counts all coincide with the sequential pass: a record whose
-//     facts an earlier-ranked worker already created inserts nothing,
-//     exactly like the sequential Exists skip.
+//   - A tgd without existentials fires inside the worker: the head rows
+//     are built from the vector and the literals, deduplicated against a
+//     worker-private store, and kept when some row is new to the worker.
+//     The merge inserts them in (tgd, worker-rank, shard) order, so a
+//     record whose rows an earlier-ranked worker created inserts nothing
+//     and does not fire.
+//   - A tgd with existentials must consult global state per firing (the
+//     extension check spans all prior firings, and null families are
+//     numbered in firing order), so the worker keeps the vector, and the
+//     merge checks the extension with logic.ExistsIDs and fires in rank
+//     order.
 //
-//   - Tgds with existentials must consult global state per firing (the
-//     Exists check spans all prior firings, and null family ids must be
-//     issued in sequential order), so workers only enumerate: they record
-//     the universal head bindings per match, and the merge replays the
-//     Exists check and the firing — fresh nulls included — sequentially
-//     in rank order, which reproduces the sequential pass exactly.
-//
-// The egd phase parallelizes with the same freeze-and-shard scheme — its
-// renormalization and merge-candidate scans fan out per round, with only
-// the union-find replay and the rewrite sequential (see eparallel.go).
-// Inputs below parallelCutoffFacts run sequentially throughout, where
-// the freeze + fan-out overhead dominates.
+// Head rows are built by one step, headRows, which the worker, the merge
+// and ConcreteDelta share. Inputs below parallelCutoffFacts, and mappings
+// without tgds, run one shard. The egd phase shards its scans the same
+// way (see eparallel.go).
 
 // parallelCutoffFacts is the input size below which a sharded
-// enumeration ignores Options.Workers and runs sequentially: freezing the
+// enumeration ignores Options.Workers and runs one shard: freezing the
 // input and spinning up workers costs more than enumerating a few
 // hundred facts outright.
 const parallelCutoffFacts = 128
@@ -75,60 +68,202 @@ func fanOut(workers int, fn func(w int)) {
 	wg.Wait()
 }
 
-// tgdPhase is the tgd phase (stage 2): it dispatches the s-t tgd pass to
-// the sequential or the partitioned parallel implementation. Both are
-// byte-identical; the choice only affects wall time. fires[i] counts the
-// firings of the i-th tgd.
+// tgdKernel is one run's tgd step: the compiled tgds, the target
+// interner, the head literals interned in it, and which tgds have had
+// their head checked against the target schema.
+type tgdKernel struct {
+	cm      *Compiled
+	in      *value.Interner
+	lits    [][]value.ID // per tgd, d.lits interned when d.plainLits
+	checked []bool
+}
+
+func newTGDKernel(cm *Compiled, in *value.Interner) *tgdKernel {
+	k := &tgdKernel{cm: cm, in: in, lits: make([][]value.ID, len(cm.tgds)), checked: make([]bool, len(cm.tgds))}
+	for di := range cm.tgds {
+		if d := &cm.tgds[di]; d.plainLits {
+			k.lits[di] = in.InternAll(nil, d.lits)
+		}
+	}
+	return k
+}
+
+// tgdStep is one goroutine's scratch for the kernel's per-match step.
+type tgdStep struct {
+	*tgdKernel
+	vals  []value.Value
+	nulls []value.ID
+}
+
+// appendVec appends the firing vector of match im of tgd d to dst. When
+// the source interner src is not the target's, the vector is
+// translated with one ResolveAll and one InternAll.
+func (s *tgdStep) appendVec(dst []value.ID, d *compiledTGD, im *logic.IDMatch, src *value.Interner) ([]value.ID, error) {
+	base := len(dst)
+	for _, name := range d.vecVars {
+		id, ok := im.ID(name)
+		if !ok {
+			return dst, temporalUnbound(d)
+		}
+		dst = append(dst, id)
+	}
+	if src != s.in {
+		s.vals = src.ResolveAll(s.vals[:0], dst[base:])
+		dst = s.in.InternAll(dst[:base], s.vals)
+	}
+	return dst, nil
+}
+
+// temporalUnbound reports a match that binds no interval to the temporal
+// variable. Only the match of an empty body binds nothing; every other
+// firing-vector variable occurs in the body.
+func temporalUnbound(d *compiledTGD) error {
+	return fmt.Errorf("chase: tgd %s: temporal variable unbound", d.d.Name)
+}
+
+// headRows appends to dst the stored head rows of one firing of tgd di —
+// per head atom its data IDs, then the interval ID — built from the
+// firing vector vec, one fresh null from gen per existential (annotated
+// with the firing interval) and the literals. Unless every value is
+// plain, each row is built the way instance.Insert builds it: fact.NewC
+// re-annotates, Validate rejects, and the row is interned anew.
+func (s *tgdStep) headRows(dst []value.ID, di int, vec []value.ID, gen *value.NullGen, stats *Stats) ([]value.ID, error) {
+	d := &s.cm.tgds[di]
+	nv := len(vec)
+	s.vals = s.in.ResolveAll(s.vals[:0], vec)
+	if !s.vals[nv-1].IsInterval() {
+		return dst, temporalUnbound(d)
+	}
+	t := s.vals[nv-1].Iv
+	if len(d.exist) > 0 {
+		for range d.exist {
+			s.vals = append(s.vals, gen.FreshAnn(t))
+			stats.NullsCreated++
+		}
+		s.nulls = s.in.InternAll(s.nulls[:0], s.vals[nv:])
+	}
+	if d.plainLits && plainArgs(s.vals[:nv-1], t) {
+		for _, c := range d.cols {
+			switch {
+			case c < 0:
+				dst = append(dst, s.lits[di][-1-c])
+			case c < nv:
+				dst = append(dst, vec[c])
+			default:
+				dst = append(dst, s.nulls[c-nv])
+			}
+		}
+		return dst, nil
+	}
+	cols := d.cols
+	for _, atom := range d.head {
+		n := len(atom.Terms) - 1
+		args := make([]value.Value, n)
+		for i, c := range cols[:n] {
+			if c < 0 {
+				args[i] = d.lits[-1-c]
+			} else {
+				args[i] = s.vals[c]
+			}
+		}
+		cols = cols[n+1:]
+		f := fact.NewC(atom.Rel, t, args...)
+		if err := f.Validate(); err != nil {
+			return dst, fmt.Errorf("chase: tgd %s: %w", d.d.Name, err)
+		}
+		dst = s.in.InternAll(dst, instance.ToTuple(f))
+	}
+	return dst, nil
+}
+
+// plainArgs reports that fact.NewC and Validate leave the data values
+// vals of a firing at t as they are: t is valid, and each value is a
+// constant, a labeled null or a null annotated with t.
+func plainArgs(vals []value.Value, t interval.Interval) bool {
+	if !t.Valid() {
+		return false
+	}
+	for _, v := range vals {
+		switch v.K {
+		case value.Const, value.Null:
+		case value.AnnNull:
+			if v.Iv != t {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// insertHead inserts the head rows of one firing of d into st and
+// returns how many were new.
+func insertHead(st *storage.Store, d *compiledTGD, rows []value.ID) int {
+	n := 0
+	for _, atom := range d.head {
+		w := len(atom.Terms)
+		if st.InsertIDs(atom.Rel, rows[:w]) {
+			n++
+		}
+		rows = rows[w:]
+	}
+	return n
+}
+
+// fire inserts the head rows of one firing of tgd di into tgt and, when
+// any row is new, counts and traces the firing. A tgd's first firing
+// checks its head against the target schema, as instance.Insert would.
+func (k *tgdKernel) fire(tgt *instance.Concrete, di int, rows []value.ID, fires []int, opts *Options, stats *Stats) error {
+	d := &k.cm.tgds[di]
+	if !k.checked[di] {
+		for _, atom := range d.head {
+			if err := tgt.CheckRel(atom.Rel, len(atom.Terms)-1); err != nil {
+				return fmt.Errorf("chase: tgd %s: %w", d.d.Name, err)
+			}
+		}
+		k.checked[di] = true
+	}
+	added := insertHead(tgt.Store(), d, rows)
+	if added == 0 {
+		return nil
+	}
+	stats.FactsCreated += added
+	stats.TGDFires++
+	fires[di]++
+	if opts.tracing() {
+		t, _ := k.in.Resolve(rows[len(rows)-1]).Interval()
+		opts.emit(EventTGDFire, d.d.Name, "fired at %v", t)
+	}
+	return nil
+}
+
+// shardOut is everything one worker produced, per tgd: the number of
+// homomorphisms enumerated and a flat arena of records — firing vectors
+// for a tgd with existentials, the head rows of each locally-new firing
+// for one without.
+type shardOut struct {
+	homs []int
+	recs [][]value.ID
+	err  error
+}
+
+// tgdPhase is the tgd phase (stage 2): every shard enumerates, then the
+// merge replays the shards in (tgd, worker-rank) order, which is the
+// unsharded enumeration order, so the outcome — extension checks, null
+// family ids, row numbering — does not depend on the worker count.
+// fires[i] counts the firings of the i-th tgd. src must be frozen and tgt
+// empty.
 func tgdPhase(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled, gen *value.NullGen, fires []int, opts *Options, stats *Stats) error {
 	workers := opts.workers()
-	if workers > 1 && len(cm.tgds) > 0 && src.Len() >= parallelCutoffFacts {
-		return tgdPhaseParallel(ctx, src, tgt, cm, gen, fires, opts, stats, workers)
+	if len(cm.tgds) == 0 || src.Len() < parallelCutoffFacts {
+		workers = 1
 	}
-	stats.TGDWorkers = 1
-	return tgdPhaseSeq(ctx, src, tgt, cm, gen, fires, opts, stats)
-}
-
-// fireRec is one tgd firing recorded by a worker for the rank-ordered
-// merge: for a tgd with existentials the universal head bindings (vals,
-// in compiledTGD.headVars order) and the firing interval; for a tgd
-// without, nothing — its instantiated head rows live in the worker's
-// flat row arena instead.
-type fireRec struct {
-	t    interval.Interval
-	vals []value.Value
-}
-
-// shardOut is everything one worker produced: per tgd, the number of
-// homomorphisms enumerated, the firing records (existential tgds), and
-// the flat arena of instantiated head rows (non-existential tgds; fixed
-// stride per tgd, one stride per locally-new firing).
-type shardOut struct {
-	homs  []int
-	fires [][]fireRec
-	rows  [][]value.ID
-	err   error
-}
-
-// headRowWidth returns the flat-arena stride of a tgd: the summed stored
-// width of its head atoms (data positions plus the interval tail).
-func headRowWidth(d *compiledTGD) int {
-	w := 0
-	for _, atom := range d.head {
-		w += len(atom.Terms)
-	}
-	return w
-}
-
-// tgdPhaseParallel is the partitioned parallel s-t tgd pass. src must be
-// owned by this run (it is frozen here); tgt must be empty.
-func tgdPhaseParallel(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled, gen *value.NullGen, fires []int, opts *Options, stats *Stats, workers int) error {
-	src.Store().Freeze()
 	stats.TGDWorkers = workers
-	tgtIn := tgt.Interner()
-
+	k := newTGDKernel(cm, tgt.Interner())
 	outs := make([]shardOut, workers)
 	fanOut(workers, func(w int) {
-		outs[w] = enumerateShard(ctx, src, cm, tgtIn, w, workers)
+		outs[w] = k.enumerateShard(ctx, src, w, workers)
 	})
 	for w := range outs {
 		if err := outs[w].err; err != nil {
@@ -136,72 +271,38 @@ func tgdPhaseParallel(ctx context.Context, src, tgt *instance.Concrete, cm *Comp
 		}
 	}
 
-	// Merge in (tgd, worker-rank) order: shard concatenation is the
-	// sequential enumeration order, so replaying records in this order
-	// reproduces the sequential pass — same Exists outcomes, same null
-	// family ids, same insertion (and therefore row-numbering) order.
+	s := &tgdStep{tgdKernel: k}
+	var buf []value.ID
 	seen := 0
 	for di := range cm.tgds {
 		d := &cm.tgds[di]
-		hasExist := len(d.exist) > 0
-		width := headRowWidth(d)
-		for w := 0; w < workers; w++ {
-			out := &outs[w]
-			stats.TGDHoms += out.homs[di]
-			if hasExist {
-				for ri := range out.fires[di] {
-					rec := &out.fires[di][ri]
-					seen++
-					if seen&ctxCheckMask == 0 {
-						if err := ctxErr(ctx); err != nil {
-							return err
-						}
-					}
-					bind := make(logic.Binding, len(d.headVars)+1)
-					for i, name := range d.headVars {
-						bind[name] = rec.vals[i]
-					}
-					bind[dependency.TemporalVar] = value.NewInterval(rec.t)
-					if logic.Exists(tgt.Store(), d.head, bind) {
-						continue
-					}
-					if err := fireTGD(tgt, d, bind, rec.t, gen, opts, stats); err != nil {
-						return err
-					}
-					fires[di]++
-				}
-				continue
-			}
-			rows := out.rows[di]
-			if len(rows) > 0 {
-				if err := checkHeadSchema(tgt, d); err != nil {
-					return err
-				}
-			}
-			for base := 0; base < len(rows); base += width {
+		width := len(d.cols)
+		if len(d.exist) > 0 {
+			width = len(d.vecVars)
+		}
+		for w := range outs {
+			stats.TGDHoms += outs[w].homs[di]
+			recs := outs[w].recs[di]
+			for ; len(recs) > 0; recs = recs[width:] {
 				seen++
 				if seen&ctxCheckMask == 0 {
 					if err := ctxErr(ctx); err != nil {
 						return err
 					}
 				}
-				added := false
-				off := base
-				for _, atom := range d.head {
-					n := len(atom.Terms)
-					if tgt.Store().InsertIDs(atom.Rel, rows[off:off+n]) {
-						added = true
-						stats.FactsCreated++
+				rows := recs[:width]
+				if len(d.exist) > 0 {
+					if logic.ExistsIDs(tgt.Store(), d.head, d.vecVars, rows) {
+						continue // extension h' to φ+ ∧ ψ+ already exists
 					}
-					off += n
+					var err error
+					if buf, err = s.headRows(buf[:0], di, rows, gen, stats); err != nil {
+						return err
+					}
+					rows = buf
 				}
-				if added {
-					stats.TGDFires++
-					fires[di]++
-					if opts.tracing() {
-						t, _ := tgtIn.Resolve(rows[off-1]).Interval()
-						opts.emit(EventTGDFire, d.d.Name, "fired at %v", t)
-					}
+				if err := k.fire(tgt, di, rows, fires, opts, stats); err != nil {
+					return err
 				}
 			}
 		}
@@ -209,38 +310,22 @@ func tgdPhaseParallel(ctx context.Context, src, tgt *instance.Concrete, cm *Comp
 	return nil
 }
 
-// checkHeadSchema mirrors the schema-level validation the sequential
-// pass gets from instance.Insert, which the merge's InsertIDs fast path
-// bypasses (the fact-level Validate runs in the workers, per firing).
-// Like the sequential pass it only runs when the tgd actually fired.
-func checkHeadSchema(tgt *instance.Concrete, d *compiledTGD) error {
-	for _, atom := range d.head {
-		if err := tgt.CheckRel(atom.Rel, len(atom.Terms)-1); err != nil {
-			return fmt.Errorf("chase: tgd %s: %w", d.d.Name, err)
-		}
-	}
-	return nil
-}
-
 // enumerateShard runs one worker: shard w of the homomorphism
-// enumeration of every tgd body against the frozen normalized source.
-// Matches of existential tgds are recorded as universal head bindings;
-// matches of non-existential tgds are instantiated to head rows right
-// here — interned through the shared thread-safe target interner and
-// deduplicated against a worker-private target store, the worker-local
-// analogue of the sequential Exists skip.
-func enumerateShard(ctx context.Context, src *instance.Concrete, cm *Compiled, tgtIn *value.Interner, w, workers int) (out shardOut) {
+// enumeration of every tgd body against the frozen normalized source,
+// recorded as shardOut describes.
+func (k *tgdKernel) enumerateShard(ctx context.Context, src *instance.Concrete, w, workers int) (out shardOut) {
 	srcIn := src.Interner()
-	out.homs = make([]int, len(cm.tgds))
-	out.fires = make([][]fireRec, len(cm.tgds))
-	out.rows = make([][]value.ID, len(cm.tgds))
-	priv := storage.NewStoreWith(tgtIn)
+	out.homs = make([]int, len(k.cm.tgds))
+	out.recs = make([][]value.ID, len(k.cm.tgds))
+	priv := storage.NewStoreWith(k.in)
+	s := &tgdStep{tgdKernel: k}
+	var vec []value.ID
 	seen := 0
-	var vbuf []value.Value
-	var idbuf []value.ID
-	for di := range cm.tgds {
-		d := &cm.tgds[di]
-		hasExist := len(d.exist) > 0
+	for di := range k.cm.tgds {
+		d := &k.cm.tgds[di]
+		if out.err = ctxErr(ctx); out.err != nil {
+			return out
+		}
 		logic.ForEachIDsPart(src.Store(), d.body, nil, w, workers, func(im *logic.IDMatch) bool {
 			out.homs[di]++
 			seen++
@@ -249,79 +334,24 @@ func enumerateShard(ctx context.Context, src *instance.Concrete, cm *Compiled, t
 					return false
 				}
 			}
-			if !hasExist && len(d.head) == 0 {
-				// Degenerate headless tgd: nothing to fire (the sequential
-				// pass skips it through its always-true Exists check).
-				return true
-			}
-			tid, ok := im.ID(dependency.TemporalVar)
-			if !ok {
-				out.err = fmt.Errorf("chase: tgd %s: temporal variable unbound", d.d.Name)
+			if vec, out.err = s.appendVec(vec[:0], d, im, srcIn); out.err != nil {
 				return false
 			}
-			t, ok := srcIn.Resolve(tid).Interval()
-			if !ok {
-				out.err = fmt.Errorf("chase: tgd %s: temporal variable unbound", d.d.Name)
-				return false
-			}
-			if hasExist {
-				vals := make([]value.Value, len(d.headVars))
-				for i, name := range d.headVars {
-					id, ok := im.ID(name)
-					if !ok {
-						out.err = fmt.Errorf("chase: tgd %s: unbound head variable ?%s", d.d.Name, name)
-						return false
-					}
-					vals[i] = srcIn.Resolve(id)
-				}
-				out.fires[di] = append(out.fires[di], fireRec{t: t, vals: vals})
+			recs := out.recs[di]
+			if len(d.exist) > 0 {
+				out.recs[di] = append(recs, vec...)
 				return true
 			}
-			// Instantiate the head rows now, through the same fact
-			// construction and validation the sequential pass performs per
-			// insert; keep them only when some row is new to this worker
-			// (otherwise an earlier match of this shard already recorded
-			// identical rows, and the merge replay of that earlier record
-			// covers this one).
-			flat := out.rows[di]
-			base := len(flat)
-			anyNew := false
-			for _, atom := range d.head {
-				n := len(atom.Terms) - 1
-				args := make([]value.Value, n)
-				for i := 0; i < n; i++ {
-					term := atom.Terms[i]
-					if term.IsVar {
-						id, ok := im.ID(term.Name)
-						if !ok {
-							out.err = fmt.Errorf("chase: tgd %s: unbound head variable %v", d.d.Name, term)
-							return false
-						}
-						args[i] = srcIn.Resolve(id)
-					} else {
-						args[i] = term.Val
-					}
-				}
-				// NewC re-annotates annotated nulls to the firing interval
-				// (a no-op on a normalized source) and Validate rejects the
-				// same malformed heads the sequential insert path would.
-				f := fact.NewC(atom.Rel, t, args...)
-				if err := f.Validate(); err != nil {
-					out.err = fmt.Errorf("chase: tgd %s: %w", d.d.Name, err)
-					return false
-				}
-				vbuf = append(vbuf[:0], f.Args...)
-				vbuf = append(vbuf, value.NewInterval(t))
-				idbuf = tgtIn.InternAll(idbuf[:0], vbuf)
-				if priv.InsertIDs(atom.Rel, idbuf) {
-					anyNew = true
-				}
-				flat = append(flat, idbuf...)
+			base := len(recs)
+			if recs, out.err = s.headRows(recs, di, vec, nil, nil); out.err != nil {
+				return false
 			}
-			if !anyNew {
-				flat = flat[:base]
+			if insertHead(priv, d, recs[base:]) == 0 {
+				// An earlier match of this shard recorded identical rows,
+				// and the merge's replay of that record covers this one.
+				recs = recs[:base]
 			}
-			out.rows[di] = flat
+			out.recs[di] = recs
 			return true
 		})
 		if out.err != nil {

@@ -1,8 +1,6 @@
 package chase
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/instance"
@@ -100,40 +98,6 @@ func TestParallelCChaseEgdStress(t *testing.T) {
 		if !equalStats(seqStats, parStats) {
 			t.Fatalf("workers=%d: stats differ:\nseq: %+v\npar: %+v", workers, seqStats, parStats)
 		}
-	}
-}
-
-// TestParallelCChaseRandomized drives random mappings and random source
-// instances through both paths in lockstep — the fuzz net for the
-// byte-identity contract (enumeration order, Exists outcomes, null
-// numbering, merge order).
-func TestParallelCChaseRandomized(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			r := rand.New(rand.NewSource(seed))
-			m := workload.RandomMapping(r)
-			ic := workload.RandomInstanceFor(r, m, 300)
-			seq, seqStats, seqErr := Concrete(ic, m, nil)
-			for _, workers := range []int{2, 4, 8} {
-				par, parStats, parErr := Concrete(ic, m, &Options{Workers: workers})
-				if (seqErr == nil) != (parErr == nil) {
-					t.Fatalf("workers=%d: error mismatch: seq=%v par=%v", workers, seqErr, parErr)
-				}
-				if seqErr != nil {
-					if seqErr.Error() != parErr.Error() {
-						t.Fatalf("workers=%d: errors differ:\nseq: %v\npar: %v", workers, seqErr, parErr)
-					}
-					continue
-				}
-				if got, want := par.String(), seq.String(); got != want {
-					t.Fatalf("workers=%d: solution differs from sequential chase\nseq:\n%s\npar:\n%s", workers, want, got)
-				}
-				if !equalStats(seqStats, parStats) {
-					t.Fatalf("workers=%d: stats differ:\nseq: %+v\npar: %+v", workers, seqStats, parStats)
-				}
-			}
-		})
 	}
 }
 

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/dependency"
 	"repro/internal/fact"
 	"repro/internal/instance"
-	"repro/internal/interval"
 	"repro/internal/logic"
 	"repro/internal/normalize"
 	"repro/internal/value"
@@ -218,26 +216,30 @@ func ConcreteDelta(base *BaseState, delta *instance.Concrete, opts *Options) (*i
 	if workers > 1 && frontier.Len() >= parallelCutoffFacts {
 		scanW = workers
 	}
+	k := newTGDKernel(cm, tgtc.Interner())
+	s := &tgdStep{tgdKernel: k}
+	var rows []value.ID
 	for di := range cm.tgds {
 		d := &cm.tgds[di]
 		if err := ctxErr(ctx); err != nil {
 			return nil, stats, nil, err
 		}
-		homs, err := collectDeltaHoms(ctx, nsrc, d.body, frontier, scanW, d.d.Name)
+		vecs, err := k.collectDeltaVecs(ctx, nsrc, d, frontier, scanW)
 		if err != nil {
 			return nil, stats, nil, err
 		}
-		stats.TGDHoms += len(homs)
+		width := len(d.vecVars)
+		stats.TGDHoms += len(vecs) / width
 		hasExist := len(d.exist) > 0
 		firedHere := 0
-		for hi := range homs {
-			h := &homs[hi]
+		for hi := 0; len(vecs) > 0; hi, vecs = hi+1, vecs[width:] {
+			vec := vecs[:width]
 			if hi&ctxCheckMask == 0 {
 				if err := ctxErr(ctx); err != nil {
 					return nil, stats, nil, err
 				}
 			}
-			if logic.Exists(tgtc.Store(), d.head, h.bind) {
+			if logic.ExistsIDs(tgtc.Store(), d.head, d.vecVars, vec) {
 				if hasExist {
 					// The extension may pre-exist via base facts of later
 					// tgds the full run has not fired yet at this point:
@@ -261,11 +263,13 @@ func ConcreteDelta(base *BaseState, delta *instance.Concrete, opts *Options) (*i
 					return deltaFallback(combined, cm, opts, stats)
 				}
 			}
-			if err := fireTGD(tgtc, d, h.bind, h.t, gen, opts, &stats); err != nil {
+			if rows, err = s.headRows(rows[:0], di, vec, gen, &stats); err != nil {
+				return nil, stats, nil, err
+			}
+			if err := k.fire(tgtc, di, rows, fires, opts, &stats); err != nil {
 				return nil, stats, nil, err
 			}
 			stats.DeltaFires++
-			fires[di]++
 			firedHere++
 		}
 	}
@@ -394,59 +398,42 @@ func deltaEgds(ctx context.Context, base *BaseState, cm *Compiled, tgtc *instanc
 	}
 }
 
-// deltaHom is one collected delta-involving tgd-body homomorphism: the
-// resolved variable bindings and the firing interval.
-type deltaHom struct {
-	bind logic.Binding
-	t    interval.Interval
-}
-
-// collectDeltaHoms enumerates the delta-involving homomorphisms of conj
-// into ic (which must be frozen when workers > 1) and materializes
-// their bindings, in the deterministic stage-major order of
+// collectDeltaVecs enumerates the delta-involving homomorphisms of d's
+// body into ic (which must be frozen when workers > 1) and returns their
+// firing vectors, flat, in the deterministic stage-major order of
 // logic.ForEachIDsDelta — shards merge in (stage, worker-rank) order.
-func collectDeltaHoms(ctx context.Context, ic *instance.Concrete, conj logic.Conjunction, frontier *logic.DeltaSet, workers int, dname string) ([]deltaHom, error) {
-	in := ic.Interner()
+func (k *tgdKernel) collectDeltaVecs(ctx context.Context, ic *instance.Concrete, d *compiledTGD, frontier *logic.DeltaSet, workers int) ([]value.ID, error) {
 	type shard struct {
-		perStage [][]deltaHom
+		perStage [][]value.ID
 		err      error
 	}
 	shards := make([]shard, workers)
 	fanOut(workers, func(w int) {
-		s := &shards[w]
-		s.perStage = make([][]deltaHom, len(conj))
+		sh := &shards[w]
+		sh.perStage = make([][]value.ID, len(d.body))
+		s := &tgdStep{tgdKernel: k}
 		seen := 0
-		logic.ForEachIDsDeltaPart(ic.Store(), conj, frontier, w, workers, func(stage int, m *logic.IDMatch) bool {
+		logic.ForEachIDsDeltaPart(ic.Store(), d.body, frontier, w, workers, func(stage int, m *logic.IDMatch) bool {
 			seen++
 			if seen&ctxCheckMask == 0 {
-				if s.err = ctxErr(ctx); s.err != nil {
+				if sh.err = ctxErr(ctx); sh.err != nil {
 					return false
 				}
 			}
-			bind := make(logic.Binding, len(m.Vars()))
-			for i, name := range m.Vars() {
-				bind[name] = in.Resolve(m.Slots()[i])
-			}
-			tv, ok := bind[dependency.TemporalVar]
-			if !ok || !tv.IsInterval() {
-				s.err = fmt.Errorf("chase: tgd %s: temporal variable unbound", dname)
-				return false
-			}
-			t, _ := tv.Interval()
-			s.perStage[stage] = append(s.perStage[stage], deltaHom{bind: bind, t: t})
-			return true
+			sh.perStage[stage], sh.err = s.appendVec(sh.perStage[stage], d, m, ic.Interner())
+			return sh.err == nil
 		})
 	})
-	var homs []deltaHom
+	var vecs []value.ID
 	for w := range shards {
 		if err := shards[w].err; err != nil {
 			return nil, err
 		}
 	}
-	for stage := 0; stage < len(conj); stage++ {
+	for stage := range d.body {
 		for w := range shards {
-			homs = append(homs, shards[w].perStage[stage]...)
+			vecs = append(vecs, shards[w].perStage[stage]...)
 		}
 	}
-	return homs, nil
+	return vecs, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -36,7 +37,10 @@ type goldenCase struct {
 }
 
 // goldenCases lists the workloads of the digest matrix: employment, taxi
-// and medical at seeds 1–6, plus the egd-stress workload.
+// and medical at seeds 1–6, the egd-stress workload, and 50 random
+// mappings over 300-fact random sources, which pin mapping shapes the
+// fixed workloads lack (existential multi-atom heads, self-joins, no
+// solution).
 func goldenCases() []goldenCase {
 	var cs []goldenCase
 	for seed := int64(1); seed <= 6; seed++ {
@@ -53,6 +57,11 @@ func goldenCases() []goldenCase {
 		)
 	}
 	cs = append(cs, goldenCase{"egd-stress", workload.EgdStress(24, 6), workload.EgdStressMapping(6)})
+	for seed := int64(0); seed < 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		m := workload.RandomMapping(r)
+		cs = append(cs, goldenCase{fmt.Sprintf("rand/seed=%d", seed), workload.RandomInstanceFor(r, m, 300), m})
+	}
 	return cs
 }
 
@@ -85,7 +94,7 @@ func goldenDigest(t *testing.T, c goldenCase, workers int, norm normalize.Strate
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenDigests recomputes the 114-configuration matrix — every case
+// TestGoldenDigests recomputes the 414-configuration matrix — every case
 // at workers ∈ {1,2,4} under smart and naive normalization — and compares
 // it with the recorded digests. On a mismatch the full recomputed table
 // is logged in the file's format.
@@ -128,8 +137,8 @@ func TestGoldenDigests(t *testing.T) {
 			}
 		}
 	}
-	if n != 114 || len(want) != n {
-		t.Errorf("matrix has %d configurations and the golden file %d, want 114 each", n, len(want))
+	if n != 414 || len(want) != n {
+		t.Errorf("matrix has %d configurations and the golden file %d, want 414 each", n, len(want))
 	}
 	if mismatches > 0 || len(want) != n {
 		t.Logf("recomputed table:\n%s", table.String())

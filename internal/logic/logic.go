@@ -25,6 +25,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -207,12 +208,6 @@ func (m *IDMatch) ID(name string) (value.ID, bool) {
 	}
 	return value.NoID, false
 }
-
-// Vars returns the conjunction's variable names, indexed like Slots.
-func (m *IDMatch) Vars() []string { return m.names }
-
-// Slots returns the raw slot bindings, indexed like Vars.
-func (m *IDMatch) Slots() []value.ID { return m.bind }
 
 // planTerm is one compiled atom position: a variable slot, or an
 // interned literal.
@@ -673,6 +668,27 @@ func FindOne(st *storage.Store, conj Conjunction, initial Binding) (Match, bool)
 func Exists(st *storage.Store, conj Conjunction, initial Binding) bool {
 	found := false
 	ForEachIDs(st, conj, initial, func(*IDMatch) bool {
+		found = true
+		return false
+	})
+	return found
+}
+
+// ExistsIDs is Exists seeded with interned bindings: vars[i] starts
+// bound to ids[i], an ID of st's interner. Variables outside conj are
+// ignored.
+func ExistsIDs(st *storage.Store, conj Conjunction, vars []string, ids []value.ID) bool {
+	p := compile(st, conj, nil)
+	if p.empty {
+		return false
+	}
+	for i, name := range vars {
+		if s := slices.Index(p.names, name); s >= 0 {
+			p.init[s] = ids[i]
+		}
+	}
+	found := false
+	run(p, func(*IDMatch) bool {
 		found = true
 		return false
 	})

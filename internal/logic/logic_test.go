@@ -413,3 +413,35 @@ func TestAdaptiveJoinOrderFindsAllMatches(t *testing.T) {
 		}
 	}
 }
+
+// TestExistsIDsAgreesWithExists cross-checks the ID-seeded extension
+// check against Exists over random stores, conjunctions and partial
+// bindings, including a bound variable the conjunction lacks.
+func TestExistsIDsAgreesWithExists(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	rels := []string{"R", "S"}
+	for trial := 0; trial < 300; trial++ {
+		st := storage.NewStore()
+		for i := 0; i < 2+r.Intn(10); i++ {
+			st.Insert(rels[r.Intn(2)], []value.Value{cv(fmt.Sprintf("c%d", r.Intn(4))), cv(fmt.Sprintf("c%d", r.Intn(4)))})
+		}
+		conj := Conjunction{}
+		for i := 0; i < 1+r.Intn(2); i++ {
+			conj = append(conj, NewAtom(rels[r.Intn(2)], Var([]string{"x", "y", "z"}[r.Intn(3)]), Var([]string{"x", "y"}[r.Intn(2)])))
+		}
+		bind := Binding{}
+		var vars []string
+		var ids []value.ID
+		for _, name := range []string{"x", "y", "z", "w"} {
+			if r.Intn(2) == 0 {
+				v := cv(fmt.Sprintf("c%d", r.Intn(5)))
+				bind[name] = v
+				vars = append(vars, name)
+				ids = append(ids, st.Interner().Intern(v))
+			}
+		}
+		if got, want := ExistsIDs(st, conj, vars, ids), Exists(st, conj, bind); got != want {
+			t.Fatalf("trial %d: ExistsIDs = %v, Exists = %v for %v under %v", trial, got, want, conj, bind)
+		}
+	}
+}

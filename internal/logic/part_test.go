@@ -35,8 +35,9 @@ func collect(st *storage.Store, conj Conjunction, part, parts int) []string {
 		for _, r := range m.Rows {
 			s += fmt.Sprintf("%s:%d|", r.Rel, r.Row)
 		}
-		for i, id := range m.Slots() {
-			s += fmt.Sprintf("%s=%d|", m.Vars()[i], id)
+		for _, name := range conj.Vars() {
+			id, _ := m.ID(name)
+			s += fmt.Sprintf("%s=%d|", name, id)
 		}
 		out = append(out, s)
 		return true
@@ -94,8 +95,9 @@ func TestForEachIDsPartMultiConcatenation(t *testing.T) {
 			for _, r := range m.Rows {
 				s += fmt.Sprintf("%s:%d|", r.Rel, r.Row)
 			}
-			for i, id := range m.Slots() {
-				s += fmt.Sprintf("%s=%d|", m.Vars()[i], id)
+			for _, name := range conjs[ci].Vars() {
+				id, _ := m.ID(name)
+				s += fmt.Sprintf("%s=%d|", name, id)
 			}
 			out[ci] = append(out[ci], s)
 			if n := len(order); n == 0 || order[n-1] != ci {

@@ -53,21 +53,17 @@ func RandomMapping(r *rand.Rand) *dependency.Mapping {
 	for t := 0; t < nTgd; t++ {
 		// Body: 1–2 source atoms over a small shared variable pool.
 		var body logic.Conjunction
-		bodyVars := map[string]bool{}
 		for a := 0; a < 1+r.Intn(2); a++ {
 			rel := srcRels[r.Intn(nSrc)]
 			terms := make([]logic.Term, rel.Arity())
 			for i := range terms {
-				v := varPool[r.Intn(len(varPool))]
-				terms[i] = logic.Var(v)
-				bodyVars[v] = true
+				terms[i] = logic.Var(varPool[r.Intn(len(varPool))])
 			}
 			body = append(body, logic.Atom{Rel: rel.Name, Terms: terms})
 		}
-		var bvList []string
-		for v := range bodyVars {
-			bvList = append(bvList, v)
-		}
+		// The head draws from the body variables in first-occurrence
+		// order, so a seed fixes the mapping.
+		bvList := body.Vars()
 		// Head: 1–2 target atoms using body variables and occasionally a
 		// fresh existential.
 		var head logic.Conjunction

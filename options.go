@@ -119,11 +119,8 @@ func WithCoalesce(on bool) Option { return func(c *config) { c.coalesce = on } }
 // (normalization passes, tgd firings, egd merges, failures). Nil removes
 // a previously installed hook. The hook is invoked synchronously from
 // the chase; when an Exchange is shared across goroutines the hook must
-// be safe for concurrent use. Event order and count are deterministic at
-// any worker setting, but the detail text of tgd-fire events is
-// abbreviated on the parallel path (solutions stay byte-identical; only
-// the debug trace wording differs) — pass WithParallelism(1) when
-// diffing traces across machines.
+// be safe for concurrent use. The event stream, detail text included, is
+// the same at any worker setting.
 func WithTrace(fn func(Event)) Option { return func(c *config) { c.trace = fn } }
 
 // WithParallelism sets the worker count used by the parallel paths: the
