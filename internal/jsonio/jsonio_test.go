@@ -192,6 +192,17 @@ func TestDecodeReaderEdgeCases(t *testing.T) {
 	if _, err := DecodeReader(strings.NewReader(`{"facts":[{"rel":"R"`), nil); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
+	// "schema": null is no schema section, as "facts": null is no facts:
+	// the facts insert schemaless instead of failing against an empty
+	// schema.
+	inst, err = DecodeReader(strings.NewReader(
+		`{"schema":null,"facts":[{"rel":"R","args":["a"],"interval":"[1,2)"}]}`), nil)
+	if err != nil {
+		t.Fatalf("schema null: %v", err)
+	}
+	if inst.Len() != 1 || inst.Schema() != nil {
+		t.Fatalf("schema null: len=%d schema=%v", inst.Len(), inst.Schema())
+	}
 	// Empty document decodes to an empty schemaless instance.
 	empty, err := DecodeReader(strings.NewReader(`{}`), nil)
 	if err != nil || empty.Len() != 0 {

@@ -4,18 +4,41 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"runtime/metrics"
+	"strconv"
 	"time"
 )
+
+// goMetrics are the Go runtime's heap and GC series /metrics exports,
+// read from runtime/metrics on each scrape: where the memory went, and
+// how hard the collector worked for it.
+var goMetrics = []struct{ name, typ, help, key string }{
+	{"tdxd_go_heap_live_bytes", "gauge", "Heap bytes the last GC cycle marked live.",
+		"/gc/heap/live:bytes"},
+	{"tdxd_go_heap_objects_bytes", "gauge", "Heap bytes held by objects, live or not yet swept.",
+		"/memory/classes/heap/objects:bytes"},
+	{"tdxd_go_heap_allocs_bytes_total", "counter", "Bytes allocated on the heap since the daemon started.",
+		"/gc/heap/allocs:bytes"},
+	{"tdxd_go_gc_cycles_total", "counter", "Completed GC cycles.",
+		"/gc/cycles/total:gc-cycles"},
+	{"tdxd_go_gc_cpu_seconds_total", "counter", "Estimated CPU seconds spent in the GC.",
+		"/cpu/classes/gc/total:cpu-seconds"},
+}
 
 // handleMetrics serves the daemon's counters in the Prometheus text
 // exposition format, hand-written — the format is three line shapes
 // (# HELP, # TYPE, sample), not worth a dependency. The counters are
 // the same ones /healthz reports as JSON, under stable tdxd_* names, so
-// a scrape config and a shell pipeline read the same truth.
+// a scrape config and a shell pipeline read the same truth, followed by
+// the source cache's size and the goMetrics runtime series. Samples
+// carry no labels, and every value parses with strconv.ParseFloat.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
+	sample := func(name, typ, help, v string) {
+		fmt.Fprintf(&buf, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", name, help, name, typ, name, v)
+	}
 	m := func(name, typ, help string, v int64) {
-		fmt.Fprintf(&buf, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
+		sample(name, typ, help, strconv.FormatInt(v, 10))
 	}
 	m("tdxd_uptime_seconds", "gauge", "Seconds since the daemon started.",
 		int64(time.Since(s.start).Seconds()))
@@ -49,6 +72,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.snapshotWrites.Load())
 	m("tdxd_source_cache_hits_total", "counter", "Decoded request bodies served from the in-memory source cache.",
 		s.sourceCacheHits.Load())
+	m("tdxd_source_cache_entries", "gauge", "Decoded, frozen sources resident in the source cache.",
+		int64(s.sources.len()))
+	rt := make([]metrics.Sample, len(goMetrics))
+	for i, g := range goMetrics {
+		rt[i].Name = g.key
+	}
+	metrics.Read(rt)
+	for i, g := range goMetrics {
+		switch v := rt[i].Value; v.Kind() {
+		case metrics.KindUint64:
+			sample(g.name, g.typ, g.help, strconv.FormatUint(v.Uint64(), 10))
+		case metrics.KindFloat64:
+			sample(g.name, g.typ, g.help, strconv.FormatFloat(v.Float64(), 'g', -1, 64))
+		}
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
 	w.WriteHeader(http.StatusOK)

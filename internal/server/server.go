@@ -525,7 +525,7 @@ func parseSource(ex *tdx.Exchange, jsonBody bool, body []byte) (*tdx.Instance, e
 	if jsonBody {
 		src, err = ex.DecodeSourceJSON(bytes.NewReader(body))
 	} else {
-		if strings.TrimSpace(string(body)) == "" {
+		if len(bytes.TrimSpace(body)) == 0 {
 			return nil, errors.New("source body is empty; send TDX fact text or the TDX JSON instance format")
 		}
 		src, err = ex.ParseSource(string(body))

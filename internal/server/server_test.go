@@ -579,6 +579,7 @@ func TestErrorMapping(t *testing.T) {
 		{"bad option", do(h, "POST", "/v1/mappings", "application/json", `{"mapping": "source schema { E(a) }\ntarget schema { T(a) }\ntgd t: E(a) -> T(a)", "options": {"norm": "bogus"}}`), http.StatusBadRequest},
 		{"bad facts", do(h, "POST", "/v1/exchanges/"+hash+"/run", "", "E(Ada) @ [1,2)"), http.StatusBadRequest},
 		{"empty body", do(h, "POST", "/v1/exchanges/"+hash+"/run", "", ""), http.StatusBadRequest},
+		{"blank body", do(h, "POST", "/v1/exchanges/"+hash+"/run", "", " \n\t "), http.StatusBadRequest},
 		{"bad json source", do(h, "POST", "/v1/exchanges/"+hash+"/run", "application/json", `{"facts":[{"rel":"E","args":["a"],"interval":"[1,2)"}]}`), http.StatusBadRequest},
 		{"bad timeout", do(h, "POST", "/v1/exchanges/"+hash+"/run?timeout=-5s", "", facts), http.StatusBadRequest},
 		{"bad parallel", do(h, "POST", "/v1/exchanges/"+hash+"/run?parallel=many", "", facts), http.StatusBadRequest},
@@ -601,6 +602,9 @@ func TestErrorMapping(t *testing.T) {
 		}
 		if e.Error == "" || e.Status != c.status {
 			t.Errorf("%s: error body %+v", c.name, e)
+		}
+		if strings.HasSuffix(c.name, " body") && !strings.Contains(e.Error, "source body is empty") {
+			t.Errorf("%s: error %q does not name the empty body", c.name, e.Error)
 		}
 	}
 }

@@ -47,6 +47,13 @@ func (c *sourceCache) get(key string) (*tdx.Instance, bool) {
 	return el.Value.(*sourceCacheEntry).src, true
 }
 
+// len returns the number of cached sources.
+func (c *sourceCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
+}
+
 func (c *sourceCache) put(key string, src *tdx.Instance) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -261,7 +263,8 @@ func TestAdmissionGateRejects(t *testing.T) {
 
 // TestMetricsEndpoint: /metrics speaks the Prometheus text format —
 // every line is a # HELP/# TYPE comment or a `name value` sample — and
-// carries the compile counter the CI smoke greps for.
+// carries the compile counter the CI smoke greps for, the source cache's
+// size and the runtime's heap and GC series, whose counters never fall.
 func TestMetricsEndpoint(t *testing.T) {
 	s := mustNew(t, Config{})
 	h := s.Handler()
@@ -270,6 +273,46 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("run: status %d", rec.Code)
 	}
 
+	samples := scrapeMetrics(t, h)
+	for name, want := range map[string]string{
+		"tdxd_compiles_total":        "1",
+		"tdxd_mappings":              "1",
+		"tdxd_inflight_chases":       "0",
+		"tdxd_rejected_chases_total": "0",
+		"tdxd_source_cache_entries":  "1",
+	} {
+		if got := samples[name]; got != want {
+			t.Fatalf("metric %s = %q, want %q\n%v", name, got, want, samples)
+		}
+	}
+	// Requests served so far: register + run (the /metrics request itself
+	// is counted after its response is written).
+	if got := samples["tdxd_requests_total"]; got != "2" {
+		t.Fatalf("tdxd_requests_total = %q, want 2", got)
+	}
+	for _, g := range goMetrics {
+		if _, err := strconv.ParseFloat(samples[g.name], 64); err != nil {
+			t.Fatalf("runtime series %s: %v\n%v", g.name, err, samples)
+		}
+	}
+	runtime.GC()
+	again := scrapeMetrics(t, h)
+	for _, name := range []string{"tdxd_go_heap_allocs_bytes_total", "tdxd_go_gc_cycles_total", "tdxd_go_gc_cpu_seconds_total"} {
+		before, _ := strconv.ParseFloat(samples[name], 64)
+		after, _ := strconv.ParseFloat(again[name], 64)
+		if after < before {
+			t.Fatalf("counter %s fell from %v to %v", name, before, after)
+		}
+	}
+	if again["tdxd_go_gc_cycles_total"] == samples["tdxd_go_gc_cycles_total"] {
+		t.Fatalf("tdxd_go_gc_cycles_total stayed %s across a forced GC", again["tdxd_go_gc_cycles_total"])
+	}
+}
+
+// scrapeMetrics GETs /metrics and returns its samples by name, failing
+// on any line that is neither a comment nor a `name value` sample.
+func scrapeMetrics(t *testing.T, h http.Handler) map[string]string {
+	t.Helper()
 	rec := do(h, "GET", "/metrics", "", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("metrics: status %d", rec.Code)
@@ -293,21 +336,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		samples[name] = val
 	}
-	for name, want := range map[string]string{
-		"tdxd_compiles_total":        "1",
-		"tdxd_mappings":              "1",
-		"tdxd_inflight_chases":       "0",
-		"tdxd_rejected_chases_total": "0",
-	} {
-		if got := samples[name]; got != want {
-			t.Fatalf("metric %s = %q, want %q\n%s", name, got, want, rec.Body)
-		}
-	}
-	// Requests served so far: register + run (the /metrics request itself
-	// is counted after its response is written).
-	if got := samples["tdxd_requests_total"]; got != "2" {
-		t.Fatalf("tdxd_requests_total = %q, want 2", got)
-	}
+	return samples
 }
 
 // TestAccessLog: with AccessLogf set, every request produces one

@@ -160,6 +160,23 @@ func (in *Interner) internLocked(v Value) ID {
 	return id
 }
 
+// InternConstBytes is Intern(NewConst(string(b))) for a constant read
+// straight out of a decode buffer: the lookup keys the map by b's bytes,
+// so the constant's string is allocated only when it is new. b is not
+// retained.
+func (in *Interner) InternConstBytes(b []byte) ID {
+	in.mu.RLock()
+	id, ok := in.consts[string(b)]
+	in.mu.RUnlock()
+	if ok {
+		return id
+	}
+	in.mu.Lock()
+	id = in.internLocked(NewConst(string(b)))
+	in.mu.Unlock()
+	return id
+}
+
 // Lookup returns the ID previously issued for v, without interning it.
 // ok is false when v has never been interned — in that case no stored
 // tuple of any store sharing this interner can contain v.

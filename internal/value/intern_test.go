@@ -122,6 +122,29 @@ func TestLookupMiss(t *testing.T) {
 	}
 }
 
+// TestInternConstBytes: the byte-keyed intern agrees with Intern of the
+// constant, issues IDs in the same order, does not retain the caller's
+// buffer, and allocates nothing for a constant already interned.
+func TestInternConstBytes(t *testing.T) {
+	in := NewInterner()
+	buf := []byte("ada")
+	a := in.InternConstBytes(buf)
+	if got := in.Intern(NewConst("ada")); got != a {
+		t.Fatalf("Intern after InternConstBytes = %d, want %d", got, a)
+	}
+	copy(buf, "bob")
+	if in.Resolve(a) != NewConst("ada") {
+		t.Fatalf("interned constant changed with the caller's buffer: %v", in.Resolve(a))
+	}
+	n := in.Intern(NewNull(1))
+	if b := in.InternConstBytes(buf); b != n+1 || in.Resolve(b) != NewConst("bob") {
+		t.Fatalf("InternConstBytes(bob) = %d (%v), want fresh ID %d", b, in.Resolve(b), n+1)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { in.InternConstBytes(buf) }); allocs != 0 {
+		t.Fatalf("InternConstBytes of a known constant allocated %v times", allocs)
+	}
+}
+
 func TestInternAllResolveAll(t *testing.T) {
 	in := NewInterner()
 	tup := []Value{NewConst("a"), NewNull(1), NewInterval(interval.MustNew(0, 3))}

@@ -384,11 +384,14 @@ func (ex *Exchange) ParseSource(facts string) (*Instance, error) {
 
 // DecodeSourceJSON decodes a source instance from the TDX JSON format
 // (Instance.JSON / jsonio), streaming from r and validating against the
-// mapping's source schema: facts decode and insert one at a time, so a
-// large request body never materializes as a document — this is how tdxd
-// turns request bodies into request-scoped sources. A schema section in
-// the document is cross-checked against the mapping's source schema
-// (same relations, same arities) rather than trusted.
+// mapping's source schema. A hand-rolled scanner reads r through one
+// 64 KiB window and inserts each fact as it is read, interning its plain
+// constants straight from the fact's bytes, so a large request body
+// never materializes as a document and decode memory is one window plus
+// one fact's scratch — this is how tdxd turns request bodies into
+// request-scoped sources. A schema section in the document is
+// cross-checked against the mapping's source schema (same relations,
+// same arities) rather than trusted.
 func (ex *Exchange) DecodeSourceJSON(r io.Reader) (*Instance, error) {
 	c, err := jsonio.DecodeReader(r, ex.source)
 	if err != nil {

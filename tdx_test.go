@@ -182,6 +182,35 @@ func TestQueryAndAnswerCanceled(t *testing.T) {
 	}
 }
 
+// TestEmploymentJSONMatchesFacts: testdata/employment.json, the five
+// facts of employment.facts in the same order, decodes to a source whose
+// solution is byte-identical to the fact text's, null numbering
+// included, since both insert in the same order.
+func TestEmploymentJSONMatchesFacts(t *testing.T) {
+	ex := compileTestdata(t, "employment.tdx")
+	fromText, err := ex.ParseSource(readTestdata(t, "employment.facts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromJSON, err := ex.DecodeSourceJSON(strings.NewReader(readTestdata(t, "employment.json")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs [2][]byte
+	for i, src := range []*Instance{fromText, fromJSON} {
+		sol, err := ex.Run(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if docs[i], err = sol.JSON(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(docs[0]) != string(docs[1]) {
+		t.Fatalf("JSON source's solution differs from the fact text's:\n%s\nvs\n%s", docs[1], docs[0])
+	}
+}
+
 // TestNilContextMeansBackground: a nil ctx is tolerated and never
 // cancels.
 func TestNilContextMeansBackground(t *testing.T) {
