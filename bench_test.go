@@ -350,62 +350,9 @@ func BenchmarkTemporalChase(b *testing.B) {
 	}
 }
 
-// BenchmarkCChaseParallel measures the partitioned parallel concrete
-// chase on the heaviest scenario (taxi-150) across worker counts.
-// workers=1 is the sequential baseline; output is byte-identical at
-// every count, so the sub-benchmarks differ only in wall time. On a
-// single-CPU host the worker counts collapse to the same core and the
-// comparison only shows the fan-out overhead.
-func BenchmarkCChaseParallel(b *testing.B) {
-	tm := workload.TaxiMapping()
-	ic := workload.Taxi(workload.TaxiConfig{Seed: 7, Drivers: 150, Cabs: 60, Span: 100})
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := chase.Concrete(ic, tm, &chase.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEgdPhaseParallel isolates the sharded egd phase: the
-// tgd-phase target of the taxi scenario is built once, then each
-// iteration runs only the egd phase (renormalization + merge-candidate
-// scans + rewrites) at the given worker count. The chase returns the
-// target frozen, and EgdPhase never writes a frozen target, so
-// iterations are independent. workers=1 is the sequential baseline; on a
-// single-CPU host the comparison shows only the freeze/fan-out overhead.
-func BenchmarkEgdPhaseParallel(b *testing.B) {
-	m := workload.TaxiMapping()
-	ic := workload.Taxi(workload.TaxiConfig{Seed: 7, Drivers: 150, Cabs: 60, Span: 100})
-	tgdOnly := *m
-	tgdOnly.EGDs = nil
-	tgt, _, err := chase.Concrete(ic, &tgdOnly, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cm, err := chase.CompileMapping(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := chase.EgdPhase(tgt, cm, &chase.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkForEgdPhase isolates the egd-round renormalization alone —
-// the dominant cost inside BenchmarkEgdPhaseParallel — over the same
-// tgd-phase target.
+// BenchmarkForEgdPhase isolates the egd-round renormalization, the
+// dominant cost of the taxi scenario's egd phase, over its tgd-phase
+// target.
 func BenchmarkForEgdPhase(b *testing.B) {
 	m := workload.TaxiMapping()
 	ic := workload.Taxi(workload.TaxiConfig{Seed: 7, Drivers: 150, Cabs: 60, Span: 100})
@@ -422,48 +369,6 @@ func BenchmarkForEgdPhase(b *testing.B) {
 		if normalize.ForEgdPhase(tgt.Clone(), phis, normalize.StrategySmart).Len() == 0 {
 			b.Fatal("renormalization lost everything")
 		}
-	}
-}
-
-func BenchmarkAbstractChaseParallel(b *testing.B) {
-	m := paperex.EmploymentMapping()
-	ic := employment(150)
-	ia := ic.Abstract()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := chase.Abstract(ia, m, &chase.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelInternerSharding stresses the shared-nothing interner
-// shards of the abstract chase: a segment-heavy abstract instance whose
-// segments draw from one constant pool, so each worker's private
-// interner amortizes constant interning across its segments instead of
-// rebuilding a per-segment interner (and never touches another worker's
-// lock). Compare allocs/op across worker counts; on multi-core hosts
-// wall time scales with workers as well.
-func BenchmarkParallelInternerSharding(b *testing.B) {
-	m := paperex.EmploymentMapping()
-	ic := workload.Employment(workload.EmploymentConfig{
-		Seed: 5, Persons: 40, JobsPerPerson: 3, SalaryCoverage: 0.8, Span: 400,
-	})
-	ia := ic.Abstract()
-	b.Logf("segments=%d", len(ia.Segments()))
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := chase.Abstract(ia, m, &chase.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	tdx chase     -m mapping.tdx -d source.facts [-norm smart|naive] [-egd batch|stepwise] [-parallel N] [-coalesce] [-table] [-stats] [-trace] [-json] [-timeout 30s] [-save solution.snap]
+//	tdx chase     -m mapping.tdx -d source.facts [-norm smart|naive] [-egd batch|stepwise] [-coalesce] [-table] [-stats] [-trace] [-json] [-timeout 30s] [-save solution.snap]
 //	tdx chase     -m mapping.tdx -load solution.snap [-table] [-stats] [-json]
 //	tdx normalize -m mapping.tdx -d source.facts [-norm smart|naive] [-table]
 //	tdx query     -m mapping.tdx -d source.facts [-q 'query q(n) :- Emp(n, c, s)' | -name q] [-table]
@@ -103,13 +103,12 @@ run 'tdx <command> -h' for flags
 
 // commonFlags bundles the flags shared by most subcommands.
 type commonFlags struct {
-	mapping  string
-	data     string
-	norm     string
-	egd      string
-	parallel int
-	table    bool
-	timeout  time.Duration
+	mapping string
+	data    string
+	norm    string
+	egd     string
+	table   bool
+	timeout time.Duration
 }
 
 func (c *commonFlags) register(fs *flag.FlagSet) {
@@ -117,7 +116,6 @@ func (c *commonFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.data, "d", "", "source facts file")
 	fs.StringVar(&c.norm, "norm", "smart", "normalization strategy: smart (Algorithm 1) or naive")
 	fs.StringVar(&c.egd, "egd", "batch", "egd application strategy: batch or stepwise")
-	fs.IntVar(&c.parallel, "parallel", 0, "chase worker count (tgd and egd phases); 0 uses all CPUs, 1 forces the sequential path")
 	fs.BoolVar(&c.table, "table", false, "render output as per-relation tables instead of fact lines")
 	fs.DurationVar(&c.timeout, "timeout", 0, "bound the run (e.g. 30s); 0 means no limit")
 }
@@ -132,7 +130,7 @@ func (c *commonFlags) options() ([]tdx.Option, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []tdx.Option{tdx.WithNorm(norm), tdx.WithEgdStrategy(egd), tdx.WithParallelism(c.parallel)}, nil
+	return []tdx.Option{tdx.WithNorm(norm), tdx.WithEgdStrategy(egd)}, nil
 }
 
 // context bounds ctx by the -timeout flag.

@@ -2,14 +2,15 @@
 // holding a registry of compiled exchanges (mapping-hash keyed,
 // LRU-bounded, singleflight-deduplicated compilation) and running data
 // exchange against them with request-scoped sources. The mapping is
-// compiled once and amortized over every request; each run is bounded by
-// a per-request deadline and uses a per-run value interner, so a
-// long-lived daemon's memory tracks the registered mappings, not the
-// request traffic.
+// compiled once and amortized over every request; each run is one
+// sequential c-chase on its request's goroutine (requests run
+// concurrently), bounded by a per-request deadline, and uses a per-run
+// value interner, so a long-lived daemon's memory tracks the registered
+// mappings, not the request traffic.
 //
 // Usage:
 //
-//	tdxd [-addr :8080] [-max-mappings 64] [-max-sessions 64] [-max-timeout 60s] [-parallel 0]
+//	tdxd [-addr :8080] [-max-mappings 64] [-max-sessions 64] [-max-timeout 60s]
 //	     [-max-inflight 0] [-queue-wait 2s] [-max-body 64MiB] [-access-log] [-drain 10s]
 //	     [-pprof addr] [-state DIR] [-max-run-snapshots 128]
 //
@@ -86,7 +87,6 @@ func main() {
 	maxMappings := flag.Int("max-mappings", server.DefaultCapacity, "registry capacity: compiled exchanges kept resident (LRU eviction beyond it)")
 	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "live incremental-session capacity (LRU eviction beyond it; each session pins a solution and its retained chase state)")
 	maxTimeout := flag.Duration("max-timeout", server.DefaultMaxTimeout, "per-request run budget cap (and default when a request names none)")
-	parallel := flag.Int("parallel", 0, "default chase worker count per run; 0 uses all CPUs")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent chase bound: beyond it chases queue up to -queue-wait, then 429; 0 means unlimited")
 	queueWait := flag.Duration("queue-wait", server.DefaultQueueWait, "how long an over--max-inflight chase queues for a slot before 429")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBody, "request body size cap in bytes (413 beyond it)")
@@ -101,7 +101,6 @@ func main() {
 		MaxMappings:     *maxMappings,
 		MaxSessions:     *maxSessions,
 		MaxTimeout:      *maxTimeout,
-		Parallelism:     *parallel,
 		MaxInflight:     *maxInflight,
 		QueueWait:       *queueWait,
 		MaxBodyBytes:    *maxBody,

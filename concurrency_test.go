@@ -9,8 +9,7 @@ import (
 	"repro/internal/workload"
 )
 
-// empSource builds a source instance comfortably above the parallel
-// cutoff.
+// empSource builds an employment source of a few hundred facts.
 func empSource(seed int64) *Instance {
 	return NewInstance(workload.Employment(workload.EmploymentConfig{
 		Seed: seed, Persons: 80, JobsPerPerson: 4, SalaryCoverage: 0.7, Span: 150,
@@ -30,7 +29,7 @@ func relEpochs(i *Instance) map[string]uint64 {
 
 // TestFrozenInstanceSharedByConcurrentRuns is the freeze acceptance
 // test: one frozen source instance is probed by 16 goroutines — full
-// parallel Runs, queries, snapshots, renders — under -race, with every
+// concurrent Runs, queries, snapshots, renders — under -race, with every
 // relation's epoch asserted unchanged, and a write to the frozen
 // instance panics with a clear message.
 func TestFrozenInstanceSharedByConcurrentRuns(t *testing.T) {
@@ -42,7 +41,7 @@ func TestFrozenInstanceSharedByConcurrentRuns(t *testing.T) {
 	}
 	before := relEpochs(src)
 
-	ref, err := ex.Run(ctx, src, WithParallelism(2))
+	ref, err := ex.Run(ctx, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestFrozenInstanceSharedByConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sol, err := ex.Run(ctx, src, WithParallelism(1+g%4))
+			sol, err := ex.Run(ctx, src)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", g, err)
 				return

@@ -12,85 +12,80 @@ import (
 )
 
 // TestRunDeltaEquivalence is the public-API adjudicator of the
-// incremental exchange: across random mappings, random base/delta
-// splits, and worker counts, RunDelta over a retained base solution
-// must be byte-identical — facts, null family ids, snapshots — to one
-// Run over the combined source, whether it takes the semi-naive fast
-// path or falls back to a full re-chase. The reported Diff must agree
-// with the one computed directly from the two solutions.
+// incremental exchange: across random mappings and random base/delta
+// splits, RunDelta over a retained base solution must be byte-identical
+// — facts, null family ids, snapshots — to one Run over the combined
+// source, whether it takes the semi-naive fast path or falls back to a
+// full re-chase. The reported Diff must agree with the one computed
+// directly from the two solutions.
 func TestRunDeltaEquivalence(t *testing.T) {
 	ctx := context.Background()
 	trials, fastPaths := 0, 0
 	for seed := int64(0); seed < 10; seed++ {
-		for _, workers := range []int{1, 2, 4} {
-			if workers > 1 && seed >= 6 {
-				continue // full worker sweep on the first six seeds, breadth on one
+		r := rand.New(rand.NewSource(seed))
+		m := workload.RandomMapping(r)
+		all := workload.RandomInstanceFor(r, m, 40+r.Intn(200))
+		cut := all.Len() - (1 + r.Intn(7))
+		if cut < 1 {
+			cut = 1
+		}
+		parts := make([]*instance.Concrete, 3) // base, delta, full
+		for i := range parts {
+			parts[i] = instance.NewConcreteWith(m.Source, all.Interner())
+		}
+		i := 0
+		all.EachFact(func(f fact.CFact) bool {
+			if i < cut {
+				parts[0].MustInsert(f)
+			} else {
+				parts[1].MustInsert(f)
 			}
-			r := rand.New(rand.NewSource(seed))
-			m := workload.RandomMapping(r)
-			all := workload.RandomInstanceFor(r, m, 40+r.Intn(200))
-			cut := all.Len() - (1 + r.Intn(7))
-			if cut < 1 {
-				cut = 1
-			}
-			parts := make([]*instance.Concrete, 3) // base, delta, full
-			for i := range parts {
-				parts[i] = instance.NewConcreteWith(m.Source, all.Interner())
-			}
-			i := 0
-			all.EachFact(func(f fact.CFact) bool {
-				if i < cut {
-					parts[0].MustInsert(f)
-				} else {
-					parts[1].MustInsert(f)
-				}
-				parts[2].MustInsert(f)
-				i++
-				return true
-			})
+			parts[2].MustInsert(f)
+			i++
+			return true
+		})
 
-			ex, err := FromMapping(m, WithParallelism(workers))
-			if err != nil {
-				t.Fatalf("seed %d: compile: %v", seed, err)
+		ex, err := FromMapping(m)
+		if err != nil {
+			t.Fatalf("seed %d: compile: %v", seed, err)
+		}
+		want, wantErr := ex.Run(ctx, NewInstance(parts[2]))
+		baseSol, baseErr := ex.Run(ctx, NewInstance(parts[0]))
+		if baseErr != nil {
+			if wantErr == nil {
+				t.Fatalf("seed %d: base run failed (%v) but combined run succeeded", seed, baseErr)
 			}
-			want, wantErr := ex.Run(ctx, NewInstance(parts[2]))
-			baseSol, baseErr := ex.Run(ctx, NewInstance(parts[0]))
-			if baseErr != nil {
-				if wantErr == nil {
-					t.Fatalf("seed %d w%d: base run failed (%v) but combined run succeeded", seed, workers, baseErr)
-				}
-				continue
-			}
-			got, diff, gotErr := ex.RunDelta(ctx, baseSol, NewInstance(parts[1]))
-			trials++
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("seed %d w%d: RunDelta err = %v, combined Run err = %v", seed, workers, gotErr, wantErr)
-			}
-			if gotErr != nil {
-				continue
-			}
-			if !got.Stats().FallbackFullChase {
-				fastPaths++
-			}
-			if got.String() != want.String() {
-				t.Fatalf("seed %d w%d (fallback=%v): RunDelta diverges from combined Run\n--- delta ---\n%s\n--- full ---\n%s",
-					seed, workers, got.Stats().FallbackFullChase, got.String(), want.String())
-			}
-			if wantAdded := got.Diff(&baseSol.Instance); !diff.Added.Equal(wantAdded) {
-				t.Fatalf("seed %d w%d: Diff.Added disagrees with Instance.Diff", seed, workers)
-			}
-			if wantRemoved := baseSol.Diff(&got.Instance); !diff.Removed.Equal(wantRemoved) {
-				t.Fatalf("seed %d w%d: Diff.Removed disagrees with Instance.Diff", seed, workers)
-			}
-			// The next solution must itself be a valid delta base: chain an
-			// empty delta and demand a no-op.
-			again, d2, err := ex.RunDelta(ctx, got, NewInstance(instance.NewConcreteWith(m.Source, all.Interner())))
-			if err != nil {
-				t.Fatalf("seed %d w%d: chained empty delta: %v", seed, workers, err)
-			}
-			if again.String() != got.String() || d2.Added.Len() != 0 || d2.Removed.Len() != 0 {
-				t.Fatalf("seed %d w%d: chained empty delta was not a no-op", seed, workers)
-			}
+			continue
+		}
+		got, diff, gotErr := ex.RunDelta(ctx, baseSol, NewInstance(parts[1]))
+		trials++
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("seed %d: RunDelta err = %v, combined Run err = %v", seed, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		if !got.Stats().FallbackFullChase {
+			fastPaths++
+		}
+		if got.String() != want.String() {
+			t.Fatalf("seed %d (fallback=%v): RunDelta diverges from combined Run\n--- delta ---\n%s\n--- full ---\n%s",
+				seed, got.Stats().FallbackFullChase, got.String(), want.String())
+		}
+		if wantAdded := got.Diff(&baseSol.Instance); !diff.Added.Equal(wantAdded) {
+			t.Fatalf("seed %d: Diff.Added disagrees with Instance.Diff", seed)
+		}
+		if wantRemoved := baseSol.Diff(&got.Instance); !diff.Removed.Equal(wantRemoved) {
+			t.Fatalf("seed %d: Diff.Removed disagrees with Instance.Diff", seed)
+		}
+		// The next solution must itself be a valid delta base: chain an
+		// empty delta and demand a no-op.
+		again, d2, err := ex.RunDelta(ctx, got, NewInstance(instance.NewConcreteWith(m.Source, all.Interner())))
+		if err != nil {
+			t.Fatalf("seed %d: chained empty delta: %v", seed, err)
+		}
+		if again.String() != got.String() || d2.Added.Len() != 0 || d2.Removed.Len() != 0 {
+			t.Fatalf("seed %d: chained empty delta was not a no-op", seed)
 		}
 	}
 	if trials == 0 {

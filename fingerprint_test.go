@@ -39,8 +39,8 @@ func TestFingerprintStable(t *testing.T) {
 		t.Fatal("WithCoalesce kept the fingerprint")
 	}
 	// ...while byte-identical-output options are not.
-	if MustCompile(text, WithParallelism(4), WithRunInterner()).Fingerprint() != a.Fingerprint() {
-		t.Fatal("WithParallelism/WithRunInterner changed the fingerprint")
+	if MustCompile(text, WithRunInterner()).Fingerprint() != a.Fingerprint() {
+		t.Fatal("WithRunInterner changed the fingerprint")
 	}
 }
 
@@ -68,7 +68,7 @@ func TestFingerprintTemporal(t *testing.T) {
 
 // TestOptionsFingerprint pins the helper registries key on.
 func TestOptionsFingerprint(t *testing.T) {
-	if OptionsFingerprint() != OptionsFingerprint(WithParallelism(8), WithRunInterner()) {
+	if OptionsFingerprint() != OptionsFingerprint(WithRunInterner()) {
 		t.Fatal("non-output options leaked into the fingerprint")
 	}
 	if OptionsFingerprint() == OptionsFingerprint(WithEgdStrategy(EgdStepwise)) {

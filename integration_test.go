@@ -205,9 +205,6 @@ func TestFailurePipeline(t *testing.T) {
 	if _, _, err := ex.RunAbstract(ctx, bad); !errors.Is(err, ErrNoSolution) {
 		t.Fatalf("RunAbstract: %v", err)
 	}
-	if _, _, err := ex.RunAbstract(ctx, bad, WithParallelism(4)); !errors.Is(err, ErrNoSolution) {
-		t.Fatalf("RunAbstract parallel: %v", err)
-	}
 }
 
 // TestDiffAcrossChases: coalescing preserves semantics and the constant

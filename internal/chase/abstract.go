@@ -2,7 +2,6 @@ package chase
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/dependency"
 	"repro/internal/fact"
@@ -24,54 +23,31 @@ import (
 // A failure in any segment is a failure of the whole chase, and by
 // Proposition 4 part 2 proves that no solution exists.
 //
-// Segments are independent (the dependencies are non-temporal), so
-// Options.Workers of them are chased concurrently. Each worker interns
-// into a private interner, so workers never contend on one interner
-// lock; segment results cross back as value-level facts. The result is
-// deterministic up to null family ids: with more than one worker the
-// shared generator issues ids in scheduling order (snapshots are
-// isomorphic).
+// Segments are chased in order, each by one per-snapshot chase that
+// interns into one private interner of this call (Options.Interner is
+// ignored), so null family ids follow the segment order. Segment results
+// cross back as value-level facts.
 func Abstract(ia *instance.Abstract, m *dependency.Mapping, opts *Options) (*instance.Abstract, Stats, error) {
 	cm, err := CompileMapping(m)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	segsIn := ia.Segments()
-	workers := min(opts.workers(), len(segsIn))
 	gen := &value.NullGen{}
 	ctx := opts.ctx()
-
-	// Workers claim segments in order and stop claiming after a failure,
-	// so every segment before the first failing one has been chased.
-	results := make([]segResult, len(segsIn))
-	var next atomic.Int64
-	var failed atomic.Bool
-	fanOut(workers, func(int) {
-		wopts := opts.quiet()
-		wopts.Interner = value.NewInterner()
-		for !failed.Load() {
-			idx := int(next.Add(1)) - 1
-			if idx >= len(segsIn) {
-				return
-			}
-			r := &results[idx]
-			if r.err = ctxErr(ctx); r.err == nil {
-				*r = chaseSegment(segsIn[idx], cm, gen, wopts)
-			}
-			if r.err != nil {
-				failed.Store(true)
-			}
-		}
-	})
-
+	sopts := opts.quiet()
+	sopts.Interner = value.NewInterner()
 	var total Stats
-	segs := make([]instance.Segment, len(segsIn))
-	for i, r := range results {
-		total.Add(r.stats)
-		if r.err != nil {
-			return nil, total, r.err
+	var segs []instance.Segment
+	for _, seg := range ia.Segments() {
+		if err := ctxErr(ctx); err != nil {
+			return nil, total, err
 		}
-		segs[i] = r.seg
+		tseg, stats, err := chaseSegment(seg, cm, gen, sopts)
+		total.Add(stats)
+		if err != nil {
+			return nil, total, err
+		}
+		segs = append(segs, tseg)
 	}
 	out, err := instance.NewAbstract(segs)
 	if err != nil {
@@ -80,9 +56,8 @@ func Abstract(ia *instance.Abstract, m *dependency.Mapping, opts *Options) (*ins
 	return out, total, nil
 }
 
-// quiet returns a copy of o without the trace hook, for the per-snapshot
-// chases: the abstract chase's workers run concurrently, so their events
-// would interleave.
+// quiet returns a copy of o without the trace hook, so the per-snapshot
+// chases emit no events (see Options.Trace).
 func (o *Options) quiet() *Options {
 	var c Options
 	if o != nil {
@@ -92,25 +67,17 @@ func (o *Options) quiet() *Options {
 	return &c
 }
 
-// segResult is the outcome of chasing one segment.
-type segResult struct {
-	seg   instance.Segment
-	stats Stats
-	err   error
-}
-
 // chaseSegment chases one segment's representative snapshot, returning
 // the target segment. The source snapshot adopts the Options interner,
-// so a worker's segments reuse already-interned constants.
-func chaseSegment(seg instance.Segment, cm *Compiled, gen *value.NullGen, opts *Options) (res segResult) {
+// so later segments reuse already-interned constants.
+func chaseSegment(seg instance.Segment, cm *Compiled, gen *value.NullGen, opts *Options) (instance.Segment, Stats, error) {
 	// Source instances are complete (paper §2), so segment facts carry
 	// only constants; reject anything else loudly.
 	src := instance.NewSnapshotWith(opts.interner(nil))
 	for _, f := range seg.Facts {
 		for _, v := range f.Args {
 			if !v.IsConst() {
-				res.err = fmt.Errorf("chase: abstract source must be complete, found %v in segment %v", v, seg.Iv)
-				return res
+				return instance.Segment{}, Stats{}, fmt.Errorf("chase: abstract source must be complete, found %v in segment %v", v, seg.Iv)
 			}
 		}
 		src.Insert(fact.New(f.Rel, f.Args...))
@@ -118,15 +85,12 @@ func chaseSegment(seg instance.Segment, cm *Compiled, gen *value.NullGen, opts *
 	segIv := seg.Iv
 	fresh := func() value.Value { return gen.FreshAnn(segIv) }
 	tgtSnap, stats, err := snapshot(src, cm, fresh, opts)
-	res.stats = stats
 	if err != nil {
-		res.err = fmt.Errorf("in segment %v: %w", seg.Iv, err)
-		return res
+		return instance.Segment{}, stats, fmt.Errorf("in segment %v: %w", seg.Iv, err)
 	}
 	tgtSeg := instance.Segment{Iv: segIv}
 	for _, f := range tgtSnap.Facts() {
 		tgtSeg.Facts = append(tgtSeg.Facts, fact.NewC(f.Rel, segIv, f.Args...))
 	}
-	res.seg = tgtSeg
-	return res
+	return tgtSeg, stats, nil
 }

@@ -12,7 +12,7 @@
 //     into the normalized source, inventing a fresh interval-annotated
 //     null N^h(t) per existential variable per firing; bodies read only
 //     the source, so one pass reaches the tgd fixpoint. The phase has one
-//     kernel, on interned IDs (cparallel.go);
+//     kernel, on interned IDs (tgd.go);
 //  3. egd phase (concreteEgds): rounds of renormalizing the target w.r.t.
 //     the egd bodies, scanning the bodies for merge candidates, merging
 //     them in a union-find (mergeStep) and rewriting the target, until a
@@ -38,10 +38,11 @@
 //     one snapshot, with plain bodies and no normalization — per segment
 //     or per time point.
 //
-// Stages 2 and 3 shard their enumerations over a frozen instance, one
-// shard per worker, and replay the shards in rank order, so the output
-// does not depend on Options.Workers; one worker is shard 0 run inline
-// (see cparallel.go and eparallel.go).
+// Each stage is one streaming loop on the calling goroutine: a match is
+// acted on as it is enumerated (see tgd.go and egd.go), so the output,
+// null numbering and trace are a function of the input alone.
+// Concurrency lives between runs: a frozen source and a Compiled mapping
+// may be shared by any number of concurrent runs.
 package chase
 
 import (
@@ -92,8 +93,7 @@ func (s EgdStrategy) String() string {
 }
 
 // Options configures a chase run. The zero value is the default
-// configuration: Algorithm 1 normalization, batch egd application,
-// sequential.
+// configuration: Algorithm 1 normalization and batch egd application.
 type Options struct {
 	// Norm selects the normalization algorithm (paper §4.2).
 	Norm normalize.Strategy
@@ -103,23 +103,13 @@ type Options struct {
 	// chase materializes (the target, normalization outputs, egd rewrites).
 	// When nil the normalized source's interner is shared, which keeps all
 	// rows of one run ID-compatible — the sensible default; set it to share
-	// the value domain across runs. Abstract ignores it: each of its
-	// workers interns into a private interner, so workers never contend on
-	// one interner lock.
+	// the value domain across runs. Abstract ignores it: each call interns
+	// into one private interner.
 	Interner *value.Interner
-	// Workers sets the worker count. The c-chase shards the enumerations
-	// of its tgd phase and egd rounds one range per worker; Abstract
-	// chases that many segments concurrently. 0 or 1 runs sequentially
-	// (the internal default; the tdx facade maps WithParallelism onto this
-	// field, resolving 0 to GOMAXPROCS there). Inputs below an internal
-	// cutoff, and the scans of stepwise egd rounds (EgdStepwise), always
-	// run sequentially.
-	Workers int
 	// Trace, when set, receives one Event per chase action (normalization
 	// passes, tgd firings, egd merges, failures). For debugging and the
-	// CLI's -trace flag; adds no cost when nil. The event stream, detail
-	// text included, is the same at any Workers setting. The abstract and
-	// pointwise chases emit no events.
+	// CLI's -trace flag; adds no cost when nil. The abstract and pointwise
+	// chases emit no events.
 	Trace func(Event)
 	// Ctx, when set, is checked throughout the chase loops — normalization
 	// passes, tgd firing rounds, egd match enumeration and rewrite rounds —
@@ -152,15 +142,6 @@ func (o *Options) interner(def *value.Interner) *value.Interner {
 		return o.Interner
 	}
 	return def
-}
-
-// workers returns the configured chase worker count (both phases);
-// anything below 2 means sequential.
-func (o *Options) workers() int {
-	if o == nil || o.Workers < 2 {
-		return 1
-	}
-	return o.Workers
 }
 
 // tracing reports whether a trace hook is installed, so hot loops can
@@ -207,8 +188,8 @@ type Stats struct {
 	EgdMerges             int `json:"egdMerges"`             // value identifications applied
 	NormalizeRuns         int `json:"normalizeRuns"`         // normalization passes over the target
 	RowsRewritten         int `json:"rowsRewritten"`         // rows touched by incremental egd rewrites
-	TGDWorkers            int `json:"tgdWorkers"`            // workers the tgd phase used (1 = sequential)
-	EgdWorkers            int `json:"egdWorkers"`            // max workers any egd round used (1 = sequential)
+	TGDWorkers            int `json:"tgdWorkers"`            // 1 once the tgd phase ran: the chase has one worker
+	EgdWorkers            int `json:"egdWorkers"`            // 1 once an egd round ran: the chase has one worker
 
 	// Incremental (delta) chase observability; zero on full runs.
 	DeltaFacts        int  `json:"deltaFacts"`        // genuinely new source facts the delta contributed
@@ -218,8 +199,8 @@ type Stats struct {
 }
 
 // Add accumulates o into s, for chases assembled from several runs:
-// counters add, the worker fields keep the larger value, and
-// FallbackFullChase is set when either side set it.
+// counters add, the worker fields keep the larger value (1 once any run
+// set them), and FallbackFullChase is set when either side set it.
 func (s *Stats) Add(o Stats) {
 	s.NormalizedSourceFacts += o.NormalizedSourceFacts
 	s.TGDHoms += o.TGDHoms
@@ -243,8 +224,8 @@ func (s *Stats) Add(o Stats) {
 // constant is that constant; two distinct constants in one class are a
 // chase failure. Storage is sparse: IDs are mapped to dense slots on
 // first touch, so memory is proportional to the values actually merged,
-// not to the ID space — essential when the interner is long-lived (the
-// parallel chase's worker shards accumulate IDs across segments). The
+// not to the ID space — essential when the interner is long-lived (a
+// shared exchange-wide interner accumulates IDs across runs). The
 // tree structure is merged by rank and find uses iterative path halving
 // (no recursion, so arbitrarily long merge chains cannot overflow the
 // stack); the *canonical* representative of each class is tracked

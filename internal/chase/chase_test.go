@@ -308,41 +308,3 @@ func TestAbstractChaseRejectsIncompleteSource(t *testing.T) {
 		t.Fatal("incomplete source accepted by abstract chase")
 	}
 }
-
-func TestParallelAbstractChaseAgrees(t *testing.T) {
-	ic := paperex.Figure4()
-	m := paperex.EmploymentMapping()
-	seq, seqStats, err := Abstract(ic.Abstract(), m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, parStats, err := Abstract(ic.Abstract(), m, &Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqStats.TGDFires != parStats.TGDFires || seqStats.EgdMerges != parStats.EgdMerges {
-		t.Fatalf("stats diverge: %+v vs %+v", seqStats, parStats)
-	}
-	// Snapshots are isomorphic (null ids may differ by scheduling).
-	for tp := interval.Time(2010); tp < 2020; tp++ {
-		a, b := seq.Snapshot(tp), par.Snapshot(tp)
-		if a.Len() != b.Len() {
-			t.Fatalf("snapshot size differs at %v: %s vs %s", tp, a, b)
-		}
-	}
-	// Failure also propagates in parallel mode.
-	bad := instance.NewConcrete(m.Source)
-	bad.MustInsert(fact.NewC("E", paperex.Iv(0, 4), paperex.C("a"), paperex.C("X")))
-	bad.MustInsert(fact.NewC("S", paperex.Iv(0, 4), paperex.C("a"), paperex.C("1k")))
-	bad.MustInsert(fact.NewC("S", paperex.Iv(2, 4), paperex.C("a"), paperex.C("2k")))
-	if _, _, err := Abstract(bad.Abstract(), m, &Options{Workers: 4}); !errors.Is(err, ErrNoSolution) {
-		t.Fatalf("parallel failure err = %v", err)
-	}
-	// Degenerate worker counts fall back gracefully.
-	if _, _, err := Abstract(ic.Abstract(), m, &Options{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Abstract(ic.Abstract(), m, &Options{Workers: 0}); err != nil {
-		t.Fatal(err)
-	}
-}

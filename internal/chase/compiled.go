@@ -28,7 +28,7 @@ type Compiled struct {
 // compiledTGD caches one tgd's derived forms: the concrete body/head for
 // the c-chase, the existential variable list (shared with the snapshot
 // chase, whose plain body/head live on d), and the layout the tgd kernel
-// builds head rows from (see cparallel.go).
+// builds head rows from (see tgd.go).
 type compiledTGD struct {
 	d     dependency.TGD
 	body  logic.Conjunction // ConcreteBody()

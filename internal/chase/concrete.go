@@ -83,16 +83,15 @@ func ConcreteCompiled(ic *instance.Concrete, cm *Compiled, opts *Options) (*inst
 
 // concreteEgds is the egd phase (stage 3): rounds of renormalization,
 // merge-candidate scan, merge and rewrite until a round merges nothing.
-// It owns tgt: rounds rewrite it in place, or freeze it for the sharded
-// scans and rewrite a clone, so the solution may come back frozen.
+// It owns tgt: rounds rewrite it in place, or rewrite a clone when it is
+// frozen, so the solution may come back frozen.
 func concreteEgds(tgt *instance.Concrete, cm *Compiled, opts *Options, stats *Stats) (*instance.Concrete, error) {
 	if len(cm.egdBodies) == 0 {
 		return tgt, nil
 	}
 	ctx := opts.ctx()
-	workers := opts.workers()
 	stepwise := opts.egd() == EgdStepwise
-	stats.EgdWorkers = max(stats.EgdWorkers, 1)
+	stats.EgdWorkers = 1
 	naiveDone := false
 	for {
 		stats.EgdRounds++
@@ -112,28 +111,17 @@ func concreteEgds(tgt *instance.Concrete, cm *Compiled, opts *Options, stats *St
 				naiveDone = true
 			}
 		} else {
-			normW := 1
-			if workers > 1 && tgt.Len() >= parallelCutoffFacts {
-				normW = workers
-			}
-			norm, err := normalize.ForEgdPhaseWorkers(ctx, tgt, cm.egdBodies, normalize.StrategySmart, normW)
+			norm, err := normalize.ForEgdPhaseCtx(ctx, tgt, cm.egdBodies, normalize.StrategySmart)
 			if err != nil {
 				return nil, err
 			}
 			tgt = norm
 			stats.NormalizeRuns++
-			stats.EgdWorkers = max(stats.EgdWorkers, normW)
 			opts.emit(EventNormalize, "", "target normalized for egd round %d: %d facts", stats.EgdRounds, tgt.Len())
 		}
 
-		scanW := 1
-		if workers > 1 && !stepwise && tgt.Len() >= parallelCutoffFacts {
-			scanW = workers
-			tgt.Freeze() // idempotent; renormalization usually froze it
-			stats.EgdWorkers = max(stats.EgdWorkers, scanW)
-		}
 		uf := newValueUF(tgt.Interner())
-		if err := scanEgds(ctx, tgt.Store(), cm.m.EGDs, cm.egdBodies, nil, scanW, stepwise, uf, opts, stats); err != nil {
+		if err := scanEgds(ctx, tgt.Store(), cm.m.EGDs, cm.egdBodies, nil, stepwise, uf, opts, stats); err != nil {
 			return nil, err
 		}
 		if !uf.dirty() {

@@ -122,17 +122,11 @@ func ConcreteDelta(base *BaseState, delta *instance.Concrete, opts *Options) (*i
 		return deltaFallback(combined, cm, opts, stats)
 	}
 
-	workers := opts.workers()
-
 	// Incremental source normalization: the retained base fragmentation
 	// plus the delta rows fragmented on their own match components. A
 	// surviving match set mixing base and delta rows would refragment
 	// base facts — fall back.
-	normW := 1
-	if workers > 1 && rawDelta.Len() >= parallelCutoffFacts {
-		normW = workers
-	}
-	nsrc, frontier, ok, err := normalize.DeltaSourceNormalize(ctx, combined, base.nsrc, cm.tgdBodies, rawDelta, normW)
+	nsrc, frontier, ok, err := normalize.DeltaSourceNormalize(ctx, combined, base.nsrc, cm.tgdBodies, rawDelta)
 	if err != nil {
 		return nil, stats, nil, err
 	}
@@ -212,65 +206,66 @@ func ConcreteDelta(base *BaseState, delta *instance.Concrete, opts *Options) (*i
 		bounds[rel] = tgtc.Store().Rel(rel).NumRows()
 	}
 
-	scanW := 1
-	if workers > 1 && frontier.Len() >= parallelCutoffFacts {
-		scanW = workers
-	}
 	k := newTGDKernel(cm, tgtc.Interner())
-	s := &tgdStep{tgdKernel: k}
-	var rows []value.ID
+	var vec, rows []value.ID
+	seen := 0
 	for di := range cm.tgds {
 		d := &cm.tgds[di]
-		if err := ctxErr(ctx); err != nil {
+		if err = ctxErr(ctx); err != nil {
 			return nil, stats, nil, err
 		}
-		vecs, err := k.collectDeltaVecs(ctx, nsrc, d, frontier, scanW)
-		if err != nil {
-			return nil, stats, nil, err
-		}
-		width := len(d.vecVars)
-		stats.TGDHoms += len(vecs) / width
 		hasExist := len(d.exist) > 0
 		firedHere := 0
-		for hi := 0; len(vecs) > 0; hi, vecs = hi+1, vecs[width:] {
-			vec := vecs[:width]
-			if hi&ctxCheckMask == 0 {
-				if err := ctxErr(ctx); err != nil {
-					return nil, stats, nil, err
+		fellBack := false
+		logic.ForEachIDsDelta(nsrc.Store(), d.body, frontier, func(_ int, m *logic.IDMatch) bool {
+			stats.TGDHoms++
+			seen++
+			if seen&ctxCheckMask == 0 {
+				if err = ctxErr(ctx); err != nil {
+					return false
 				}
+			}
+			if vec, err = k.appendVec(vec[:0], d, m, nsrc.Interner()); err != nil {
+				return false
 			}
 			if logic.ExistsIDs(tgtc.Store(), d.head, d.vecVars, vec) {
-				if hasExist {
-					// The extension may pre-exist via base facts of later
-					// tgds the full run has not fired yet at this point:
-					// whether the full run fires is undecidable here.
-					return deltaFallback(combined, cm, opts, stats)
-				}
-				continue
+				// With existentials, the extension may pre-exist via base
+				// facts of later tgds the full run has not fired yet at
+				// this point: whether the full run fires is undecidable
+				// here.
+				fellBack = hasExist
+				return !fellBack
 			}
-			if hasExist {
-				if len(d.body) >= 2 && (base.fires[di] >= 1 || firedHere >= 1) {
-					// Base and delta firings of a multi-atom body interleave
-					// under the full run's adaptive join order.
-					return deltaFallback(combined, cm, opts, stats)
-				}
-				if di < L {
-					return deltaFallback(combined, cm, opts, stats)
-				}
-			}
-			for _, atom := range d.head {
-				if existHazard[di][atom.Rel] {
-					return deltaFallback(combined, cm, opts, stats)
+			switch {
+			case hasExist && len(d.body) >= 2 && (base.fires[di] >= 1 || firedHere >= 1):
+				// Base and delta firings of a multi-atom body interleave
+				// under the full run's adaptive join order.
+				fellBack = true
+			case hasExist && di < L:
+				fellBack = true
+			default:
+				for _, atom := range d.head {
+					fellBack = fellBack || existHazard[di][atom.Rel]
 				}
 			}
-			if rows, err = s.headRows(rows[:0], di, vec, gen, &stats); err != nil {
-				return nil, stats, nil, err
+			if fellBack {
+				return false
 			}
-			if err := k.fire(tgtc, di, rows, fires, opts, &stats); err != nil {
-				return nil, stats, nil, err
+			if rows, err = k.headRows(rows[:0], di, vec, gen, &stats); err != nil {
+				return false
+			}
+			if err = k.fire(tgtc, di, rows, fires, opts, &stats); err != nil {
+				return false
 			}
 			stats.DeltaFires++
 			firedHere++
+			return true
+		})
+		if err != nil {
+			return nil, stats, nil, err
+		}
+		if fellBack {
+			return deltaFallback(combined, cm, opts, stats)
 		}
 	}
 
@@ -349,24 +344,17 @@ func deltaEgds(ctx context.Context, base *BaseState, cm *Compiled, tgtc *instanc
 		return out, false, nil
 	}
 
-	workers := opts.workers()
-	stats.EgdWorkers = max(stats.EgdWorkers, 1)
+	stats.EgdWorkers = 1
 	rewrittenBase := 0
 	for {
 		stats.EgdRounds++
 		if err := ctxErr(ctx); err != nil {
 			return nil, false, err
 		}
-		scanW := 1
-		if workers > 1 && dirty.Len() >= parallelCutoffFacts {
-			scanW = workers
-			out.Freeze()
-			stats.EgdWorkers = max(stats.EgdWorkers, scanW)
-		}
 		// Guard: renormalizing w.r.t. the egd bodies must not fragment
 		// anything on the dirty frontier, or the retained base
 		// fragmentation no longer matches what a full run would produce.
-		aligned, err := normalize.DeltaAligned(ctx, out, cm.egdBodies, dirty, scanW)
+		aligned, err := normalize.DeltaAligned(ctx, out, cm.egdBodies, dirty)
 		if err != nil {
 			return nil, false, err
 		}
@@ -375,14 +363,11 @@ func deltaEgds(ctx context.Context, base *BaseState, cm *Compiled, tgtc *instanc
 		}
 
 		uf := newValueUF(out.Interner())
-		if err := scanEgds(ctx, out.Store(), cm.m.EGDs, cm.egdBodies, dirty, scanW, false, uf, opts, stats); err != nil {
+		if err := scanEgds(ctx, out.Store(), cm.m.EGDs, cm.egdBodies, dirty, false, uf, opts, stats); err != nil {
 			return nil, false, err
 		}
 		if !uf.dirty() {
 			return out, false, nil
-		}
-		if out.Frozen() {
-			out = out.Clone()
 		}
 		n := out.Store().SubstituteIDsTouched(uf.substituted(), uf.canon, func(rel string, row int) {
 			dirty.Add(rel, row)
@@ -396,44 +381,4 @@ func deltaEgds(ctx context.Context, base *BaseState, cm *Compiled, tgtc *instanc
 			return nil, true, nil
 		}
 	}
-}
-
-// collectDeltaVecs enumerates the delta-involving homomorphisms of d's
-// body into ic (which must be frozen when workers > 1) and returns their
-// firing vectors, flat, in the deterministic stage-major order of
-// logic.ForEachIDsDelta — shards merge in (stage, worker-rank) order.
-func (k *tgdKernel) collectDeltaVecs(ctx context.Context, ic *instance.Concrete, d *compiledTGD, frontier *logic.DeltaSet, workers int) ([]value.ID, error) {
-	type shard struct {
-		perStage [][]value.ID
-		err      error
-	}
-	shards := make([]shard, workers)
-	fanOut(workers, func(w int) {
-		sh := &shards[w]
-		sh.perStage = make([][]value.ID, len(d.body))
-		s := &tgdStep{tgdKernel: k}
-		seen := 0
-		logic.ForEachIDsDeltaPart(ic.Store(), d.body, frontier, w, workers, func(stage int, m *logic.IDMatch) bool {
-			seen++
-			if seen&ctxCheckMask == 0 {
-				if sh.err = ctxErr(ctx); sh.err != nil {
-					return false
-				}
-			}
-			sh.perStage[stage], sh.err = s.appendVec(sh.perStage[stage], d, m, ic.Interner())
-			return sh.err == nil
-		})
-	})
-	var vecs []value.ID
-	for w := range shards {
-		if err := shards[w].err; err != nil {
-			return nil, err
-		}
-	}
-	for stage := range d.body {
-		for w := range shards {
-			vecs = append(vecs, shards[w].perStage[stage]...)
-		}
-	}
-	return vecs, nil
 }

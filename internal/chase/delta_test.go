@@ -17,52 +17,44 @@ import (
 )
 
 // TestConcreteDeltaEquivalence is the adjudicator of the incremental
-// chase: across random mappings, random sources, random base/delta
-// splits, and worker counts, ConcreteDelta over a retained base run
-// must produce byte-identical output (facts, null family ids — String
-// renders both) to a full chase over the combined source, whether it
-// takes the fast path or falls back. It also asserts the suite
-// exercises the fast path at all, so a regression that silently falls
-// back on everything cannot pass.
+// chase: across random mappings, random sources and random base/delta
+// splits, ConcreteDelta over a retained base run must produce
+// byte-identical output (facts, null family ids — String renders both)
+// to a full chase over the combined source, whether it takes the fast
+// path or falls back. It also asserts the suite exercises the fast path
+// at all, so a regression that silently falls back on everything cannot
+// pass.
 func TestConcreteDeltaEquivalence(t *testing.T) {
 	type trial struct {
 		name              string
 		m                 *dependency.Mapping
 		base, delta, full *instance.Concrete
-		workers           int
-		sharded           bool // must take the fast path with sharded egd rounds
+		fast              bool // must take the fast path
 	}
 	var trials []trial
 	for seed := int64(0); seed < 30; seed++ {
-		for _, workers := range []int{1, 2, 4} {
-			if workers > 1 && seed >= 6 {
-				continue // full worker sweep on the first seeds, breadth on one worker
-			}
-			r := rand.New(rand.NewSource(seed))
-			m := workload.RandomMapping(r)
-			nFacts := 40 + r.Intn(200)
-			all := workload.RandomInstanceFor(r, m, nFacts)
-			cut := all.Len() - (1 + r.Intn(7))
-			if cut < 1 {
-				cut = 1
-			}
-			base, delta, full := splitSource(m, all, func(i int, _ fact.CFact) bool { return i >= cut })
-			trials = append(trials, trial{fmt.Sprintf("seed %d w%d", seed, workers), m, base, delta, full, workers, false})
+		r := rand.New(rand.NewSource(seed))
+		m := workload.RandomMapping(r)
+		nFacts := 40 + r.Intn(200)
+		all := workload.RandomInstanceFor(r, m, nFacts)
+		cut := all.Len() - (1 + r.Intn(7))
+		if cut < 1 {
+			cut = 1
 		}
+		base, delta, full := splitSource(m, all, func(i int, _ fact.CFact) bool { return i >= cut })
+		trials = append(trials, trial{fmt.Sprintf("seed %d", seed), m, base, delta, full, false})
 	}
-	// New hires: a delta of far more than parallelCutoffFacts rows, so the
-	// delta run shards its source normalization, its tgd homomorphism
-	// collection and its egd rounds.
+	// New hires: the delta holds every fact of 20 persons, so its
+	// incremental source normalization, tgd firing and egd rounds all do
+	// real work.
 	m := paperex.EmploymentMapping()
 	emp := workload.Employment(workload.EmploymentConfig{Seed: 3, Persons: 120, JobsPerPerson: 3, SalaryCoverage: 0.7, Span: 100})
 	staff := make(map[value.Value]bool)
 	for p := 0; p < 20; p++ {
 		staff[paperex.C(fmt.Sprintf("p%d", p))] = true
 	}
-	for _, workers := range []int{2, 4} {
-		base, delta, full := splitSource(m, emp, func(_ int, f fact.CFact) bool { return !staff[f.Args[0]] })
-		trials = append(trials, trial{fmt.Sprintf("new hires w%d", workers), m, base, delta, full, workers, true})
-	}
+	base, delta, full := splitSource(m, emp, func(_ int, f fact.CFact) bool { return !staff[f.Args[0]] })
+	trials = append(trials, trial{"new hires", m, base, delta, full, true})
 
 	fastPaths := 0
 	ran := 0
@@ -71,10 +63,9 @@ func TestConcreteDeltaEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", tr.name, err)
 		}
-		opts := &Options{Workers: tr.workers}
-		wantOut, _, _, wantErr := ConcreteCompiled(tr.full, cm, &Options{Workers: tr.workers})
+		wantOut, _, _, wantErr := ConcreteCompiled(tr.full, cm, nil)
 
-		_, _, baseState, baseErr := ConcreteCompiled(tr.base, cm, opts)
+		_, _, baseState, baseErr := ConcreteCompiled(tr.base, cm, nil)
 		if baseErr != nil {
 			// The base alone has no solution; the combined source cannot
 			// have one either (its egd violations persist).
@@ -83,7 +74,7 @@ func TestConcreteDeltaEquivalence(t *testing.T) {
 			}
 			continue
 		}
-		gotOut, gotStats, nextBase, gotErr := ConcreteDelta(baseState, tr.delta, opts)
+		gotOut, gotStats, nextBase, gotErr := ConcreteDelta(baseState, tr.delta, nil)
 		ran++
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%s: delta err = %v, full err = %v", tr.name, gotErr, wantErr)
@@ -94,8 +85,8 @@ func TestConcreteDeltaEquivalence(t *testing.T) {
 		if !gotStats.FallbackFullChase {
 			fastPaths++
 		}
-		if tr.sharded && (gotStats.FallbackFullChase || gotStats.DeltaFacts < parallelCutoffFacts || gotStats.EgdWorkers != tr.workers) {
-			t.Fatalf("%s: want the fast path with sharded egd rounds, got %+v", tr.name, gotStats)
+		if tr.fast && (gotStats.FallbackFullChase || gotStats.EgdRounds == 0) {
+			t.Fatalf("%s: want the fast path with egd rounds, got %+v", tr.name, gotStats)
 		}
 		if got, want := gotOut.String(), wantOut.String(); got != want {
 			t.Fatalf("%s (fallback=%v): delta solution diverges from full chase\n--- delta ---\n%s\n--- full ---\n%s",

@@ -70,32 +70,22 @@ func snapshot(src *instance.Snapshot, cm *Compiled, freshNull func() value.Value
 
 // snapshotEgds applies the egds of the compiled mapping to the snapshot
 // until satisfied, matching the plain, non-temporal egd bodies. It owns
-// tgt, as concreteEgds owns its target; the result may come back frozen.
+// tgt and rewrites it in place.
 func snapshotEgds(tgt *instance.Snapshot, cm *Compiled, opts *Options, stats *Stats) (*instance.Snapshot, error) {
 	ctx := opts.ctx()
-	workers := opts.workers()
 	stepwise := opts.egd() == EgdStepwise
-	stats.EgdWorkers = max(stats.EgdWorkers, 1)
+	stats.EgdWorkers = 1
 	for {
 		stats.EgdRounds++
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		scanW := 1
-		if workers > 1 && len(cm.egdBodies) > 0 && !stepwise && tgt.Len() >= parallelCutoffFacts {
-			scanW = workers
-			tgt.Store().Freeze()
-			stats.EgdWorkers = max(stats.EgdWorkers, scanW)
-		}
 		uf := newValueUF(tgt.Interner())
-		if err := scanEgds(ctx, tgt.Store(), cm.m.EGDs, cm.egdPlain, nil, scanW, stepwise, uf, opts, stats); err != nil {
+		if err := scanEgds(ctx, tgt.Store(), cm.m.EGDs, cm.egdPlain, nil, stepwise, uf, opts, stats); err != nil {
 			return nil, err
 		}
 		if !uf.dirty() {
 			return tgt, nil
-		}
-		if tgt.Store().Frozen() {
-			tgt = tgt.Clone()
 		}
 		stats.RowsRewritten += rewrite(tgt.Store(), uf)
 	}

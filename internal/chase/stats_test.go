@@ -86,7 +86,7 @@ func TestStatsJSONFieldNames(t *testing.T) {
 // TestChaseStatsTotals pins the totals of the chases assembled from
 // per-snapshot runs, on the Figure 4 employment chase: every counter is
 // summed over the snapshots (RowsRewritten included) and the worker
-// fields report the widest run (EgdWorkers 1, not 0).
+// fields keep the larger value (EgdWorkers 1, not the sum).
 func TestChaseStatsTotals(t *testing.T) {
 	// Add carries every field: adding a filled Stats to a zero one
 	// reproduces it.
@@ -115,15 +115,13 @@ func TestChaseStatsTotals(t *testing.T) {
 	if got != want {
 		t.Fatalf("pointwise stats:\n got %+v\nwant %+v", got, want)
 	}
-	for _, workers := range []int{0, 4} {
-		_, got, err := Abstract(ic.Abstract(), m, &Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := Stats{TGDHoms: 13, TGDFires: 13, FactsCreated: 13, NullsCreated: 8,
-			EgdRounds: 10, EgdMerges: 5, RowsRewritten: 5, EgdWorkers: 1}
-		if got != want {
-			t.Fatalf("abstract stats at workers=%d:\n got %+v\nwant %+v", workers, got, want)
-		}
+	_, got, err = Abstract(ic.Abstract(), m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = Stats{TGDHoms: 13, TGDFires: 13, FactsCreated: 13, NullsCreated: 8,
+		EgdRounds: 10, EgdMerges: 5, RowsRewritten: 5, EgdWorkers: 1}
+	if got != want {
+		t.Fatalf("abstract stats:\n got %+v\nwant %+v", got, want)
 	}
 }

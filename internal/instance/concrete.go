@@ -74,7 +74,7 @@ func (c *Concrete) Frozen() bool { return c.st.Frozen() }
 
 // CheckRel validates a relation name and data arity against the
 // instance's schema; a nil schema accepts everything. Insert applies it
-// per fact; the chase's parallel merge path (which inserts interned rows
+// per fact; the chase's tgd kernel (which inserts interned rows
 // directly) shares it so both paths report identical errors.
 func (c *Concrete) CheckRel(rel string, arity int) error {
 	if c.sch == nil {

@@ -3,6 +3,7 @@ package logic
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/storage"
@@ -114,4 +115,42 @@ func TestBruteForceAfterSubstitution(t *testing.T) {
 			return true
 		})
 	}
+}
+
+// TestFrozenPlanConcurrentEnumeration runs the same plan from 16
+// goroutines against one frozen store; under -race this proves frozen
+// plans share no mutable state (and skip epoch revalidation safely),
+// which is what lets concurrent runs share one frozen source.
+func TestFrozenPlanConcurrentEnumeration(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	st := storage.NewStore()
+	c := func(i int) value.Value { return cv(fmt.Sprintf("c%d", i)) }
+	for i := 0; i < 200; i++ {
+		st.Insert("A", []value.Value{c(r.Intn(12)), c(r.Intn(8))})
+		st.Insert("B", []value.Value{c(r.Intn(8)), c(r.Intn(6))})
+	}
+	conj := Conjunction{NewAtom("A", Var("x"), Var("y")), NewAtom("B", Var("y"), Var("z"))}
+	st.Freeze()
+	count := func() int {
+		n := 0
+		ForEachIDs(st, conj, nil, func(*IDMatch) bool { n++; return true })
+		return n
+	}
+	want := count()
+	if want == 0 {
+		t.Fatal("test conjunction has no matches")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 10; rep++ {
+				if n := count(); n != want {
+					t.Errorf("goroutine %d: %d matches, want %d", g, n, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

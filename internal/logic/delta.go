@@ -91,13 +91,7 @@ func (d *DeltaSet) Relations() []string {
 
 // ForEachIDsDelta enumerates exactly the homomorphisms of conj into st
 // in which at least one atom's witness row is in delta — the semi-naive
-// frontier of an incremental round — each exactly once. See
-// ForEachIDsDeltaPart for the enumeration order contract.
-func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn func(stage int, m *IDMatch) bool) {
-	ForEachIDsDeltaPart(st, conj, delta, 0, 1, fn)
-}
-
-// ForEachIDsDeltaPart is the sharded form of ForEachIDsDelta: per-atom
+// frontier of an incremental round — each exactly once, by per-atom
 // delta/base plan splitting. The enumeration is organized in stages,
 // one per atom: stage k yields the homomorphisms whose first
 // delta-marked witness atom (in conjunction order) is atom k — atom k's
@@ -107,21 +101,17 @@ func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn fu
 // the union over stages enumerates each exactly once, and a
 // homomorphism touching no delta row is never enumerated.
 //
-// Within a stage the delta candidate rows are visited in ascending row
-// order, and part/parts shards that candidate list contiguously — the
-// ForEachIDsPart property transposed to the delta frontier:
-// concatenating one stage's shards 0..parts-1 reproduces that stage's
-// sequential enumeration in order. Shards share no mutable state, so
-// any number may run concurrently against a frozen store; fn receives
-// the stage index so a parallel caller can merge shard streams in
-// (stage, shard-rank) order. fn returning false stops the sweep. The
-// IDMatch is transient: Rows are in conjunction order and the bindings
-// cover every conjunction variable.
+// Stages run in atom order, and within a stage the delta candidate rows
+// are visited in ascending row order, so the enumeration order is a
+// function of the store and the delta set. fn receives the stage index
+// and returning false stops the sweep. The IDMatch is transient: Rows
+// are in conjunction order and the bindings cover every conjunction
+// variable.
 //
 // st must not be mutated while the enumeration runs (collect first,
 // write after), exactly as with ForEachIDs.
-func ForEachIDsDeltaPart(st *storage.Store, conj Conjunction, delta *DeltaSet, part, parts int, fn func(stage int, m *IDMatch) bool) {
-	if part < 0 || parts < 1 || part >= parts || len(conj) == 0 || delta == nil {
+func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn func(stage int, m *IDMatch) bool) {
+	if len(conj) == 0 || delta == nil {
 		return
 	}
 	in := st.Interner()
@@ -147,8 +137,6 @@ func ForEachIDsDeltaPart(st *storage.Store, conj Conjunction, delta *DeltaSet, p
 		if len(cand) == 0 {
 			continue
 		}
-		lo := len(cand) * part / parts
-		hi := len(cand) * (part + 1) / parts
 
 		// Pre-resolve atom k's literals; a literal the store has never
 		// interned cannot match any row.
@@ -188,8 +176,7 @@ func ForEachIDsDeltaPart(st *storage.Store, conj Conjunction, delta *DeltaSet, p
 			}
 		}
 
-		for ci := lo; ci < hi; ci++ {
-			row := cand[ci]
+		for _, row := range cand {
 			if row >= rel.NumRows() || !rel.Alive(row) {
 				continue
 			}

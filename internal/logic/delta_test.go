@@ -112,49 +112,8 @@ func TestDeltaEnumerationMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestDeltaEnumerationShards asserts the concatenation property: per
-// stage, shard streams 0..parts-1 concatenated reproduce the sequential
-// stage stream in order.
-func TestDeltaEnumerationShards(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		st, conj, delta := randomDeltaWorld(r)
-
-		seq := map[int][]string{}
-		ForEachIDsDelta(st, conj, delta, func(stage int, m *IDMatch) bool {
-			seq[stage] = append(seq[stage], deltaKey(m))
-			return true
-		})
-		for _, parts := range []int{2, 3, 5} {
-			merged := map[int][]string{}
-			for part := 0; part < parts; part++ {
-				ForEachIDsDeltaPart(st, conj, delta, part, parts, func(stage int, m *IDMatch) bool {
-					merged[stage] = append(merged[stage], deltaKey(m))
-					return true
-				})
-			}
-			for stage, wantList := range seq {
-				gotList := merged[stage]
-				if len(gotList) != len(wantList) {
-					t.Fatalf("seed %d parts %d stage %d: %d matches, want %d", seed, parts, stage, len(gotList), len(wantList))
-				}
-				for i := range wantList {
-					if gotList[i] != wantList[i] {
-						t.Fatalf("seed %d parts %d stage %d: order diverges at %d", seed, parts, stage, i)
-					}
-				}
-			}
-			for stage := range merged {
-				if _, ok := seq[stage]; !ok {
-					t.Fatalf("seed %d parts %d: sharded run produced unexpected stage %d", seed, parts, stage)
-				}
-			}
-		}
-	}
-}
-
-// TestDeltaSetRowsSorted pins the DeltaSet ordering contract the
-// sharding relies on.
+// TestDeltaSetRowsSorted pins the DeltaSet ordering contract that makes
+// the delta enumeration order deterministic.
 func TestDeltaSetRowsSorted(t *testing.T) {
 	d := NewDeltaSet()
 	for _, row := range []int{9, 3, 7, 3, 1, 12} {

@@ -244,9 +244,7 @@ type planAtom struct {
 }
 
 // plan is a conjunction compiled against a store: atoms over variable
-// slots and literal IDs, plus the initial slot bindings. part/parts
-// restrict the enumeration to one contiguous shard of the outermost
-// atom's candidate range (see ForEachIDsPart); 0/1 means the whole range.
+// slots and literal IDs, plus the initial slot bindings.
 type plan struct {
 	atoms   []planAtom
 	names   []string   // slot → variable name
@@ -254,8 +252,6 @@ type plan struct {
 	extras  Binding    // initial bindings for variables not in the conjunction
 	empty   bool       // no homomorphism can exist (missing relation or never-interned value)
 	mutable bool       // some atom's relation is not frozen: revalidate epochs
-	part    int
-	parts   int
 }
 
 // compile builds the ID plan for conj over st. Literals and initial
@@ -466,18 +462,8 @@ func run(p plan, fn func(*IDMatch) bool) {
 		if scan {
 			limit = pa.block.Len()
 		}
-		// A sharded plan restricts the outermost atom's candidate range to
-		// its contiguous [lo, hi) slice; every deeper level runs the full
-		// range. Shard boundaries depend only on the store and the shard
-		// arithmetic, so concatenating shards 0..parts-1 reproduces the
-		// unsharded enumeration exactly, in order.
-		lo, hi := 0, limit
-		if p.parts > 1 && depth == 0 {
-			lo = limit * p.part / p.parts
-			hi = limit * (p.part + 1) / p.parts
-		}
 	rowLoop:
-		for k := lo; k < hi; k++ {
+		for k := 0; k < limit; k++ {
 			var row, off int
 			switch {
 			case scan && pa.dense:
@@ -546,63 +532,16 @@ func run(p plan, fn func(*IDMatch) bool) {
 // fn is transient. Initial bindings for variables outside the conjunction
 // are not visible through the IDMatch (use ForEach for those).
 func ForEachIDs(st *storage.Store, conj Conjunction, initial Binding, fn func(*IDMatch) bool) {
-	ForEachIDsPart(st, conj, initial, 0, 1, fn)
-}
-
-// ForEachIDsPart is ForEachIDs restricted to the part-th of parts
-// contiguous shards of the enumeration: the candidate range of the
-// outermost (first-chosen) atom is split into parts contiguous
-// sub-ranges, and only homomorphisms rooted in sub-range part are
-// enumerated. Concatenating the matches of shards 0, 1, ..., parts-1
-// yields exactly the ForEachIDs enumeration in order — the property the
-// parallel concrete chase relies on for deterministic, byte-identical
-// merges. Shards share no mutable state, so any number of them may run
-// concurrently against a frozen store. part/parts outside 0 ≤ part <
-// parts enumerate nothing.
-func ForEachIDsPart(st *storage.Store, conj Conjunction, initial Binding, part, parts int, fn func(*IDMatch) bool) {
-	if part < 0 || parts < 1 || part >= parts {
-		return
-	}
 	if len(conj) == 0 {
-		// The empty conjunction has exactly one (empty) homomorphism; it
-		// belongs to the first shard.
-		if part == 0 {
-			fn(&IDMatch{})
-		}
+		// The empty conjunction has exactly one (empty) homomorphism.
+		fn(&IDMatch{})
 		return
 	}
 	p := compile(st, conj, initial)
 	if p.empty {
 		return
 	}
-	p.part, p.parts = part, parts
 	run(p, fn)
-}
-
-// ForEachIDsPartMulti runs shard part of parts over every conjunction in
-// conjs, in order, invoking fn with the conjunction's index and the
-// match. It is the multi-conjunction form of ForEachIDsPart for workers
-// that own one shard of a whole phase — the egd phase enumerates all egd
-// bodies (and normalization all renamed conjunctions) per round, so a
-// worker sweeps its shard of each in sequence. Per conjunction, the
-// ForEachIDsPart concatenation property holds: concatenating the
-// (conjunction, shard 0), ..., (conjunction, shard parts-1) streams
-// reproduces the ForEachIDs enumeration of that conjunction in order.
-// fn returning false stops the whole sweep.
-func ForEachIDsPartMulti(st *storage.Store, conjs []Conjunction, part, parts int, fn func(ci int, m *IDMatch) bool) {
-	stopped := false
-	for ci := range conjs {
-		if stopped {
-			return
-		}
-		ForEachIDsPart(st, conjs[ci], nil, part, parts, func(m *IDMatch) bool {
-			if !fn(ci, m) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-	}
 }
 
 // ForEach enumerates homomorphisms from the conjunction into the store,

@@ -2,7 +2,6 @@ package normalize
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/fact"
 	"repro/internal/instance"
@@ -43,82 +42,47 @@ type deltaSetsOut struct {
 	sets        [][]factRef
 	touchesBase bool
 	aligned     bool
-	err         error
 }
 
 // deltaMatchSets enumerates the match sets of Renamed(phis) over ic
 // that involve at least one delta row and have a non-empty common
 // intersection — the only sets Algorithm 1 would act on that the base
-// run has not already accounted for. With workers > 1 the enumeration
-// shards over the delta frontier (ic must then be frozen or otherwise
-// safe for concurrent reads); the result is order-insensitive, so the
-// shards merge with a content dedup.
-func deltaMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction, delta *logic.DeltaSet, workers int) deltaSetsOut {
-	renamed := Renamed(phis)
+// run has not already accounted for.
+func deltaMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction, delta *logic.DeltaSet) (deltaSetsOut, error) {
 	st := ic.Store()
-	if workers < 1 {
-		workers = 1
-	}
-	shards := make([]deltaSetsOut, workers)
-	collect := func(w int) {
-		out := &shards[w]
-		out.aligned = true
-		c := newMatchCollector(st)
-		for _, phi := range renamed {
-			if out.err = ctxErr(ctx); out.err != nil {
-				return
+	out := deltaSetsOut{aligned: true}
+	c := newMatchCollector(st)
+	var err error
+	for _, phi := range Renamed(phis) {
+		if err = ctxErr(ctx); err != nil {
+			return out, err
+		}
+		logic.ForEachIDsDelta(st, phi, delta, func(_ int, m *logic.IDMatch) bool {
+			if err = c.tick(ctx); err != nil {
+				return false
 			}
-			logic.ForEachIDsDeltaPart(st, phi, delta, w, workers, func(stage int, m *logic.IDMatch) bool {
-				if out.err = c.tick(ctx); out.err != nil {
-					return false
-				}
-				set := c.rows(m)
-				allEqual, ok := c.overlap(set)
-				if !ok {
-					return true // empty intersection: the base fragmentation ignores it too
-				}
-				out.aligned = out.aligned && allEqual
-				for _, r := range set {
-					if !delta.Contains(r.rel, r.row) {
-						out.touchesBase = true
-						return true
-					}
-				}
-				if kept, isNew := c.keep(set); isNew {
-					out.sets = append(out.sets, kept)
-				}
-				return true
-			})
-		}
-	}
-	if workers == 1 {
-		collect(0)
-		return shards[0]
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			collect(w)
-		}(w)
-	}
-	wg.Wait()
-	merged := deltaSetsOut{aligned: true}
-	seen := make(setIndex)
-	for w := range shards {
-		if err := shards[w].err; err != nil {
-			return deltaSetsOut{err: err}
-		}
-		merged.touchesBase = merged.touchesBase || shards[w].touchesBase
-		merged.aligned = merged.aligned && shards[w].aligned
-		for _, set := range shards[w].sets {
-			if seen.add(set) {
-				merged.sets = append(merged.sets, set)
+			set := c.rows(m)
+			allEqual, ok := c.overlap(set)
+			if !ok {
+				return true // empty intersection: the base fragmentation ignores it too
 			}
+			out.aligned = out.aligned && allEqual
+			for _, r := range set {
+				if !delta.Contains(r.rel, r.row) {
+					out.touchesBase = true
+					return true
+				}
+			}
+			if kept, isNew := c.keep(set); isNew {
+				out.sets = append(out.sets, kept)
+			}
+			return true
+		})
+		if err != nil {
+			return out, err
 		}
 	}
-	return merged
+	return out, nil
 }
 
 // DeltaAligned reports whether every match set of Renamed(phis) over ic
@@ -128,11 +92,11 @@ func deltaMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Con
 // the base part was already normalized, the whole instance) untouched.
 // The incremental egd phase uses it as its fast-path guard: when it
 // holds, the retained base fragmentation and family synchronization
-// carry over verbatim. With workers > 1, ic must be frozen.
-func DeltaAligned(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction, delta *logic.DeltaSet, workers int) (bool, error) {
-	out := deltaMatchSets(ctx, ic, phis, delta, workers)
-	if out.err != nil {
-		return false, out.err
+// carry over verbatim.
+func DeltaAligned(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction, delta *logic.DeltaSet) (bool, error) {
+	out, err := deltaMatchSets(ctx, ic, phis, delta)
+	if err != nil {
+		return false, err
 	}
 	return out.aligned, nil
 }
@@ -148,11 +112,11 @@ func DeltaAligned(ctx context.Context, ic *instance.Concrete, phis []logic.Conju
 // for the tgd phase). ok=false means some surviving match set mixes
 // base and delta rows, so the combined normalization would refragment
 // base facts and the caller must renormalize from scratch; norm and
-// newRows are nil then. With workers > 1, combined must be frozen.
-func DeltaSourceNormalize(ctx context.Context, combined, normBase *instance.Concrete, phis []logic.Conjunction, delta *logic.DeltaSet, workers int) (norm *instance.Concrete, newRows *logic.DeltaSet, ok bool, err error) {
-	out := deltaMatchSets(ctx, combined, phis, delta, workers)
-	if out.err != nil {
-		return nil, nil, false, out.err
+// newRows are nil then.
+func DeltaSourceNormalize(ctx context.Context, combined, normBase *instance.Concrete, phis []logic.Conjunction, delta *logic.DeltaSet) (norm *instance.Concrete, newRows *logic.DeltaSet, ok bool, err error) {
+	out, err := deltaMatchSets(ctx, combined, phis, delta)
+	if err != nil {
+		return nil, nil, false, err
 	}
 	if out.touchesBase {
 		return nil, nil, false, nil

@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/dependency"
 	"repro/internal/fact"
@@ -80,23 +79,12 @@ func (ix setIndex) lookup(set []factRef) (uint64, bool) {
 	return h, false
 }
 
-// add indexes set unless an equal set is present, reporting whether it
-// was new. The set is retained as given.
-func (ix setIndex) add(set []factRef) bool {
-	h, dup := ix.lookup(set)
-	if !dup {
-		ix[h] = append(ix[h], set)
-	}
-	return !dup
-}
-
 // matchCollector is the per-match step of Algorithm 1 line 3, shared by
-// every enumeration (sequential, sharded, delta) and by the EIP check: it
-// turns one homomorphism's row witnesses into its fact set Δ. It works in
+// every enumeration (full and delta) and by the EIP check: it turns one
+// homomorphism's row witnesses into its fact set Δ. It works in
 // a reused scratch buffer and reads intervals straight off the stored
 // interval column, so a match whose set is dropped — empty intersection
-// or a duplicate — allocates nothing. One collector serves one
-// enumerating goroutine.
+// or a duplicate — allocates nothing.
 type matchCollector struct {
 	intervalReader
 	set     []factRef // scratch: the current match's fact set
@@ -235,86 +223,6 @@ func matchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunct
 	return out, nil
 }
 
-// parallelCutoffFacts is the instance size below which the egd-phase
-// normalization ignores its workers argument and enumerates match sets
-// sequentially: freezing the instance and spinning up workers costs more
-// than enumerating a few hundred facts outright. It mirrors the chase's
-// cutoff of the same name so the two phases flip together.
-const parallelCutoffFacts = 128
-
-// matchShard is one worker's share of the sharded match-set enumeration:
-// per renamed conjunction, the candidate Δ sets of shard w in enumeration
-// order. Sets are deduplicated only within the worker's own stream (that
-// drops later duplicates exclusively, so the merged stream still carries
-// each distinct set at its earliest position); the merge applies the
-// global cross-worker dedup.
-type matchShard struct {
-	sets [][][]factRef
-	err  error
-}
-
-// matchSetsParallel is matchSets with the enumeration split into workers
-// contiguous shards per renamed conjunction (logic.ForEachIDsPartMulti
-// over the frozen instance). Concatenating each conjunction's shards in
-// worker-rank order reproduces the sequential enumeration order, so after
-// the merge applies the global hash-dedup the returned set list is
-// identical to the sequential one. ic must be owned by the caller or
-// already frozen: it is frozen here to make concurrent enumeration
-// mutation-free.
-func matchSetsParallel(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction, workers int) ([][]factRef, error) {
-	ic.Freeze()
-	renamed := Renamed(phis)
-	st := ic.Store()
-	shards := make([]matchShard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			shards[w] = enumerateMatchShard(ctx, st, renamed, w, workers)
-		}(w)
-	}
-	wg.Wait()
-	for w := range shards {
-		if err := shards[w].err; err != nil {
-			return nil, err
-		}
-	}
-
-	// Merge in (conjunction, worker-rank) order with the global dedup —
-	// exactly the order and the set semantics of the sequential pass.
-	seen := make(setIndex)
-	var out [][]factRef
-	for pi := range renamed {
-		for w := range shards {
-			for _, set := range shards[w].sets[pi] {
-				if seen.add(set) {
-					out = append(out, set)
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// enumerateMatchShard runs one worker of matchSetsParallel: shard w of
-// every renamed conjunction, collected like the sequential matchSets by
-// the worker's own collector, whose dedup is worker-local.
-func enumerateMatchShard(ctx context.Context, st *storage.Store, renamed []logic.Conjunction, w, workers int) (out matchShard) {
-	out.sets = make([][][]factRef, len(renamed))
-	c := newMatchCollector(st)
-	logic.ForEachIDsPartMulti(st, renamed, w, workers, func(ci int, m *logic.IDMatch) bool {
-		if out.err = c.tick(ctx); out.err != nil {
-			return false
-		}
-		if set, ok := c.collect(m); ok {
-			out.sets[ci] = append(out.sets[ci], set)
-		}
-		return true
-	})
-	return out
-}
-
 // unionFind is a plain union-find over dense indices.
 type unionFind struct{ parent []int }
 
@@ -416,8 +324,7 @@ func copyRow(out, src *instance.Concrete, rel string, row int) {
 // fragmentSets is the second half of Algorithm 1: given the Δ sets the
 // enumeration produced, merge overlapping sets and fragment the member
 // facts on their merged component's endpoint partition. It also reports
-// the number of merged components. Shared by the sequential and the
-// sharded-parallel enumeration paths, which produce identical set lists.
+// the number of merged components.
 func fragmentSets(ctx context.Context, ic *instance.Concrete, sets [][]factRef) (*instance.Concrete, int, error) {
 	if len(sets) == 0 {
 		return ic.Clone(), 0, nil
@@ -659,24 +566,6 @@ func ForEgdPhase(c *instance.Concrete, phis []logic.Conjunction, strategy Strate
 // and the match-set enumerations inside it abort promptly with the
 // context's error once ctx is done.
 func ForEgdPhaseCtx(ctx context.Context, c *instance.Concrete, phis []logic.Conjunction, strategy Strategy) (*instance.Concrete, error) {
-	return ForEgdPhaseWorkers(ctx, c, phis, strategy, 1)
-}
-
-// ForEgdPhaseWorkers is ForEgdPhaseCtx with the match-set enumeration —
-// the expensive step of each fixpoint iteration — split into workers
-// contiguous shards running concurrently. The output is byte-identical
-// to the sequential pass at any worker count: shards concatenate in
-// worker-rank order to the sequential enumeration order, and the
-// hash-dedup is replayed over the concatenation (see matchSetsParallel).
-// The family-sync passes and the fragmentation itself stay sequential
-// (linear scans; the enumeration dominates).
-//
-// With workers ≥ 2 the instance enumerated in each iteration is frozen
-// in place first, so c must be owned by the caller or already frozen —
-// and the returned instance may come back frozen (Clone it for a mutable
-// descendant). Iterations over instances below an internal cutoff fall
-// back to the sequential enumeration, where fan-out overhead dominates.
-func ForEgdPhaseWorkers(ctx context.Context, c *instance.Concrete, phis []logic.Conjunction, strategy Strategy, workers int) (*instance.Concrete, error) {
 	if strategy == StrategyNaive {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
@@ -685,13 +574,7 @@ func ForEgdPhaseWorkers(ctx context.Context, c *instance.Concrete, phis []logic.
 	}
 	cur := c
 	for {
-		var sets [][]factRef
-		var err error
-		if workers > 1 && cur.Len() >= parallelCutoffFacts {
-			sets, err = matchSetsParallel(ctx, cur, phis, workers)
-		} else {
-			sets, err = matchSets(ctx, cur, phis)
-		}
+		sets, err := matchSets(ctx, cur, phis)
 		if err != nil {
 			return nil, err
 		}

@@ -197,26 +197,16 @@ func NaiveEvalConcrete(u UCQ, jc *instance.Concrete) *instance.Concrete {
 
 // NaiveEvalCtx is NaiveEvalConcrete under a context: the per-disjunct
 // normalization and the homomorphism enumeration abort promptly with the
-// context's error once ctx is done.
+// context's error once ctx is done. Concurrent evaluations may share one
+// frozen jc.
 func NaiveEvalCtx(ctx context.Context, u UCQ, jc *instance.Concrete) (*instance.Concrete, error) {
-	return NaiveEvalWorkers(ctx, u, jc, 1)
-}
-
-// NaiveEvalWorkers is NaiveEvalCtx with the per-disjunct normalization —
-// the expensive step over a large solution — fanned out over workers
-// shards (normalize.ForEgdPhaseWorkers); answers are byte-identical at
-// any worker count. With workers ≥ 2 the parallel pass freezes the
-// instances it enumerates, jc included, so jc must be owned by the
-// caller or already frozen — the tdx facade evaluates frozen Solutions,
-// which any number of concurrent evaluations may share.
-func NaiveEvalWorkers(ctx context.Context, u UCQ, jc *instance.Concrete, workers int) (*instance.Concrete, error) {
 	out := instance.NewConcrete(nil)
 	for _, q := range u.Disjuncts {
 		body := q.ConcreteBody()
 		// Step 1 — normalize w.r.t. q′ and synchronize null families, so
 		// that step 2 freezes one constant per unknown-per-time-range and
 		// joins through a shared unknown still succeed.
-		normed, err := normalize.ForEgdPhaseWorkers(ctx, jc, []logic.Conjunction{body}, normalize.StrategySmart, workers)
+		normed, err := normalize.ForEgdPhaseCtx(ctx, jc, []logic.Conjunction{body}, normalize.StrategySmart)
 		if err != nil {
 			return nil, err
 		}

@@ -150,14 +150,14 @@ func TestRegistryOptionsKeyed(t *testing.T) {
 	if cached || b == a || b.Hash == a.Hash {
 		t.Fatal("naive-norm exchange shares the default entry")
 	}
-	c, cached, err := reg.Register(context.Background(), text, tdx.WithParallelism(4))
+	c, cached, err := reg.Register(context.Background(), text, tdx.WithRunInterner())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Distinct raw key (different opts list → we cannot know pre-compile),
 	// but the canonical fingerprint collapses onto the default entry.
 	if !cached || c != a {
-		t.Fatal("parallelism-only options created a distinct entry")
+		t.Fatal("interner-only options created a distinct entry")
 	}
 }
 

@@ -26,10 +26,9 @@
 // decoding, and re-running one skips the chase entirely.
 // Per-request query parameters ride the engine's functional
 // options: ?timeout= bounds the run through the existing context
-// plumbing (capped by the server's MaxTimeout), ?parallel= sizes the
-// chase worker pool (capped at GOMAXPROCS), ?norm=, ?egd=, and
+// plumbing (capped by the server's MaxTimeout), and ?norm=, ?egd= and
 // ?coalesce= override the exchange's compile-time defaults for that run
-// only.
+// only. Unknown parameters are ignored.
 //
 // Memory bounding is structural: the registry is LRU-bounded
 // (MaxMappings), compilation of concurrent duplicate registrations is
@@ -66,7 +65,6 @@ import (
 	"mime"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -84,9 +82,6 @@ type Config struct {
 	// MaxTimeout caps — and, when a request names no ?timeout=, sets —
 	// the per-request run budget. <= 0 means DefaultMaxTimeout.
 	MaxTimeout time.Duration
-	// Parallelism is the default chase worker count for runs that pass
-	// no ?parallel= (0 = GOMAXPROCS, the engine default).
-	Parallelism int
 	// MaxSessions bounds live incremental-exchange sessions (LRU
 	// eviction beyond it). <= 0 means DefaultMaxSessions.
 	MaxSessions int
@@ -191,7 +186,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.state = state
 		s.sessions.OnEvict(func(sess *Session) {
-			if err := state.forgetSession(sess.ID); err != nil {
+			if err := s.forgetSession(sess); err != nil {
 				s.logf("state: drop evicted session %s: %v", sess.ID, err)
 			}
 		})
@@ -680,7 +675,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := s.sessions.Add(entry, sol)
-	s.persistSession(sess.ID, entry.Hash, 0, sol)
+	s.persistSession(sess, 0, sol)
 	head := sessionResponse{
 		SessionID: sess.ID,
 		Hash:      entry.Hash,
@@ -759,9 +754,11 @@ func (s *Server) handleSessionFacts(w http.ResponseWriter, r *http.Request) {
 	sess.sol = next
 	sess.deltas++
 	deltas := sess.deltas
-	sess.mu.Unlock()
 	elapsed := time.Since(started)
-	s.persistSession(sess.ID, sess.Entry.Hash, deltas, next)
+	// Persisting under the session lock writes one session's deltas in
+	// the order they were applied.
+	s.persistSession(sess, deltas, next)
+	sess.mu.Unlock()
 
 	head := factsResponse{
 		SessionID: sess.ID,
@@ -781,28 +778,46 @@ func (s *Server) handleSessionFacts(w http.ResponseWriter, r *http.Request) {
 // and retained chase state.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !s.sessions.Delete(id) {
+	sess, ok := s.sessions.Delete(id)
+	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no session %q is live", id))
 		return
 	}
 	if s.state != nil {
-		if err := s.state.forgetSession(id); err != nil {
+		if err := s.forgetSession(sess); err != nil {
 			s.logf("state: drop session %s: %v", id, err)
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// persistSession snapshots a session's current solution, best-effort.
-func (s *Server) persistSession(id, hash string, deltas int64, sol *tdx.Solution) {
+// persistSession snapshots a session's current solution, best-effort,
+// unless the session's persisted state was already dropped.
+func (s *Server) persistSession(sess *Session, deltas int64, sol *tdx.Solution) {
 	if s.state == nil {
 		return
 	}
-	if err := s.state.saveSession(id, hash, deltas, sol); err != nil {
-		s.logf("state: persist session %s: %v", id, err)
+	sess.persistMu.Lock()
+	defer sess.persistMu.Unlock()
+	if sess.gone {
+		return
+	}
+	if err := s.state.saveSession(sess.ID, sess.Entry.Hash, deltas, sol); err != nil {
+		s.logf("state: persist session %s: %v", sess.ID, err)
 		return
 	}
 	s.snapshotWrites.Add(1)
+}
+
+// forgetSession drops a removed session's manifest row and snapshot
+// file. It waits for a persist in progress, and once it returns
+// persistSession writes nothing more for the session; it never waits
+// for the session lock, so a delta in flight cannot hold it up.
+func (s *Server) forgetSession(sess *Session) error {
+	sess.persistMu.Lock()
+	defer sess.persistMu.Unlock()
+	sess.gone = true
+	return s.state.forgetSession(sess.ID)
 }
 
 // answerStatus maps a query-evaluation error: a bad query is the
@@ -815,20 +830,10 @@ func answerStatus(err error) int {
 }
 
 // runOptions translates per-request query parameters into per-run
-// engine options layered over the server and exchange defaults.
+// engine options layered over the exchange defaults.
 func (s *Server) runOptions(r *http.Request) ([]tdx.Option, error) {
 	q := r.URL.Query()
-	opts := []tdx.Option{tdx.WithParallelism(s.cfg.Parallelism)}
-	if v := q.Get("parallel"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, badParam("parallel", err)
-		}
-		// Capped at the CPU count: every worker costs a goroutine and a
-		// shard buffer, so an uncapped client value can exhaust memory,
-		// and solutions are byte-identical at any worker count.
-		opts = append(opts, tdx.WithParallelism(min(n, runtime.GOMAXPROCS(0))))
-	}
+	var opts []tdx.Option
 	if v := q.Get("norm"); v != "" {
 		norm, err := tdx.ParseNorm(v)
 		if err != nil {

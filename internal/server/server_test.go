@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -310,47 +309,6 @@ func TestReRegisterOn404(t *testing.T) {
 	}
 }
 
-// TestParallelCappedAtCPUs: ?parallel= asks for at most GOMAXPROCS
-// workers, so an outsized value costs no more than the CPU count, and
-// the solution is the ?parallel=1 one.
-func TestParallelCappedAtCPUs(t *testing.T) {
-	s := mustNew(t, Config{})
-	h := s.Handler()
-	hash := register(t, h, readTestdata(t, "employment.tdx"))
-	// 200 source facts: past the engine's 128-fact cutoff, below which
-	// the chase ignores the worker count.
-	var facts strings.Builder
-	for i := 0; i < 100; i++ {
-		fmt.Fprintf(&facts, "E(p%d, IBM) @ [2012, 2014)\nS(p%d, %dk) @ [2013, inf)\n", i, i, 10+i)
-	}
-	run := func(parallel string) (tgdWorkers, egdWorkers int, solution json.RawMessage) {
-		t.Helper()
-		rec := do(h, "POST", "/v1/exchanges/"+hash+"/run?parallel="+parallel, "", facts.String())
-		if rec.Code != http.StatusOK {
-			t.Fatalf("?parallel=%s: status %d: %s", parallel, rec.Code, rec.Body)
-		}
-		var resp struct {
-			Stats struct {
-				TGDWorkers int `json:"tgdWorkers"`
-				EgdWorkers int `json:"egdWorkers"`
-			} `json:"stats"`
-			Solution json.RawMessage `json:"solution"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp.Stats.TGDWorkers, resp.Stats.EgdWorkers, resp.Solution
-	}
-	_, _, want := run("1")
-	tgdW, egdW, got := run("10000")
-	if procs := runtime.GOMAXPROCS(0); tgdW > procs || egdW > procs {
-		t.Fatalf("?parallel=10000 ran %d tgd and %d egd workers, GOMAXPROCS is %d", tgdW, egdW, procs)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("?parallel=10000 solution differs from ?parallel=1:\n%s\nvs\n%s", got, want)
-	}
-}
-
 func TestRunQueryAndAnswer(t *testing.T) {
 	s := mustNew(t, Config{})
 	h := s.Handler()
@@ -582,7 +540,6 @@ func TestErrorMapping(t *testing.T) {
 		{"blank body", do(h, "POST", "/v1/exchanges/"+hash+"/run", "", " \n\t "), http.StatusBadRequest},
 		{"bad json source", do(h, "POST", "/v1/exchanges/"+hash+"/run", "application/json", `{"facts":[{"rel":"E","args":["a"],"interval":"[1,2)"}]}`), http.StatusBadRequest},
 		{"bad timeout", do(h, "POST", "/v1/exchanges/"+hash+"/run?timeout=-5s", "", facts), http.StatusBadRequest},
-		{"bad parallel", do(h, "POST", "/v1/exchanges/"+hash+"/run?parallel=many", "", facts), http.StatusBadRequest},
 		{"bad norm", do(h, "POST", "/v1/exchanges/"+hash+"/run?norm=bogus", "", facts), http.StatusBadRequest},
 		{"bad egd", do(h, "POST", "/v1/exchanges/"+hash+"/run?egd=bogus", "", facts), http.StatusBadRequest},
 		{"bad coalesce", do(h, "POST", "/v1/exchanges/"+hash+"/run?coalesce=maybe", "", facts), http.StatusBadRequest},

@@ -34,6 +34,12 @@ type Session struct {
 	mu     sync.Mutex
 	sol    *tdx.Solution
 	deltas int64 // deltas applied so far
+
+	// persistMu orders the session's persistence against its removal:
+	// gone is set under it once DELETE or eviction has dropped the
+	// session's persisted state, and no write happens after that.
+	persistMu sync.Mutex
+	gone      bool
 }
 
 // Solution returns the session's current solution.
@@ -141,17 +147,17 @@ func (st *SessionStore) Get(id string) (*Session, bool) {
 	return el.Value.(*Session), true
 }
 
-// Delete drops a session, reporting whether it was live.
-func (st *SessionStore) Delete(id string) bool {
+// Delete drops a session and returns it, reporting whether it was live.
+func (st *SessionStore) Delete(id string) (*Session, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	el, ok := st.entries[id]
 	if !ok {
-		return false
+		return nil, false
 	}
 	st.order.Remove(el)
 	delete(st.entries, id)
-	return true
+	return el.Value.(*Session), true
 }
 
 // Len returns the number of live sessions.

@@ -190,6 +190,79 @@ func TestWarmStartSessionResume(t *testing.T) {
 	}
 }
 
+// TestSessionRemovedDuringDelta: a session dropped while one of its
+// deltas is in flight — by DELETE, or by an LRU eviction — stays dropped
+// on disk. The onChase hook removes the session while the delta holds
+// its gate slot and the session lock; once both requests have returned,
+// the manifest has no row for the session, sessions/<id>.snap is gone,
+// and a warm boot does not revive it.
+func TestSessionRemovedDuringDelta(t *testing.T) {
+	source := readTestdata(t, "employment.facts")
+	cases := []struct {
+		name   string
+		remove func(t *testing.T, h http.Handler, hash, id string)
+	}{
+		{"delete", func(t *testing.T, h http.Handler, hash, id string) {
+			if rec := do(h, "DELETE", "/v1/sessions/"+id, "", ""); rec.Code != http.StatusNoContent {
+				t.Errorf("delete: status %d: %s", rec.Code, rec.Body)
+			}
+		}},
+		{"evict", func(t *testing.T, h http.Handler, hash, id string) {
+			// MaxSessions is 1, so a second session evicts the first.
+			if rec := do(h, "POST", "/v1/exchanges/"+hash+"/sessions", "", source); rec.Code != http.StatusCreated {
+				t.Errorf("second session: status %d: %s", rec.Code, rec.Body)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := quietCfg(t, dir)
+			cfg.MaxSessions = 1
+			s := mustNew(t, cfg)
+			h, id := openSession(t, s)
+			hash := register(t, h, readTestdata(t, "employment.tdx"))
+			fired := false
+			s.onChase = func() {
+				if !fired { // the eviction's own session chase passes through
+					fired = true
+					c.remove(t, h, hash, id)
+				}
+			}
+			if rec := do(h, "POST", "/v1/sessions/"+id+"/facts", "", "E(Carol, IBM) @ [2015, 2019)"); rec.Code != http.StatusOK {
+				t.Fatalf("delta: status %d: %s", rec.Code, rec.Body)
+			}
+			if !fired {
+				t.Fatal("the delta's chase never reached the hook")
+			}
+
+			data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var man manifest
+			if err := json.Unmarshal(data, &man); err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range man.Sessions {
+				if row.ID == id {
+					t.Fatalf("the dropped session's manifest row came back: %+v", row)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(dir, "sessions", id+".snap")); !os.IsNotExist(err) {
+				t.Fatalf("the dropped session's snapshot came back (stat err %v)", err)
+			}
+			s2 := mustNew(t, quietCfg(t, dir))
+			if err := s2.WarmStart(); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s2.Sessions().Get(id); ok {
+				t.Fatal("a warm boot revived the dropped session")
+			}
+		})
+	}
+}
+
 // TestSourceCacheCounters checks the decoded-source cache: repeating a
 // body against one exchange decodes once, and the counter says so.
 func TestSourceCacheCounters(t *testing.T) {

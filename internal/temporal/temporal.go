@@ -375,8 +375,7 @@ func ChaseCompiled(ic *instance.Concrete, cm *Compiled, opts *chase.Options) (*i
 	}
 
 	// Plain egd phase via the standard machinery, pre-compiled. tgt was
-	// built by this run, so the egd phase takes it over (with
-	// Options.Workers ≥ 2 it may return the solution frozen).
+	// built by this run, so the egd phase takes it over.
 	out, egdStats, err := chase.EgdPhase(tgt, cm.egds, opts)
 	stats.Add(egdStats)
 	return out, stats, err

@@ -2,7 +2,6 @@ package tdx
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/chase"
 	"repro/internal/normalize"
@@ -94,7 +93,6 @@ type config struct {
 	egd         EgdStrategy
 	coalesce    bool
 	trace       func(Event)
-	parallelism int
 	runInterner bool
 }
 
@@ -119,22 +117,8 @@ func WithCoalesce(on bool) Option { return func(c *config) { c.coalesce = on } }
 // (normalization passes, tgd firings, egd merges, failures). Nil removes
 // a previously installed hook. The hook is invoked synchronously from
 // the chase; when an Exchange is shared across goroutines the hook must
-// be safe for concurrent use. The event stream, detail text included, is
-// the same at any worker setting.
+// be safe for concurrent use.
 func WithTrace(fn func(Event)) Option { return func(c *config) { c.trace = fn } }
-
-// WithParallelism sets the worker count used by the parallel paths: the
-// concrete chase behind Run and Answer (the s-t tgd phase partitions the
-// frozen normalized source across workers, and each egd round partitions
-// its renormalization and merge-candidate scans over the frozen
-// intermediate target — both byte-identical to the sequential chase),
-// the egd phase of temporal (§7) mappings, Query/Answer's per-disjunct
-// normalization over the frozen solution, and RunAbstract's
-// segment-level fan-out. 0 or negative selects GOMAXPROCS — the default,
-// so Run is parallel out of the box on multi-core hosts; pass 1 to force
-// the sequential path. Tiny inputs and stepwise egd rounds
-// (EgdStepwise) always run sequentially.
-func WithParallelism(workers int) Option { return func(c *config) { c.parallelism = workers } }
 
 // WithRunInterner gives every Run (and Answer) its own value interner,
 // seeded from the exchange's frozen compile-time mapping-domain interner
@@ -164,9 +148,8 @@ func WithRunInterner() Option { return func(c *config) { c.runInterner = true } 
 // fingerprint renders the output-affecting option values into a stable
 // string. Normalization strategy, egd strategy, and coalescing change
 // the solution an exchange produces, so they are part of an exchange's
-// identity. Parallelism and the interner policy are excluded — solutions
-// are byte-identical at any worker count and under either interner
-// policy — and trace hooks are debug-only.
+// identity. The interner policy is excluded — solutions are
+// byte-identical under either policy — and trace hooks are debug-only.
 func (c config) fingerprint() string {
 	return fmt.Sprintf("norm=%s egd=%s coalesce=%t", c.norm, c.egd, c.coalesce)
 }
@@ -175,21 +158,11 @@ func (c config) fingerprint() string {
 // strategy, egd strategy, coalescing) into the stable string that
 // Exchange.Fingerprint folds into its hash. Two option lists with equal
 // fingerprints compile mappings into exchanges producing byte-identical
-// solutions; options that cannot change solutions (WithParallelism,
-// WithRunInterner, WithTrace) are excluded. Registries deduplicating
-// compilation key their pre-compile lookups on this plus the mapping
-// text.
+// solutions; options that cannot change solutions (WithRunInterner,
+// WithTrace) are excluded. Registries deduplicating compilation key
+// their pre-compile lookups on this plus the mapping text.
 func OptionsFingerprint(opts ...Option) string {
 	return config{}.apply(opts).fingerprint()
-}
-
-// chaseWorkers resolves the configured parallelism to a concrete worker
-// count: 0 or negative means GOMAXPROCS.
-func (c config) chaseWorkers() int {
-	if c.parallelism > 0 {
-		return c.parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // chaseNorm translates the public strategy to the internal one.

@@ -33,16 +33,11 @@
 // any number of concurrent Runs and concurrent reads, and writes to it
 // panic. Solutions come back frozen, so Query, Snapshot, Answer, and
 // every rendering accessor are safe from many goroutines against one
-// Solution. The chase itself is parallel by default: WithParallelism
-// sizes the worker pool that partitions both phases of the concrete
-// chase — the tgd homomorphism enumeration and the egd rounds'
-// renormalization and merge-candidate scans (byte-identical to the
-// sequential chase at any worker count) — as well as Query's
-// per-disjunct normalization and RunAbstract's segment fan-out.
-// Behavior is configured with
-// functional options at Compile time and overridable per call —
-// WithNorm, WithEgdStrategy, WithCoalesce, WithTrace, WithParallelism,
-// WithRunInterner.
+// Solution. Concurrency is between calls: each Run, Query and RunAbstract
+// executes on its calling goroutine, one sequential c-chase per run.
+// Behavior is configured with functional options at Compile time and
+// overridable per call — WithNorm, WithEgdStrategy, WithCoalesce,
+// WithTrace, WithRunInterner.
 //
 // All executing methods take a context.Context, checked throughout the
 // chase loops (normalization passes, tgd rounds, egd iterations): a
@@ -414,7 +409,6 @@ func (ex *Exchange) chaseOptions(ctx context.Context, cfg config) *chase.Options
 		Egd:      cfg.chaseEgd(),
 		Trace:    cfg.chaseTrace(),
 		Interner: in,
-		Workers:  cfg.chaseWorkers(),
 		Ctx:      ctx,
 	}
 }
@@ -428,12 +422,11 @@ func ctxOrBackground(ctx context.Context) context.Context {
 }
 
 // Run materializes a concrete universal solution for the source instance
-// with the c-chase (§4.3) — or the temporal chase for §7 modal mappings.
-// The chase is parallel by default (see WithParallelism) and
-// byte-identical to the sequential chase at any worker count. The error
-// wraps ErrNoSolution when the setting admits no solution, and ctx's
-// error when the run is canceled or its deadline expires. Options
-// override the exchange defaults for this run only.
+// with the c-chase (§4.3) — or the temporal chase for §7 modal mappings —
+// on the calling goroutine. The error wraps ErrNoSolution when the
+// setting admits no solution, and ctx's error when the run is canceled
+// or its deadline expires. Options override the exchange defaults for
+// this run only.
 //
 // Run freezes src on entry (Run never writes to it; freezing makes that
 // contract structural): afterwards src is immutable — writes to it panic
@@ -563,10 +556,9 @@ func (ex *Exchange) RunDelta(ctx context.Context, sol *Solution, delta *Instance
 
 // RunAbstract runs the abstract chase on ⟦src⟧ segment-wise (§3) — the
 // semantic reference the c-chase is proven equivalent to (Corollary 20),
-// exposed for verification and experiments. As many segments as
-// WithParallelism allows are chased at once; with more than one, null
-// family ids follow the scheduling (the snapshots are isomorphic either
-// way). Not available for temporal mappings.
+// exposed for verification and experiments. Segments are chased in
+// order, so null family ids are deterministic. Not available for
+// temporal mappings.
 func (ex *Exchange) RunAbstract(ctx context.Context, src *Instance, opts ...Option) (*instance.Abstract, Stats, error) {
 	ctx = ctxOrBackground(ctx)
 	cfg := ex.cfg.apply(opts)
@@ -602,16 +594,9 @@ func (ex *Exchange) Query(ctx context.Context, sol *Solution, q string) (*Instan
 	return ex.queryResolved(ctx, sol, u)
 }
 
-// queryResolved evaluates an already-resolved query on a solution. The
-// per-disjunct normalization fans out over the chase worker pool when
-// the solution is frozen (Run always freezes; the parallel pass needs a
-// frozen instance to share across workers and concurrent queries).
+// queryResolved evaluates an already-resolved query on a solution.
 func (ex *Exchange) queryResolved(ctx context.Context, sol *Solution, u query.UCQ) (*Instance, error) {
-	workers := 1
-	if sol.c.Frozen() {
-		workers = ex.cfg.chaseWorkers()
-	}
-	ans, err := query.NaiveEvalWorkers(ctxOrBackground(ctx), u, sol.c, workers)
+	ans, err := query.NaiveEvalCtx(ctxOrBackground(ctx), u, sol.c)
 	if err != nil {
 		return nil, err
 	}
