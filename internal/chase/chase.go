@@ -7,7 +7,9 @@
 //
 // The c-chase runs four stages:
 //
-//  1. source normalization: normalize Ic w.r.t. the tgd bodies (§4.2);
+//  1. source normalization: normalize Ic w.r.t. the tgd bodies (§4.2).
+//     Ic is frozen first, so when Smart splits no fact the normalized
+//     source is Ic itself;
 //  2. tgd phase (tgdPhase): fire every s-t tgd on every homomorphism
 //     into the normalized source, inventing a fresh interval-annotated
 //     null N^h(t) per existential variable per firing; bodies read only

@@ -41,7 +41,7 @@ import (
 type BaseState struct {
 	cm      *Compiled
 	src     *instance.Concrete // frozen raw source of the run
-	nsrc    *instance.Concrete // frozen normalized source
+	nsrc    *instance.Concrete // frozen normalized source; src itself when normalization split no fact
 	preEgd  *instance.Concrete // frozen post-tgd/pre-egd target; nil when the mapping has no egds
 	sol     *instance.Concrete // frozen solution
 	genLast uint64             // null-family position after the run

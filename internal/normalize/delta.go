@@ -44,16 +44,19 @@ type deltaSetsOut struct {
 	aligned     bool
 }
 
-// deltaMatchSets enumerates the match sets of Renamed(phis) over ic
-// that involve at least one delta row and have a non-empty common
-// intersection — the only sets Algorithm 1 would act on that the base
-// run has not already accounted for.
+// deltaMatchSets enumerates the match sets of N(phis) over ic
+// that involve at least one delta row, hold two or more facts and have a
+// non-empty common intersection — the only sets Algorithm 1 would act on
+// that the base run has not already accounted for. A one-fact set is a
+// delta row with all-equal intervals, so it leaves aligned, touchesBase
+// and the delta fragments as they are; like matchSets, the enumeration
+// skips it and every one-atom conjunction.
 func deltaMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction, delta *logic.DeltaSet) (deltaSetsOut, error) {
 	st := ic.Store()
 	out := deltaSetsOut{aligned: true}
 	c := newMatchCollector(st)
 	var err error
-	for _, phi := range Renamed(phis) {
+	for _, phi := range joins(phis) {
 		if err = ctxErr(ctx); err != nil {
 			return out, err
 		}
@@ -62,6 +65,9 @@ func deltaMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Con
 				return false
 			}
 			set := c.rows(m)
+			if len(set) < 2 {
+				return true
+			}
 			allEqual, ok := c.overlap(set)
 			if !ok {
 				return true // empty intersection: the base fragmentation ignores it too
@@ -85,7 +91,7 @@ func deltaMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Con
 	return out, nil
 }
 
-// DeltaAligned reports whether every match set of Renamed(phis) over ic
+// DeltaAligned reports whether every match set of N(phis) over ic
 // that involves at least one delta row either has an empty common
 // intersection or consists of facts with identical intervals — i.e.
 // renormalizing ic w.r.t. phis would leave the delta frontier (and, if

@@ -17,6 +17,12 @@
 //
 // HasEmptyIntersectionProperty implements Definition 10 and, via
 // Theorem 11, decides whether an instance is normalized.
+//
+// A Δ of one fact adds no union and no endpoint its fact does not
+// already carry, so the enumerations skip one-atom conjunctions and
+// matches whose witnesses collapse to one fact. A Smart pass that splits
+// no fact copies nothing: it returns its input when the input is frozen,
+// and a Clone otherwise, so a caller never aliases a mutable instance.
 package normalize
 
 import (
@@ -44,12 +50,17 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
-// Renamed returns N(Φ+): each conjunction with its shared temporal
-// variable replaced by one fresh variable per atom (Example 9).
-func Renamed(phis []logic.Conjunction) []logic.Conjunction {
-	out := make([]logic.Conjunction, len(phis))
-	for i, phi := range phis {
-		out[i] = phi.RenameTemporal(dependency.TemporalVar)
+// joins returns the conjunctions of N(Φ+) the enumerations visit: each
+// conjunction of two or more atoms with its shared temporal variable
+// replaced by one fresh variable per atom (Example 9). Every Δ of a
+// one-atom conjunction is one fact, which adds no union and no endpoint
+// its fact does not already carry, so those are left out.
+func joins(phis []logic.Conjunction) []logic.Conjunction {
+	var out []logic.Conjunction
+	for _, phi := range phis {
+		if len(phi) >= 2 {
+			out = append(out, phi.RenameTemporal(dependency.TemporalVar))
+		}
 	}
 	return out
 }
@@ -181,9 +192,13 @@ func (c *matchCollector) keep(set []factRef) ([]factRef, bool) {
 }
 
 // collect is the whole step for Algorithm 1: the match's fact set when
-// its intervals overlap and no equal set was collected before.
+// it holds two or more facts, their intervals overlap and no equal set
+// was collected before.
 func (c *matchCollector) collect(m *logic.IDMatch) ([]factRef, bool) {
 	set := c.rows(m)
+	if len(set) < 2 {
+		return nil, false // one fact: no union, no new endpoint
+	}
 	if _, ok := c.overlap(set); !ok {
 		return nil, false // empty intersection: nothing to fragment
 	}
@@ -191,19 +206,21 @@ func (c *matchCollector) collect(m *logic.IDMatch) ([]factRef, bool) {
 }
 
 // matchSets enumerates, per Definition 10 / Algorithm 1 line 3, the sets
-// Δ = {f1, ..., fm} ⊆ Ic that are the image of some homomorphism from a
-// conjunction in N(Φ+) and whose intervals have a non-empty common
-// intersection. Duplicate sets are returned once. Only the row witnesses
-// of each homomorphism are consumed, so the enumeration runs on the
-// interned fast path (ForEachIDs) and never materializes a binding. The
-// enumeration — the potentially large part of normalization — checks ctx
-// every few dozen matches and aborts with its error once canceled.
+// Δ = {f1, ..., fm} ⊆ Ic of two or more facts that are the image of some
+// homomorphism from a conjunction in N(Φ+) and whose intervals have a
+// non-empty common intersection. Duplicate sets are returned once, and
+// one-atom conjunctions are not enumerated (see joins). Only the row
+// witnesses of each homomorphism are consumed, so the enumeration runs
+// on the interned fast path (ForEachIDs) and never materializes a
+// binding. The enumeration — the potentially large part of
+// normalization — checks ctx every few dozen matches and aborts with its
+// error once canceled.
 func matchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction) ([][]factRef, error) {
 	st := ic.Store()
 	c := newMatchCollector(st)
 	var out [][]factRef
 	var stepErr error
-	for _, phi := range Renamed(phis) {
+	for _, phi := range joins(phis) {
 		if stepErr = ctxErr(ctx); stepErr != nil {
 			return nil, stepErr
 		}
@@ -244,9 +261,11 @@ func (u *unionFind) find(x int) int {
 
 func (u *unionFind) union(a, b int) { u.parent[u.find(a)] = u.find(b) }
 
-// Smart is the paper's Algorithm 1, norm(Ic, Φ+). It returns a new
-// instance in which exactly the facts participating in overlapping match
-// sets are fragmented, on the endpoint partition of their merged set Δ.
+// Smart is the paper's Algorithm 1, norm(Ic, Φ+): an instance in which
+// exactly the facts participating in overlapping match sets are
+// fragmented, on the endpoint partition of their merged set Δ. When no
+// fact splits, a frozen ic is returned itself and an unfrozen one as a
+// Clone; otherwise the result is a new instance.
 func Smart(ic *instance.Concrete, phis []logic.Conjunction) *instance.Concrete {
 	out, _ := SmartCtx(context.Background(), ic, phis) // Background never cancels
 	return out
@@ -254,14 +273,28 @@ func Smart(ic *instance.Concrete, phis []logic.Conjunction) *instance.Concrete {
 
 // SmartCtx is Smart under a context: the match-set enumeration — the
 // expensive step — aborts promptly with the context's error once ctx is
-// done. This is the entry the chase's cancellable loops use.
+// done. This is the entry the chase's cancellable loops use. Like Smart,
+// it returns a frozen ic itself when no fact splits.
 func SmartCtx(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction) (*instance.Concrete, error) {
+	out, _, err := smart(ctx, ic, phis)
+	return out, err
+}
+
+// smart runs Algorithm 1 and reports the number of merged components. A
+// pass that splits nothing hands back ic, cloned unless it is frozen.
+func smart(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction) (*instance.Concrete, int, error) {
 	sets, err := matchSets(ctx, ic, phis)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out, _, err := fragmentSets(ctx, ic, sets)
-	return out, err
+	out, components, err := fragmentSets(ctx, ic, sets)
+	if err != nil {
+		return nil, 0, err
+	}
+	if out == ic && !ic.Frozen() {
+		out = ic.Clone()
+	}
+	return out, components, nil
 }
 
 // componentCuts is the merge step of Algorithm 1 over a list of Δ sets:
@@ -324,12 +357,23 @@ func copyRow(out, src *instance.Concrete, rel string, row int) {
 // fragmentSets is the second half of Algorithm 1: given the Δ sets the
 // enumeration produced, merge overlapping sets and fragment the member
 // facts on their merged component's endpoint partition. It also reports
-// the number of merged components.
+// the number of merged components. When no cut falls strictly inside a
+// member fact, the partition is ic's own and ic itself is returned.
 func fragmentSets(ctx context.Context, ic *instance.Concrete, sets [][]factRef) (*instance.Concrete, int, error) {
 	if len(sets) == 0 {
-		return ic.Clone(), 0, nil
+		return ic, 0, nil
 	}
 	cutsOf, components := componentCuts(ic.Store(), sets)
+	ir := intervalReader{st: ic.Store()}
+	split := false
+	for r, cuts := range cutsOf {
+		if split = splits(ir.interval(r), cuts); split {
+			break
+		}
+	}
+	if !split {
+		return ic, components, nil
+	}
 
 	// Fragment each member fact on its component's cuts (lines 14–17);
 	// facts in no component, and members no cut splits, pass through
@@ -381,7 +425,9 @@ func ForMapping(ic *instance.Concrete, phis []logic.Conjunction, strategy Strate
 }
 
 // ForMappingCtx is ForMapping under a context; once ctx is done the pass
-// aborts promptly with its error.
+// aborts promptly with its error. Under Smart a pass that splits no fact
+// returns a frozen ic itself and an unfrozen one as a Clone; Naive always
+// builds a new instance.
 func ForMappingCtx(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction, strategy Strategy) (*instance.Concrete, error) {
 	switch strategy {
 	case StrategyNaive:
@@ -420,10 +466,15 @@ func HasEmptyIntersectionProperty(ic *instance.Concrete, phis []logic.Conjunctio
 	ok := true
 	st := ic.Store()
 	c := newMatchCollector(st)
-	for _, phi := range Renamed(phis) {
+	for _, phi := range joins(phis) {
 		logic.ForEachIDs(st, phi, nil, func(m *logic.IDMatch) bool {
-			// Repeated rows repeat an interval: the row set decides both.
-			if allEqual, nonEmpty := c.overlap(c.rows(m)); nonEmpty && !allEqual {
+			// Repeated rows repeat an interval: the row set decides both,
+			// and a set of one fact is all-equal.
+			set := c.rows(m)
+			if len(set) < 2 {
+				return true
+			}
+			if allEqual, nonEmpty := c.overlap(set); nonEmpty && !allEqual {
 				ok = false
 				return false
 			}
@@ -450,14 +501,16 @@ func FragmentBound(n int) int {
 type Stats struct {
 	InputFacts  int
 	OutputFacts int
-	Components  int // merged Δ sets that drove fragmentation (Smart only)
+	// Components counts the merged Δ sets of two or more facts (Smart
+	// only); Example 14 has 2.
+	Components int
 }
 
-// SmartWithStats is Smart, additionally reporting size statistics.
+// SmartWithStats is Smart, additionally reporting size statistics. Like
+// Smart, it returns a frozen ic itself and clones an unfrozen one when no
+// fact splits.
 func SmartWithStats(ic *instance.Concrete, phis []logic.Conjunction) (*instance.Concrete, Stats) {
-	ctx := context.Background() // never canceled: no errors
-	sets, _ := matchSets(ctx, ic, phis)
-	out, components, _ := fragmentSets(ctx, ic, sets)
+	out, components, _ := smart(context.Background(), ic, phis) // Background never cancels
 	return out, Stats{InputFacts: ic.Len(), OutputFacts: out.Len(), Components: components}
 }
 
@@ -564,7 +617,11 @@ func ForEgdPhase(c *instance.Concrete, phis []logic.Conjunction, strategy Strate
 
 // ForEgdPhaseCtx is ForEgdPhase under a context; the joint fixpoint loop
 // and the match-set enumerations inside it abort promptly with the
-// context's error once ctx is done.
+// context's error once ctx is done. Under Smart the fixpoint ends as
+// soon as a pass splits nothing, and the last pass's input comes back:
+// c itself, frozen or not, when c is already normalized and
+// family-synchronized. Only a pass that built a new instance is compared
+// with its input fact by fact.
 func ForEgdPhaseCtx(ctx context.Context, c *instance.Concrete, phis []logic.Conjunction, strategy Strategy) (*instance.Concrete, error) {
 	if strategy == StrategyNaive {
 		if err := ctxErr(ctx); err != nil {
@@ -586,7 +643,7 @@ func ForEgdPhaseCtx(ctx context.Context, c *instance.Concrete, phis []logic.Conj
 		if err != nil {
 			return nil, err
 		}
-		if next.Equal(cur) {
+		if next == cur || next.Equal(cur) {
 			return cur, nil
 		}
 		cur = next

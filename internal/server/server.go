@@ -425,12 +425,15 @@ func (c ctxReadCloser) Close() error { return c.rc.Close() }
 
 // runExchange is the shared run pipeline of the exchange endpoints:
 // read the (bounded) body, consult the disk run cache keyed on
-// (exchange, source content, effective options), then — on a miss —
-// decode the source (through the decoded-source cache) and chase it on
-// the entry's compiled exchange, persisting the solution for next time.
-// Bodies are read fully before decoding: they are already bounded by
-// MaxBodyBytes, and content hashing is what makes both caches sound.
-func (s *Server) runExchange(ctx context.Context, w http.ResponseWriter, r *http.Request, entry *Entry) (*tdx.Solution, time.Duration, bool) {
+// (exchange, source content, effective options) when readCache is set,
+// then — on a miss — decode the source (through the decoded-source
+// cache) and chase it on the entry's compiled exchange, persisting the
+// solution for next time. Session opens clear readCache: a solution
+// loaded from a snapshot retains no chase state, so a session based on
+// one would take the full re-chase on its first delta. Bodies are read
+// fully before decoding: they are already bounded by MaxBodyBytes, and
+// content hashing is what makes both caches sound.
+func (s *Server) runExchange(ctx context.Context, w http.ResponseWriter, r *http.Request, entry *Entry, readCache bool) (*tdx.Solution, time.Duration, bool) {
 	opts, err := s.runOptions(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -452,6 +455,8 @@ func (s *Server) runExchange(ctx context.Context, w http.ResponseWriter, r *http
 	var cacheKey string
 	if s.state != nil {
 		cacheKey = runKey(entry.Hash, srcKey, entry.Exchange.RunFingerprint(opts...))
+	}
+	if s.state != nil && readCache {
 		if sol, err := entry.Exchange.LoadSolution(s.state.runPath(cacheKey)); err == nil {
 			s.snapshotLoads.Add(1)
 			return sol, time.Since(started), true
@@ -550,7 +555,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sol, elapsed, ok := s.runExchange(ctx, w, r, entry)
+	sol, elapsed, ok := s.runExchange(ctx, w, r, entry, true)
 	if !ok {
 		return
 	}
@@ -593,7 +598,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sol, elapsed, ok := s.runExchange(ctx, w, r, entry)
+	sol, elapsed, ok := s.runExchange(ctx, w, r, entry, true)
 	if !ok {
 		return
 	}
@@ -633,7 +638,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, badParam("at", err))
 		return
 	}
-	sol, elapsed, ok := s.runExchange(ctx, w, r, entry)
+	sol, elapsed, ok := s.runExchange(ctx, w, r, entry, true)
 	if !ok {
 		return
 	}
@@ -670,7 +675,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sol, elapsed, ok := s.runExchange(ctx, w, r, entry)
+	sol, elapsed, ok := s.runExchange(ctx, w, r, entry, false)
 	if !ok {
 		return
 	}

@@ -190,6 +190,43 @@ func TestWarmStartSessionResume(t *testing.T) {
 	}
 }
 
+// TestSessionOnCachedRunKeepsFastPath: a session opened on a body whose
+// run is already in the disk run cache chases its base instead of
+// loading the cached snapshot, so its first delta still takes the
+// semi-naive fast path.
+func TestSessionOnCachedRunKeepsFastPath(t *testing.T) {
+	dir := t.TempDir()
+	source := readTestdata(t, "employment.facts")
+	s := mustNew(t, quietCfg(t, dir))
+	h := s.Handler()
+	hash := register(t, h, readTestdata(t, "employment.tdx"))
+	runSolution(t, h, hash, source)
+
+	rec := do(h, "POST", "/v1/exchanges/"+hash+"/sessions", "", source)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("session create: status %d: %s", rec.Code, rec.Body)
+	}
+	var created sessionWire
+	if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
+		t.Fatal(err)
+	}
+	rec = do(h, "POST", "/v1/sessions/"+created.SessionID+"/facts", "",
+		"E(Carol, IBM) @ [2015, 2019)\nS(Carol, 21k) @ [2015, 2019)")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("delta: status %d: %s", rec.Code, rec.Body)
+	}
+	var resp factsWire
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stats.FallbackFullChase {
+		t.Fatalf("delta on a session over a cached run fell back to a full re-chase: %+v", resp.Stats)
+	}
+	if hz := health(t, h); hz.SnapshotLoads != 0 {
+		t.Fatalf("session create loaded the cached run: %+v", hz)
+	}
+}
+
 // TestSessionRemovedDuringDelta: a session dropped while one of its
 // deltas is in flight — by DELETE, or by an LRU eviction — stays dropped
 // on disk. The onChase hook removes the session while the delta holds

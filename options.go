@@ -135,9 +135,10 @@ func WithTrace(fn func(Event)) Option { return func(c *config) { c.trace = fn } 
 //
 // A related retention trade-off applies to solutions themselves: every
 // Solution pins the frozen state a later RunDelta resumes from — the
-// source, the normalized source, the pre-egd intermediate target (for
-// mappings with egds), and the null-numbering position — roughly a
-// constant small multiple of the solution's own footprint. Under
+// source, the normalized source (the source itself when normalization
+// splits no fact, so it costs nothing extra), the pre-egd intermediate
+// target (for mappings with egds), and the null-numbering position —
+// roughly a constant small multiple of the solution's own footprint. Under
 // WithRunInterner the retained state also keeps that run's interner
 // clone alive. All of it is released when the Solution is dropped, so
 // callers that never use RunDelta pay only while they hold the

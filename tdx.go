@@ -570,7 +570,9 @@ func (ex *Exchange) RunAbstract(ctx context.Context, src *Instance, opts ...Opti
 
 // Normalize returns the source normalized w.r.t. the mapping's tgd
 // bodies (paper §4.2) under the configured strategy — exposed for
-// inspection; Run performs it internally.
+// inspection; Run performs it internally. Under Smart, when no fact
+// splits, a frozen src comes back as the same instance and an unfrozen
+// one as a copy, so the result never aliases a mutable source.
 func (ex *Exchange) Normalize(ctx context.Context, src *Instance, opts ...Option) (*Instance, error) {
 	ctx = ctxOrBackground(ctx)
 	cfg := ex.cfg.apply(opts)
