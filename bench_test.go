@@ -13,10 +13,12 @@
 package tdx
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/chase"
@@ -663,5 +665,81 @@ func BenchmarkRunDelta(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// copyBulkMappingText copies one relation: no joins, no existentials, no
+// egds — the mapping of the repository benchmark's copy-bulk workload.
+const copyBulkMappingText = `
+source schema {
+    E(name, company)
+}
+target schema {
+    Works(name, company)
+}
+tgd copy: E(n, c) -> Works(n, c)
+`
+
+// copyBulkSource decodes a copy-bulk-shaped JSON source — one salt fact
+// and 5,000 facts with unique names, 500 companies and short random
+// intervals — and freezes it, as tdxd's source cache does. The exchange
+// is compiled as tdxd and the repository benchmark compile theirs, with
+// WithRunInterner.
+func copyBulkSource(tb testing.TB) (*Exchange, *Instance) {
+	tb.Helper()
+	ex := MustCompile(copyBulkMappingText, WithRunInterner())
+	r := rand.New(rand.NewSource(1))
+	var b bytes.Buffer
+	b.WriteString(`{"facts":[{"rel":"E","args":["salt0","saltco"],"interval":"[0, 1)"}`)
+	for i := 0; i < 5000; i++ {
+		s := r.Int63n(1000)
+		fmt.Fprintf(&b, `,{"rel":"E","args":["w%d","c%d"],"interval":"[%d, %d)"}`, i, r.Intn(500), s, s+1+r.Int63n(100))
+	}
+	b.WriteString("]}")
+	src, err := ex.DecodeSourceJSON(&b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ex, src.Freeze()
+}
+
+// BenchmarkRunCopyBulk times one Run per op over a decoded, frozen
+// 5,001-fact copy source: no fact splits, so the time goes to firing
+// one copy per fact into the run's overlay on the source's interner.
+func BenchmarkRunCopyBulk(b *testing.B) {
+	ex, src := copyBulkSource(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ex.Run(ctx, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRunCopyBulkAllocBytes guards the bytes one Run allocates over the
+// copy-bulk source: a run that re-interns every firing vector into an
+// interner of its own allocates about 6.9 MB and fails it; one that
+// writes the source's IDs as they are into an overlay on the source's
+// interner allocates about 3.3 MB.
+func TestRunCopyBulkAllocBytes(t *testing.T) {
+	ex, src := copyBulkSource(t)
+	ctx := context.Background()
+	if _, err := ex.Run(ctx, src); err != nil { // warm the source's lazy state
+		t.Fatal(err)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ex.Run(ctx, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.2f MB allocated per Run", perRun/1e6)
+	if perRun > 4.5e6 {
+		t.Fatalf("a copy-bulk Run allocated %.2f MB, want under 4.5 MB", perRun/1e6)
 	}
 }

@@ -4,9 +4,10 @@
 // exchange against them with request-scoped sources. The mapping is
 // compiled once and amortized over every request; each run is one
 // sequential c-chase on its request's goroutine (requests run
-// concurrently), bounded by a per-request deadline, and uses a per-run
-// value interner, so a long-lived daemon's memory tracks the registered
-// mappings, not the request traffic.
+// concurrently), bounded by a per-request deadline, and interns into its
+// own overlay on its source's frozen value interner, so a long-lived
+// daemon's memory tracks the registered mappings and cached sources,
+// not the request traffic.
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package tdx
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -171,37 +172,75 @@ func TestRunFreezesSource(t *testing.T) {
 	}
 }
 
-// TestWithRunInterner asserts the bounded-growth contract: with per-run
-// interners the exchange-wide interner stays at its compile-time size
-// across runs, while output stays byte-identical to the shared-interner
-// path.
-func TestWithRunInterner(t *testing.T) {
+// TestRunLeavesSourceInternerAlone: every run interns what it creates
+// into its own overlay on its source's frozen interner, so three Runs, a
+// RunDelta chain, a Query and a Coalesce over one frozen source leave
+// the source's interner as it was, and each solution equals the one a
+// Run over a freshly parsed copy of its source produces.
+func TestRunLeavesSourceInternerAlone(t *testing.T) {
 	ex := MustCompile(employmentMappingText)
 	ctx := context.Background()
-
-	shared, err := ex.Run(ctx, empSource(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	grown := ex.in.Len()
-	if grown <= ex.base.Len() {
-		t.Fatalf("shared interner did not grow past the %d-value mapping domain", ex.base.Len())
-	}
-
-	ex2 := MustCompile(employmentMappingText, WithRunInterner())
-	baseLen := ex2.in.Len()
-	var lastFacts string
-	for i := 0; i < 3; i++ {
-		sol, err := ex2.Run(ctx, empSource(4))
+	text := empSource(4).Facts()
+	fresh := func(facts string) string {
+		t.Helper()
+		src, err := ex.ParseSource(facts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lastFacts = sol.Facts()
-		if got := ex2.in.Len(); got != baseLen {
-			t.Fatalf("run %d grew the exchange-wide interner %d -> %d despite WithRunInterner", i, baseLen, got)
+		sol, err := ex.Run(ctx, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol.Facts()
+	}
+	src, err := ex.ParseSource(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := src.Freeze().Concrete().Interner()
+	n := in.Len()
+	unchanged := func(step string) {
+		t.Helper()
+		if in.Len() != n {
+			t.Fatalf("%s grew the source's interner %d -> %d", step, n, in.Len())
 		}
 	}
-	if lastFacts != shared.Facts() {
-		t.Fatal("per-run interner changed the solution bytes")
+
+	want := fresh(text)
+	var sol *Solution
+	for i := 0; i < 3; i++ {
+		if sol, err = ex.Run(ctx, src); err != nil {
+			t.Fatal(err)
+		}
+		if sol.Facts() != want {
+			t.Fatalf("run %d differs from a run over a freshly parsed source", i)
+		}
+		unchanged(fmt.Sprintf("run %d", i))
+	}
+	if _, err := ex.Query(ctx, sol, "q"); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("Query")
+	sol.Coalesce()
+	unchanged("Coalesce")
+
+	cur, combined := sol, text
+	for i, d := range []string{
+		"E(Newa, Acme) @ [10, 40)\nS(Newa, 31k) @ [12, 40)",
+		"E(Newb, Initech) @ [5, 90)",
+		"S(Newb, 44k) @ [5, 60)\nE(Newa, Initech) @ [40, 70)",
+	} {
+		delta, err := ex.ParseSource(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur, _, err = ex.RunDelta(ctx, cur, delta); err != nil {
+			t.Fatal(err)
+		}
+		combined += "\n" + d
+		if cur.Facts() != fresh(combined) {
+			t.Fatalf("delta %d differs from a run over a freshly parsed source", i)
+		}
+		unchanged(fmt.Sprintf("delta %d", i))
 	}
 }

@@ -1,7 +1,9 @@
 package tdx
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -159,6 +161,70 @@ func TestRunDeltaEmployment(t *testing.T) {
 	if !strings.Contains(ans.String(), "Carol") {
 		t.Fatalf("certain answers miss the new hire:\n%s", ans)
 	}
+}
+
+// TestRunDeltaChainDepth: a session-length chain of 32 RunDelta calls
+// over the employment base, one hire per delta. Each delta run interns
+// into an overlay on its base run's interner, and a chain deeper than 2
+// is flattened before the next overlay, so no solution's interner chain
+// exceeds 3 levels — and each solution is byte-identical to a full Run
+// over the base plus the deltas so far.
+func TestRunDeltaChainDepth(t *testing.T) {
+	ctx := context.Background()
+	ex := compileTestdata(t, "employment.tdx")
+	text := readTestdata(t, "employment.facts")
+	src, err := ex.ParseSource(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := ex.Run(ctx, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	companies := []string{"IBM", "Google", "Acme"}
+	fastPaths := 0
+	for i := 0; i < 32; i++ {
+		hire := fmt.Sprintf("E(Hire%d, %s) @ [%d, %d)\nS(Hire%d, %dk) @ [%d, %d)",
+			i, companies[i%3], 2010+i%6, 2016+i%5, i, 20+i, 2011+i%6, 2017+i%5)
+		delta, err := ex.ParseSource(hire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol, _, err = ex.RunDelta(ctx, sol, delta); err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		if !sol.Stats().FallbackFullChase {
+			fastPaths++
+		}
+		if d := sol.Concrete().Interner().Depth(); d > 3 {
+			t.Fatalf("delta %d: the solution's interner chain is %d levels deep, want at most 3", i, d)
+		}
+		text += "\n" + hire
+		full, err := ex.ParseSource(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ex.Run(ctx, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sol.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := want.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantJSON) {
+			t.Fatalf("delta %d (fallback=%v): RunDelta diverges from a full Run\n--- delta ---\n%s\n--- full ---\n%s",
+				i, sol.Stats().FallbackFullChase, got, wantJSON)
+		}
+	}
+	if fastPaths == 0 {
+		t.Fatal("every delta fell back to a full re-chase; the delta overlays were never exercised")
+	}
+	t.Logf("32 deltas, %d fast paths", fastPaths)
 }
 
 // TestRunDeltaTemporalFallback pins the §7 path: temporal mappings

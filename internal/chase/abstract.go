@@ -24,9 +24,9 @@ import (
 // Proposition 4 part 2 proves that no solution exists.
 //
 // Segments are chased in order, each by one per-snapshot chase that
-// interns into one private interner of this call (Options.Interner is
-// ignored), so null family ids follow the segment order. Segment results
-// cross back as value-level facts.
+// interns into one private interner of this call, so null family ids
+// follow the segment order. Segment results cross back as value-level
+// facts.
 func Abstract(ia *instance.Abstract, m *dependency.Mapping, opts *Options) (*instance.Abstract, Stats, error) {
 	cm, err := CompileMapping(m)
 	if err != nil {
@@ -35,14 +35,14 @@ func Abstract(ia *instance.Abstract, m *dependency.Mapping, opts *Options) (*ins
 	gen := &value.NullGen{}
 	ctx := opts.ctx()
 	sopts := opts.quiet()
-	sopts.Interner = value.NewInterner()
+	in := value.NewInterner()
 	var total Stats
 	var segs []instance.Segment
 	for _, seg := range ia.Segments() {
 		if err := ctxErr(ctx); err != nil {
 			return nil, total, err
 		}
-		tseg, stats, err := chaseSegment(seg, cm, gen, sopts)
+		tseg, stats, err := chaseSegment(seg, cm, gen, in, sopts)
 		total.Add(stats)
 		if err != nil {
 			return nil, total, err
@@ -68,12 +68,12 @@ func (o *Options) quiet() *Options {
 }
 
 // chaseSegment chases one segment's representative snapshot, returning
-// the target segment. The source snapshot adopts the Options interner,
-// so later segments reuse already-interned constants.
-func chaseSegment(seg instance.Segment, cm *Compiled, gen *value.NullGen, opts *Options) (instance.Segment, Stats, error) {
+// the target segment. The source snapshot interns into in, so later
+// segments reuse already-interned constants.
+func chaseSegment(seg instance.Segment, cm *Compiled, gen *value.NullGen, in *value.Interner, opts *Options) (instance.Segment, Stats, error) {
 	// Source instances are complete (paper §2), so segment facts carry
 	// only constants; reject anything else loudly.
-	src := instance.NewSnapshotWith(opts.interner(nil))
+	src := instance.NewSnapshotWith(in)
 	for _, f := range seg.Facts {
 		for _, v := range f.Args {
 			if !v.IsConst() {

@@ -101,13 +101,6 @@ type Options struct {
 	Norm normalize.Strategy
 	// Egd selects the egd application strategy.
 	Egd EgdStrategy
-	// Interner, when set, is the value interner used for the instances the
-	// chase materializes (the target, normalization outputs, egd rewrites).
-	// When nil the normalized source's interner is shared, which keeps all
-	// rows of one run ID-compatible — the sensible default; set it to share
-	// the value domain across runs. Abstract ignores it: each call interns
-	// into one private interner.
-	Interner *value.Interner
 	// Trace, when set, receives one Event per chase action (normalization
 	// passes, tgd firings, egd merges, failures). For debugging and the
 	// CLI's -trace flag; adds no cost when nil. The abstract and pointwise
@@ -135,15 +128,6 @@ func (o *Options) egd() EgdStrategy {
 		return EgdBatch
 	}
 	return o.Egd
-}
-
-// interner returns the interner for chase-built instances: the Options
-// override when set, else def (the source's interner).
-func (o *Options) interner(def *value.Interner) *value.Interner {
-	if o != nil && o.Interner != nil {
-		return o.Interner
-	}
-	return def
 }
 
 // tracing reports whether a trace hook is installed, so hot loops can
@@ -226,11 +210,10 @@ func (s *Stats) Add(o Stats) {
 // constant is that constant; two distinct constants in one class are a
 // chase failure. Storage is sparse: IDs are mapped to dense slots on
 // first touch, so memory is proportional to the values actually merged,
-// not to the ID space — essential when the interner is long-lived (a
-// shared exchange-wide interner accumulates IDs across runs). The
-// tree structure is merged by rank and find uses iterative path halving
-// (no recursion, so arbitrarily long merge chains cannot overflow the
-// stack); the *canonical* representative of each class is tracked
+// not to the ID space, which spans the source's interner and every level
+// layered on it. The tree structure is merged by rank and find uses
+// iterative path halving (no recursion, so arbitrarily long merge chains
+// cannot overflow the stack); the *canonical* representative of each class is tracked
 // separately per root, because the chase needs a deterministic output —
 // the smallest value of the class by value.Compare (a constant when
 // present) — independent of union order and tree shape.

@@ -48,11 +48,14 @@ func ConcreteCompiled(ic *instance.Concrete, cm *Compiled, opts *Options) (*inst
 	opts.emit(EventNormalize, "", "source normalized (%s): %d → %d facts", opts.norm(), ic.Len(), src.Len())
 	src.Freeze()
 
-	// The target shares the normalized source's interner (unless Options
-	// overrides it), so every instance of this run is ID-compatible.
+	// One interner per run: the target shares the normalized source's
+	// interner — the overlay normalization layered on ic's frozen
+	// interner when it split a fact — or layers that overlay itself.
+	// Fragments, head rows, nulls and egd-round fragments all go into it,
+	// so a source ID is already a run ID.
 	gen := &value.NullGen{}
 	fires := make([]int, len(cm.tgds))
-	tgt := instance.NewConcreteWith(cm.m.Target, opts.interner(src.Interner()))
+	tgt := instance.NewConcreteWith(cm.m.Target, src.Interner())
 	if err := tgdPhase(ctx, src, tgt, cm, gen, fires, opts, &stats); err != nil {
 		return nil, stats, nil, err
 	}

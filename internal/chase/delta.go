@@ -92,9 +92,14 @@ func ConcreteDelta(base *BaseState, delta *instance.Concrete, opts *Options) (*i
 		return nil, stats, nil, err
 	}
 
-	// Extend a clone of the retained source; the raw delta frontier is
-	// the set of appended rows.
-	combined := base.src.Clone()
+	// One interner per delta run: the combined source, the delta
+	// normalization and the clones of the retained target and solution
+	// all intern into in, an overlay on the base run's interner (that
+	// interner itself while it is mutable), so the base run's IDs carry
+	// over and the tgd kernel translates nothing. Extend a clone of the
+	// retained source; the raw delta frontier is the set of appended rows.
+	in := base.sol.Interner().Writable()
+	combined := base.src.CloneWith(in)
 	rawDelta := logic.NewDeltaSet()
 	var insErr error
 	delta.EachFact(func(f fact.CFact) bool {
@@ -195,9 +200,9 @@ func ConcreteDelta(base *BaseState, delta *instance.Concrete, opts *Options) (*i
 	// base run's null numbering.
 	var tgtc *instance.Concrete
 	if base.preEgd != nil {
-		tgtc = base.preEgd.Clone()
+		tgtc = base.preEgd.CloneWith(in)
 	} else {
-		tgtc = base.sol.Clone()
+		tgtc = base.sol.CloneWith(in)
 	}
 	gen := value.NullGenAt(base.genLast)
 	fires := slices.Clone(base.fires)
@@ -206,7 +211,7 @@ func ConcreteDelta(base *BaseState, delta *instance.Concrete, opts *Options) (*i
 		bounds[rel] = tgtc.Store().Rel(rel).NumRows()
 	}
 
-	k := newTGDKernel(cm, tgtc.Interner())
+	k := newTGDKernel(cm, nsrc, tgtc)
 	var vec, rows []value.ID
 	seen := 0
 	for di := range cm.tgds {
@@ -225,7 +230,7 @@ func ConcreteDelta(base *BaseState, delta *instance.Concrete, opts *Options) (*i
 					return false
 				}
 			}
-			if vec, err = k.appendVec(vec[:0], d, m, nsrc.Interner()); err != nil {
+			if vec, err = appendVec(vec[:0], d, m); err != nil {
 				return false
 			}
 			if logic.ExistsIDs(tgtc.Store(), d.head, d.vecVars, vec) {
@@ -322,7 +327,7 @@ func deltaFallback(combined *instance.Concrete, cm *Compiled, opts *Options, sta
 // the retained state depends on (misaligned match set) or the base
 // rewrite budget is exhausted.
 func deltaEgds(ctx context.Context, base *BaseState, cm *Compiled, tgtc *instance.Concrete, bounds map[string]int, opts *Options, stats *Stats) (*instance.Concrete, bool, error) {
-	out := base.sol.Clone()
+	out := base.sol.CloneWith(tgtc.Interner())
 	dirty := logic.NewDeltaSet()
 	baseRows := make(map[string]int)
 	for _, rel := range out.Store().Relations() {
@@ -331,7 +336,7 @@ func deltaEgds(ctx context.Context, base *BaseState, cm *Compiled, tgtc *instanc
 	for _, rel := range tgtc.Store().Relations() {
 		r := tgtc.Store().Rel(rel)
 		for row := bounds[rel]; row < r.NumRows(); row++ {
-			added, err := out.Insert(tgtc.FactAt(rel, row))
+			added, err := out.InsertRowOf(tgtc, rel, row)
 			if err != nil {
 				return nil, false, err
 			}

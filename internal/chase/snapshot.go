@@ -20,10 +20,9 @@ import (
 func snapshot(src *instance.Snapshot, cm *Compiled, freshNull func() value.Value, opts *Options) (*instance.Snapshot, Stats, error) {
 	var stats Stats
 	ctx := opts.ctx()
-	// Share the source snapshot's interner (or the Options override) so
-	// the tgd phase's Exists probes and the egd phase's rewrites stay
-	// ID-compatible.
-	tgt := instance.NewSnapshotWith(opts.interner(src.Interner()))
+	// Share the source snapshot's interner so the tgd phase's Exists
+	// probes and the egd phase's rewrites stay ID-compatible.
+	tgt := instance.NewSnapshotWith(src.Interner())
 
 	// TGD phase: bodies read only the source, so one pass over all
 	// homomorphisms reaches the fixpoint.

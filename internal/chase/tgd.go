@@ -16,8 +16,10 @@ import (
 // The s-t tgd bodies read only the normalized source, so one pass over
 // the homomorphisms of every body reaches the tgd fixpoint. Each match
 // becomes a firing vector — the IDs of the universal head variables,
-// then of the interval, in the target interner — and fires as it is
-// enumerated, in (tgd, enumeration) order:
+// then of the interval — and fires as it is enumerated, in (tgd,
+// enumeration) order. The target interns into the run's interner, which
+// extends the source's, so the vector is the match's source IDs as they
+// are:
 //
 //   - A tgd without existentials inserts its head rows; the target's
 //     dedup drops rows an earlier firing created, and a firing that adds
@@ -41,7 +43,14 @@ type tgdKernel struct {
 	nulls   []value.ID
 }
 
-func newTGDKernel(cm *Compiled, in *value.Interner) *tgdKernel {
+// newTGDKernel returns the kernel firing matches over src into tgt. It
+// checks once that tgt's interner extends src's: a firing vector is
+// taken from src's rows and written to tgt's by ID.
+func newTGDKernel(cm *Compiled, src, tgt *instance.Concrete) *tgdKernel {
+	in := tgt.Interner()
+	if !in.Extends(src.Interner()) {
+		panic("chase: the target's interner does not extend the source's; a run interns into one overlay on its source's interner")
+	}
 	k := &tgdKernel{cm: cm, in: in, lits: make([][]value.ID, len(cm.tgds)), checked: make([]bool, len(cm.tgds))}
 	for di := range cm.tgds {
 		if d := &cm.tgds[di]; d.plainLits {
@@ -51,21 +60,14 @@ func newTGDKernel(cm *Compiled, in *value.Interner) *tgdKernel {
 	return k
 }
 
-// appendVec appends the firing vector of match im of tgd d to dst. When
-// the source interner src is not the target's, the vector is
-// translated with one ResolveAll and one InternAll.
-func (k *tgdKernel) appendVec(dst []value.ID, d *compiledTGD, im *logic.IDMatch, src *value.Interner) ([]value.ID, error) {
-	base := len(dst)
+// appendVec appends the firing vector of match im of tgd d to dst.
+func appendVec(dst []value.ID, d *compiledTGD, im *logic.IDMatch) ([]value.ID, error) {
 	for _, name := range d.vecVars {
 		id, ok := im.ID(name)
 		if !ok {
 			return dst, temporalUnbound(d)
 		}
 		dst = append(dst, id)
-	}
-	if src != k.in {
-		k.vals = src.ResolveAll(k.vals[:0], dst[base:])
-		dst = k.in.InternAll(dst[:base], k.vals)
 	}
 	return dst, nil
 }
@@ -192,8 +194,7 @@ func (k *tgdKernel) fire(tgt *instance.Concrete, di int, rows []value.ID, fires 
 // the firings of the i-th tgd. src is only read; tgt must start empty.
 func tgdPhase(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled, gen *value.NullGen, fires []int, opts *Options, stats *Stats) error {
 	stats.TGDWorkers = 1
-	k := newTGDKernel(cm, tgt.Interner())
-	srcIn := src.Interner()
+	k := newTGDKernel(cm, src, tgt)
 	var vec, rows []value.ID
 	var err error
 	seen := 0
@@ -210,7 +211,7 @@ func tgdPhase(ctx context.Context, src, tgt *instance.Concrete, cm *Compiled, ge
 					return false
 				}
 			}
-			if vec, err = k.appendVec(vec[:0], d, im, srcIn); err != nil {
+			if vec, err = appendVec(vec[:0], d, im); err != nil {
 				return false
 			}
 			if len(d.exist) > 0 && logic.ExistsIDs(tgt.Store(), d.head, d.vecVars, vec) {

@@ -35,9 +35,10 @@ func NewConcrete(sch *schema.Schema) *Concrete {
 }
 
 // NewConcreteWith returns an empty concrete instance sharing the given
-// interner (fresh when nil). Instances derived from one another — a
-// chase's source and target, normalization outputs, egd rewrites — share
-// an interner so their stored rows stay ID-compatible and can be copied
+// interner (fresh when nil; an overlay on it when it is frozen).
+// Instances derived from one another — a chase's source and target,
+// normalization outputs, egd rewrites — share an interner, or extend a
+// frozen one, so their stored rows stay ID-compatible and can be copied
 // or substituted without re-interning.
 func NewConcreteWith(sch *schema.Schema, in *value.Interner) *Concrete {
 	return &Concrete{sch: sch, st: storage.NewStoreWith(in)}
@@ -157,7 +158,8 @@ func IntervalAt(r *storage.Rel, row int) interval.Interval {
 
 // InsertRowOf copies the fact stored at row of src's relation rel into
 // c by its interned row, without re-interning its values. It applies
-// Insert's checks and reports like Insert; src must share c's interner.
+// Insert's checks and reports like Insert; c's interner must extend
+// src's.
 func (c *Concrete) InsertRowOf(src *Concrete, rel string, row int) (bool, error) {
 	f := src.FactAt(rel, row)
 	if err := f.Validate(); err != nil {
@@ -217,9 +219,16 @@ func (c *Concrete) Contains(f fact.CFact) bool {
 	return c.st.Contains(f.Rel, ToTuple(f))
 }
 
-// Clone returns an independent copy sharing immutable tuples.
+// Clone returns an independent copy sharing immutable tuples. It shares
+// c's interner, or interns into an overlay on it when it is frozen.
 func (c *Concrete) Clone() *Concrete {
 	return &Concrete{sch: c.sch, st: c.st.Clone()}
+}
+
+// CloneWith is Clone into the interner in (an overlay on it when it is
+// frozen), which must extend c's (see storage.Store.CloneWith).
+func (c *Concrete) CloneWith(in *value.Interner) *Concrete {
+	return &Concrete{sch: c.sch, st: c.st.CloneWith(in)}
 }
 
 // IsComplete reports whether the instance is null-free (a complete

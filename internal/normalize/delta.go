@@ -136,8 +136,9 @@ func DeltaSourceNormalize(ctx context.Context, combined, normBase *instance.Conc
 	// normalization, per relation in ascending row order — the order
 	// fragmentSets would visit them in, since delta rows follow every
 	// base row. Fragments that collide with an existing row dedup away
-	// exactly as MustInsert would, and stay out of the frontier.
-	res := normBase.Clone()
+	// exactly as MustInsert would, and stay out of the frontier. The
+	// clone interns into combined's interner, so the delta run keeps one.
+	res := normBase.CloneWith(combined.Interner())
 	frontier := logic.NewDeltaSet()
 	for _, rel := range delta.Relations() {
 		if err := ctxErr(ctx); err != nil {

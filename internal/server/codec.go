@@ -40,9 +40,9 @@ type requestOptions struct {
 }
 
 // engineOptions translates the named options, rejecting unknown names.
-// Every registered exchange also gets tdx.WithRunInterner: each run's
-// interner is seeded from the frozen mapping domain, so a registry entry
-// serving unbounded distinct inputs does not grow with them.
+// No option bounds memory: every run interns into an overlay on its
+// source's frozen interner, so neither a registry entry nor a cached
+// source grows with the runs it serves.
 func (o requestOptions) engineOptions() ([]tdx.Option, error) {
 	norm, err := tdx.ParseNorm(o.Norm)
 	if err != nil {
@@ -52,7 +52,7 @@ func (o requestOptions) engineOptions() ([]tdx.Option, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []tdx.Option{tdx.WithNorm(norm), tdx.WithEgdStrategy(egd), tdx.WithCoalesce(o.Coalesce), tdx.WithRunInterner()}, nil
+	return []tdx.Option{tdx.WithNorm(norm), tdx.WithEgdStrategy(egd), tdx.WithCoalesce(o.Coalesce)}, nil
 }
 
 // infoJSON is the wire form of tdx.Info.

@@ -74,6 +74,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.sourceCacheHits.Load())
 	m("tdxd_source_cache_entries", "gauge", "Decoded, frozen sources resident in the source cache.",
 		int64(s.sources.len()))
+	m("tdxd_source_cache_values", "gauge", "Distinct values interned by the cached sources (sum of their interner lengths).",
+		int64(s.sources.values()))
 	rt := make([]metrics.Sample, len(goMetrics))
 	for i, g := range goMetrics {
 		rt[i].Name = g.key

@@ -41,10 +41,9 @@ type Entry struct {
 // fingerprint, the only identity computable before compilation.
 //
 // The LRU bound is the daemon's memory governor: each entry holds
-// compiled plans and the frozen mapping-domain interner, and the
-// least-recently-used entry is dropped when a registration would exceed
-// the capacity. An evicted mapping re-registers (and recompiles)
-// transparently on next use.
+// compiled plans, and the least-recently-used entry is dropped when a
+// registration would exceed the capacity. An evicted mapping
+// re-registers (and recompiles) transparently on next use.
 //
 // All methods are safe for concurrent use.
 type Registry struct {

@@ -32,9 +32,13 @@
 //
 // Memory bounding is structural: the registry is LRU-bounded
 // (MaxMappings), compilation of concurrent duplicate registrations is
-// singleflight-deduplicated, and every run uses tdx.WithRunInterner, so
-// a long-lived registry entry's interner holds exactly the mapping
-// domain and never grows with request traffic. Sessions — which pin a
+// singleflight-deduplicated, and a compiled exchange holds no value
+// interner. A decoded source is frozen, interner included, before it is
+// cached, and every run — session deltas too — interns into its own
+// overlay on its source's frozen interner, which is read without locks:
+// no run writes an interner that another request can see, so a cached
+// source's interner holds exactly the source's values however often it
+// is run (tdxd_source_cache_values on /metrics). Sessions — which pin a
 // solution plus the chase state retained for incremental deltas — are
 // LRU-bounded the same way (MaxSessions).
 //

@@ -153,7 +153,7 @@ func TestRunMatchesDirectRun(t *testing.T) {
 	hash := register(t, h, mapping)
 
 	// The direct exchange, same engine options as the server applies.
-	ex, err := tdx.Compile(mapping, tdx.WithRunInterner())
+	ex, err := tdx.Compile(mapping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func directSourceJSON(t testing.TB, ex *tdx.Exchange, facts string) []byte {
 // engine-level baseline a served solution must match byte for byte.
 func directSolution(t *testing.T, mapping, source string, opts ...tdx.Option) (string, []byte) {
 	t.Helper()
-	ex, err := tdx.Compile(mapping, append(opts, tdx.WithRunInterner())...)
+	ex, err := tdx.Compile(mapping, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestRunQueryAndAnswer(t *testing.T) {
 	facts := readTestdata(t, "employment.facts")
 	hash := register(t, h, mapping)
 
-	ex := tdx.MustCompile(mapping, tdx.WithRunInterner())
+	ex := tdx.MustCompile(mapping)
 	src, err := ex.ParseSource(facts)
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +399,7 @@ func TestTemporalSnapshot(t *testing.T) {
 	facts := readTestdata(t, "phd.facts")
 	hash := register(t, h, mapping)
 
-	ex := tdx.MustCompile(mapping, tdx.WithRunInterner())
+	ex := tdx.MustCompile(mapping)
 	src, err := ex.ParseSource(facts)
 	if err != nil {
 		t.Fatal(err)

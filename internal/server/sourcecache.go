@@ -54,6 +54,18 @@ func (c *sourceCache) len() int {
 	return c.order.Len()
 }
 
+// values returns the sum of the interner lengths of the cached sources.
+// Runs intern into overlays, so it moves only as entries come and go.
+func (c *sourceCache) values() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		n += el.Value.(*sourceCacheEntry).src.Concrete().Interner().Len()
+	}
+	return n
+}
+
 func (c *sourceCache) put(key string, src *tdx.Instance) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -329,6 +329,62 @@ func TestSourceCacheCounters(t *testing.T) {
 	}
 }
 
+// TestCachedSourceInternerStable: a cached source's interner holds the
+// source's values and nothing else, however it is used. Runs and session
+// deltas on a cached body intern into overlays on its frozen interner,
+// so after a /run, and after four sessions of 25 deltas with fresh
+// names, the employment entry still holds the 11 distinct values of
+// employment.facts; two /runs of the §7 phd example keep its entry at 2.
+func TestCachedSourceInternerStable(t *testing.T) {
+	s := mustNew(t, Config{})
+	h := s.Handler()
+	values := func(hash, body string) int {
+		t.Helper()
+		src, ok := s.sources.get(hash + "\x00" + sourceKey(false, []byte(body)))
+		if !ok {
+			t.Fatal("source not cached")
+		}
+		return src.Concrete().Interner().Len()
+	}
+
+	hash := register(t, h, readTestdata(t, "employment.tdx"))
+	source := readTestdata(t, "employment.facts")
+	runSolution(t, h, hash, source)
+	if n := values(hash, source); n != 11 {
+		t.Fatalf("after a /run the cached source holds %d values, want 11", n)
+	}
+	for k := 0; k < 4; k++ {
+		rec := do(h, "POST", "/v1/exchanges/"+hash+"/sessions", "", source)
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("session %d: status %d: %s", k, rec.Code, rec.Body)
+		}
+		var sess sessionWire
+		if err := json.Unmarshal(rec.Body.Bytes(), &sess); err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < 25; d++ {
+			delta := fmt.Sprintf("E(n%dx%d, Co%d) @ [2010, 2014)\nS(n%dx%d, %dk) @ [2011, 2013)", k, d, d, k, d, 10+d)
+			if rec := do(h, "POST", "/v1/sessions/"+sess.SessionID+"/facts", "", delta); rec.Code != http.StatusOK {
+				t.Fatalf("session %d delta %d: status %d: %s", k, d, rec.Code, rec.Body)
+			}
+		}
+		if rec := do(h, "DELETE", "/v1/sessions/"+sess.SessionID, "", ""); rec.Code != http.StatusNoContent && rec.Code != http.StatusOK {
+			t.Fatalf("delete session %d: status %d", k, rec.Code)
+		}
+	}
+	if n := values(hash, source); n != 11 {
+		t.Fatalf("after 100 session deltas the cached source holds %d values, want 11", n)
+	}
+
+	phash := register(t, h, readTestdata(t, "phd.tdx"))
+	phd := readTestdata(t, "phd.facts")
+	runSolution(t, h, phash, phd)
+	runSolution(t, h, phash, phd)
+	if n := values(phash, phd); n != 2 {
+		t.Fatalf("after two §7 /runs the cached source holds %d values, want 2", n)
+	}
+}
+
 // TestWarmStartOlderStateDir: a state directory written by an older
 // daemon — raw source bodies under DIR/sources, a fleet node's DIR/node-id
 // and a "counters" field in the manifest — still warm-starts. The

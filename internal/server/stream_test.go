@@ -29,7 +29,7 @@ import (
 // document encoded on its own.
 func TestWriteFramedIdentity(t *testing.T) {
 	s := mustNew(t, Config{})
-	ex := tdx.MustCompile(readTestdata(t, "employment.tdx"), tdx.WithRunInterner())
+	ex := tdx.MustCompile(readTestdata(t, "employment.tdx"))
 	src, err := ex.ParseSource(readTestdata(t, "employment.facts"))
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestFramingOverRealListener(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		fmt.Fprintf(&big, "E(p%d, IBM) @ [2012, 2014)\nS(p%d, %dk) @ [2013, inf)\n", i, i, 10+i)
 	}
-	ex := tdx.MustCompile(mapping, tdx.WithRunInterner())
+	ex := tdx.MustCompile(mapping)
 	src, err := ex.ParseSource(small)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func NewFrozenStore(in *value.Interner, rels map[string]RelDump) (*Store, error)
 	if in == nil {
 		return nil, fmt.Errorf("storage: NewFrozenStore: nil interner")
 	}
-	s := NewStoreWith(in)
+	s := &Store{in: in, rels: make(map[string]*Rel, len(rels))}
 	for name, d := range rels {
 		r, err := buildFrozenRel(name, in, d)
 		if err != nil {

@@ -25,7 +25,12 @@
 // it); unaffected rows — the vast majority in a typical egd round — are
 // not touched, hashed, or copied. Stores sharing one Interner (see
 // NewStoreWith) agree on IDs, which lets the chase rewrite and copy rows
-// between instances without re-rendering values.
+// between instances without re-rendering values. So do stores whose
+// interners extend one another: a mutable store handed a frozen interner
+// interns into an overlay on it (value.NewOverlay), so every chase run
+// interns into one overlay on its source's frozen interner, reads the
+// source's rows by ID as they are, and never writes an interner another
+// run can see. A frozen interner is read without a lock.
 //
 // Plans compiled by the homomorphism engine snapshot column slice
 // headers, so relations must not be mutated while a plan over them runs.
@@ -783,7 +788,9 @@ func IntersectPostings(dst, a, b []int) []int {
 // Store is a set of relations sharing one value interner. NewStore gives
 // every store a private interner; NewStoreWith lets related stores (a
 // chase's source and target, an instance and its rewrites) share one so
-// their rows are ID-compatible.
+// their rows are ID-compatible. A mutable store never writes a frozen
+// interner: handed one, it interns into an overlay on it
+// (value.NewOverlay), whose IDs extend the frozen interner's.
 type Store struct {
 	in     *value.Interner
 	rels   map[string]*Rel
@@ -795,12 +802,12 @@ type Store struct {
 func NewStore() *Store { return NewStoreWith(nil) }
 
 // NewStoreWith returns an empty store using the given interner (a fresh
-// one when nil).
+// one when nil), or a new overlay on it when it is frozen.
 func NewStoreWith(in *value.Interner) *Store {
 	if in == nil {
 		in = value.NewInterner()
 	}
-	return &Store{in: in, rels: make(map[string]*Rel)}
+	return &Store{in: in.Writable(), rels: make(map[string]*Rel)}
 }
 
 // Interner returns the store's interner.
@@ -830,8 +837,11 @@ func (s *Store) rel(name string) *Rel {
 // an immutable published state: all read paths are mutation-free
 // afterwards, so any number of goroutines may share the frozen store.
 // Writes (Insert, InsertIDs, SubstituteIDs) panic loudly. The interner
-// stays shared and thread-safe: interning new values does not touch
-// frozen relation state. Freeze is idempotent and must be called from
+// is left as it is: a frozen store may share a still-mutable interner
+// with the stores of a run in progress (a chase's pre-egd target and
+// normalized source do), and interning new values there does not touch
+// frozen relation state. Whoever publishes the interner freezes it
+// (value.Interner.Freeze). Freeze is idempotent and must be called from
 // the goroutine that owns the still-mutable store; Clone returns a
 // mutable copy.
 func (s *Store) Freeze() {
@@ -859,6 +869,15 @@ func (s *Store) Insert(rel string, tup []value.Value) bool {
 	if s.frozen {
 		s.frozenPanic("Insert")
 	}
+	if in := s.interner(); in.Frozen() {
+		// The interner this store shared was frozen by another owner
+		// (a mutable clone's original was published): carry on in an
+		// overlay, whose IDs extend the rows already stored.
+		s.in = value.NewOverlay(in)
+		for _, r := range s.rels {
+			r.in = s.in
+		}
+	}
 	return s.rel(rel).insert(tup)
 }
 
@@ -874,17 +893,18 @@ func (s *Store) InsertIDs(rel string, ids []value.ID) bool {
 	return s.rel(rel).insertIDs(ids, nil)
 }
 
-// InsertRowOf copies row i of src — a relation of a store sharing this
-// store's interner — into the same-named relation of this store, as
-// InsertIDs would, and shares src's decoded form of the row (tuples are
-// immutable). This is the copy fast path for derived instances that
-// pass most rows through unchanged: no value is rendered or re-interned.
+// InsertRowOf copies row i of src — a relation of a store whose
+// interner this store's extends (value.Interner.Extends) — into the
+// same-named relation of this store, as InsertIDs would, and shares
+// src's decoded form of the row (tuples are immutable). This is the copy
+// fast path for derived instances that pass most rows through unchanged:
+// no value is rendered or re-interned.
 func (s *Store) InsertRowOf(src *Rel, i int) bool {
 	if s.frozen {
 		s.frozenPanic("InsertRowOf")
 	}
-	if src.in != s.interner() {
-		panic("storage: InsertRowOf between stores with different interners")
+	if in := s.interner(); src.in != in && !in.Extends(src.in) {
+		panic("storage: InsertRowOf from a store whose interner this store's does not extend")
 	}
 	r := s.rel(src.name)
 	r.scratch = src.appendRowIDs(r.scratch[:0], i)
@@ -1001,13 +1021,22 @@ func (s *Store) EachRow(fn func(rel string, ids []value.ID) bool) {
 }
 
 // Clone returns a deep copy of the relation structure sharing the
-// interner. Columns and the validity bitmap are copied (the clone can be
+// interner, or interning into an overlay on it when it is frozen.
+// Columns and the validity bitmap are copied (the clone can be
 // substituted independently); decoded tuples are shared (they are
 // immutable); indexes are rebuilt lazily. The clone is always mutable,
 // even when the receiver is frozen — Clone is how a frozen published
 // store spawns a rewritable descendant.
-func (s *Store) Clone() *Store {
-	out := NewStoreWith(s.interner())
+func (s *Store) Clone() *Store { return s.CloneWith(s.interner()) }
+
+// CloneWith is Clone into the interner in (an overlay on it when it is
+// frozen), which must extend the receiver's: the rows are copied by ID.
+// A delta chase clones its base run's stores onto one overlay this way.
+func (s *Store) CloneWith(in *value.Interner) *Store {
+	out := NewStoreWith(in)
+	if !out.in.Extends(s.interner()) {
+		panic("storage: CloneWith into an interner that does not extend the store's")
+	}
 	for name, r := range s.rels {
 		nr := newRel(name, out.in)
 		nr.segs = make([]*segment, len(r.segs))

@@ -312,6 +312,64 @@ func TestInsertRowOfAndValueAt(t *testing.T) {
 	expectFrozenPanic(t, "InsertRowOf", func() { dst.InsertRowOf(r, 0) })
 }
 
+// TestFrozenInternerOverlays: a mutable store never writes a frozen
+// interner. NewStoreWith and Clone handed one layer an overlay on it,
+// InsertRowOf and CloneWith accept a store whose interner the target's
+// extends and reject one it does not, and a mutable store whose shared
+// interner another owner froze moves into an overlay on its next Insert,
+// keeping its rows.
+func TestFrozenInternerOverlays(t *testing.T) {
+	in := value.NewInterner()
+	src := NewStoreWith(in)
+	src.Insert("R", tup("a", "b"))
+	shared := NewStoreWith(in) // a second mutable store on the same interner
+	shared.Insert("R", tup("a", "x"))
+	src.Freeze()
+	in.Freeze()
+
+	derived := NewStoreWith(in)
+	if derived.Interner() == in || !derived.Interner().Extends(in) {
+		t.Fatal("NewStoreWith on a frozen interner did not layer an overlay")
+	}
+	if !derived.InsertRowOf(src.Rel("R"), 0) || !derived.Insert("R", tup("a", "c")) {
+		t.Fatal("overlay store rejected a row")
+	}
+	cl := src.Clone()
+	if cl.Interner() == in || !cl.Interner().Extends(in) || !cl.Insert("R", tup("d", "e")) {
+		t.Fatal("Clone of a store on a frozen interner did not layer an overlay")
+	}
+	onto := src.CloneWith(derived.Interner())
+	if onto.Interner() != derived.Interner() || !onto.Contains("R", tup("a", "b")) {
+		t.Fatal("CloneWith did not clone into the given interner")
+	}
+	if in.Len() != 3 {
+		t.Fatalf("the frozen interner grew to %d values", in.Len())
+	}
+	for name, fn := range map[string]func(){
+		"InsertRowOf": func() { NewStore().InsertRowOf(cl.Rel("R"), 0) },
+		"CloneWith":   func() { cl.CloneWith(derived.Interner()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s into an interner that does not extend the source's did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+
+	if !shared.Insert("R", tup("y", "z")) {
+		t.Fatal("insert into a store whose interner was frozen under it failed")
+	}
+	if shared.Interner() == in || !shared.Interner().Extends(in) {
+		t.Fatal("the store did not move into an overlay")
+	}
+	if !shared.Contains("R", tup("a", "x")) || !shared.Contains("R", tup("y", "z")) || in.Len() != 3 {
+		t.Fatalf("store after the move:\n%s", shared)
+	}
+}
+
 func TestEachRowMatchesEach(t *testing.T) {
 	s := NewStore()
 	s.Insert("B", tup("1", "2"))

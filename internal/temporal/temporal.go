@@ -312,8 +312,9 @@ func ChaseCompiled(ic *instance.Concrete, cm *Compiled, opts *chase.Options) (*i
 	stats.NormalizeRuns++
 	stats.NormalizedSourceFacts = src.Len()
 
-	// Share the normalized source's interner so the whole run is
-	// ID-compatible (see chase.ConcreteCompiled).
+	// One interner per run, as in chase.ConcreteCompiled: the target
+	// shares the normalized source's interner, or layers an overlay on it
+	// when it is the frozen source's, so the run never writes ic's.
 	tgt := instance.NewConcreteWith(m.Target, src.Interner())
 	for i, d := range m.TGDs {
 		ms := logic.FindAll(src.Store(), bodies[i], nil)

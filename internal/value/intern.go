@@ -2,7 +2,9 @@ package value
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/interval"
 )
@@ -32,14 +34,36 @@ type annKey struct {
 	iv  interval.Interval
 }
 
-// Interner maps Values to dense IDs and back. It is safe for concurrent
-// use: Intern takes a write lock only when the value is new, and Resolve,
-// KindOf, and Lookup are read-locked. Lookups are dispatched to per-kind
-// maps with compact fixed-size keys (a string only for constants), which
-// hashes much faster — and stores much less — than keying one map by the
-// full Value struct. The zero Interner is not usable; construct with
-// NewInterner.
+// Interner maps Values to dense IDs and back. A mutable interner is
+// safe for concurrent use: Intern takes a write lock only when the value
+// is new, and Resolve, KindOf and Lookup are read-locked. Lookups are
+// dispatched to per-kind maps with compact fixed-size keys (a string
+// only for constants), which hashes much faster — and stores much less —
+// than keying one map by the full Value struct. The zero Interner is not
+// usable; construct with NewInterner, NewInternerFromValues or
+// NewOverlay.
+//
+// Freeze makes an interner immutable. A frozen interner is read without
+// the lock — Resolve and KindOf are slice loads — and interning a value
+// it does not hold panics. New values go into an overlay (NewOverlay): a
+// mutable interner layered on a frozen parent, which issues IDs from the
+// parent's Len upward and looks every value up in its frozen ancestors
+// first. So an ID the parent issued means the same value in the overlay,
+// and stores over the two interners share rows without translating
+// them. This is how every chase run interns into one overlay over its
+// source's frozen interner.
 type Interner struct {
+	// chain holds the frozen ancestors, root first; base is the first ID
+	// this level issues (the parent's Len, 0 for a root).
+	chain []*Interner
+	base  ID
+	// serial identifies this level. absorbed holds, on a root that
+	// NewOverlay built by flattening a chain, the serials of the levels
+	// it copied, so Extends still recognizes them.
+	serial   uint64
+	absorbed []uint64
+
+	frozen atomic.Bool
 	mu     sync.RWMutex
 	consts map[string]ID
 	nulls  map[nullKey]ID
@@ -51,11 +75,20 @@ type Interner struct {
 	kinds []Kind
 }
 
+// serials numbers interner levels for Extends.
+var serials atomic.Uint64
+
+// maxDepth bounds an overlay chain: NewOverlay flattens a parent this
+// deep into one frozen level first, so a lookup probes at most maxDepth
+// levels however long a chain of runs grows.
+const maxDepth = 3
+
 // NewInterner returns an empty interner. The per-kind maps are presized
 // a little: cold bulk loads (a store ingesting a corpus) otherwise spend
 // most of their time growing maps through the first few doublings.
 func NewInterner() *Interner {
 	return &Interner{
+		serial: serials.Add(1),
 		consts: make(map[string]ID, 64),
 		nulls:  make(map[nullKey]ID, 8),
 		anns:   make(map[annKey]ID, 32),
@@ -63,41 +96,94 @@ func NewInterner() *Interner {
 	}
 }
 
-// NewInternerFrom returns a new interner pre-seeded with every value
-// base has interned, issuing identical IDs for them; values interned
-// afterwards get fresh IDs independent of base. base is read-locked
-// during the copy and never mutated. This is the per-run interner
-// pattern: a long-lived exchange keeps a frozen compile-time interner
-// holding just its mapping domain and clones it per run, so per-run
-// values are released with the run instead of accumulating forever.
-func NewInternerFrom(base *Interner) *Interner {
-	base.mu.RLock()
-	defer base.mu.RUnlock()
-	in := &Interner{
-		consts: make(map[string]ID, len(base.consts)+16),
-		nulls:  make(map[nullKey]ID, len(base.nulls)+8),
-		anns:   make(map[annKey]ID, len(base.anns)+16),
-		ivs:    make(map[interval.Interval]ID, len(base.ivs)+16),
-		vals:   append(make([]Value, 0, len(base.vals)+32), base.vals...),
-		kinds:  append(make([]Kind, 0, len(base.kinds)+32), base.kinds...),
+// NewOverlay returns an empty mutable interner layered on parent, which
+// must be frozen: the overlay issues IDs from parent.Len() upward, and
+// interning or looking up a value parent holds returns parent's ID and
+// adds nothing. When parent's chain is already maxDepth levels deep, it
+// is first flattened into one frozen level with the same IDs
+// (NewInternerFromValues over parent.Values()).
+func NewOverlay(parent *Interner) *Interner {
+	if !parent.Frozen() {
+		panic("value: NewOverlay on a mutable interner: freeze the parent first")
 	}
-	for k, v := range base.consts {
-		in.consts[k] = v
+	if parent.Depth() >= maxDepth {
+		parent = parent.flatten()
 	}
-	for k, v := range base.nulls {
-		in.nulls[k] = v
-	}
-	for k, v := range base.anns {
-		in.anns[k] = v
-	}
-	for k, v := range base.ivs {
-		in.ivs[k] = v
+	chain := make([]*Interner, len(parent.chain)+1)
+	copy(chain, parent.chain)
+	chain[len(parent.chain)] = parent
+	return &Interner{chain: chain, base: ID(parent.Len()), serial: serials.Add(1)}
+}
+
+// Writable returns an interner new values may go into whose IDs extend
+// in's: in itself while it is mutable, a new overlay on it once frozen.
+func (in *Interner) Writable() *Interner {
+	if in.Frozen() {
+		return NewOverlay(in)
 	}
 	return in
 }
 
-// lookupLocked finds v's ID; the caller holds mu (read or write).
-func (in *Interner) lookupLocked(v Value) (ID, bool) {
+// flatten copies a frozen chain into one frozen root holding the same
+// IDs.
+func (in *Interner) flatten() *Interner {
+	out, err := NewInternerFromValues(in.Values())
+	if err != nil {
+		panic(err) // an interner's own table is always a valid table
+	}
+	out.absorbed = append(out.absorbed, in.root().absorbed...)
+	for _, p := range in.chain {
+		out.absorbed = append(out.absorbed, p.serial)
+	}
+	out.absorbed = append(out.absorbed, in.serial)
+	out.Freeze()
+	return out
+}
+
+// root returns the bottom level of in's chain.
+func (in *Interner) root() *Interner {
+	if len(in.chain) > 0 {
+		return in.chain[0]
+	}
+	return in
+}
+
+// Freeze makes the interner immutable: afterwards it is read without the
+// lock, and interning a value it does not hold panics. Idempotent.
+func (in *Interner) Freeze() {
+	if in.frozen.Load() {
+		return
+	}
+	in.mu.Lock()
+	in.frozen.Store(true)
+	in.mu.Unlock()
+}
+
+// Frozen reports whether the interner has been frozen.
+func (in *Interner) Frozen() bool { return in.frozen.Load() }
+
+// Depth returns the number of levels of the interner's chain: 1 for an
+// interner built by NewInterner or NewInternerFromValues.
+func (in *Interner) Depth() int { return len(in.chain) + 1 }
+
+// Extends reports whether every ID p has issued means the same value in
+// in: in is p, p is one of in's frozen ancestors, or p is a level that a
+// flattening copied into in's root.
+func (in *Interner) Extends(p *Interner) bool {
+	if in == p {
+		return true
+	}
+	for i := len(in.chain) - 1; i >= 0; i-- {
+		if in.chain[i] == p {
+			return true
+		}
+	}
+	return slices.Contains(in.root().absorbed, p.serial)
+}
+
+// local finds v's ID in this level alone; the caller holds mu (read or
+// write) unless the level is frozen.
+func (in *Interner) local(v Value) (ID, bool) {
 	switch v.K {
 	case Const:
 		id, ok := in.consts[v.Str]
@@ -115,16 +201,50 @@ func (in *Interner) lookupLocked(v Value) (ID, bool) {
 	return NoID, false
 }
 
+// find looks v up in the frozen ancestors, then in this level; the
+// caller holds mu unless the interner is frozen.
+func (in *Interner) find(v Value) (ID, bool) {
+	for _, p := range in.chain {
+		if id, ok := p.local(v); ok {
+			return id, true
+		}
+	}
+	return in.local(v)
+}
+
+// rlock read-locks a mutable interner and reports whether it did; a
+// frozen one is read without the lock.
+func (in *Interner) rlock() bool {
+	if in.frozen.Load() {
+		return false
+	}
+	in.mu.RLock()
+	return true
+}
+
 // storeLocked records a fresh id for v; the caller holds mu for writing.
+// An overlay's maps are made on first use.
 func (in *Interner) storeLocked(v Value, id ID) {
 	switch v.K {
 	case Const:
+		if in.consts == nil {
+			in.consts = make(map[string]ID)
+		}
 		in.consts[v.Str] = id
 	case Null:
+		if in.nulls == nil {
+			in.nulls = make(map[nullKey]ID)
+		}
 		in.nulls[nullKey{v.ID, v.TP}] = id
 	case AnnNull:
+		if in.anns == nil {
+			in.anns = make(map[annKey]ID)
+		}
 		in.anns[annKey{v.ID, v.Iv}] = id
 	case IntervalVal:
+		if in.ivs == nil {
+			in.ivs = make(map[interval.Interval]ID)
+		}
 		in.ivs[v.Iv] = id
 	default:
 		panic(fmt.Sprintf("value: cannot intern %v value %v", v.K, v))
@@ -133,24 +253,30 @@ func (in *Interner) storeLocked(v Value, id ID) {
 
 // Intern returns the ID for v, issuing a fresh one on first sight.
 func (in *Interner) Intern(v Value) ID {
-	in.mu.RLock()
-	id, ok := in.lookupLocked(v)
-	in.mu.RUnlock()
-	if ok {
+	if id, ok := in.Lookup(v); ok {
 		return id
 	}
-	in.mu.Lock()
-	id = in.internLocked(v)
-	in.mu.Unlock()
-	return id
+	return in.internNew(v)
 }
 
-// internLocked issues or returns the ID for v; the caller holds mu.
+// internNew is internLocked under the write lock, released even when a
+// frozen interner panics.
+func (in *Interner) internNew(v Value) ID {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.internLocked(v)
+}
+
+// internLocked issues or returns the ID for v, which no ancestor holds;
+// the caller holds mu for writing.
 func (in *Interner) internLocked(v Value) ID {
-	if id, ok := in.lookupLocked(v); ok { // raced with another writer
+	if in.frozen.Load() {
+		panic(fmt.Sprintf("value: interning %v into a frozen interner: a frozen interner is immutable and read without locks; intern into an overlay (NewOverlay) instead", v))
+	}
+	if id, ok := in.local(v); ok { // raced with another writer
 		return id
 	}
-	id := ID(len(in.vals))
+	id := in.base + ID(len(in.vals))
 	if id == NoID {
 		panic("value: interner overflow (2^32-1 distinct values)")
 	}
@@ -165,51 +291,80 @@ func (in *Interner) internLocked(v Value) ID {
 // so the constant's string is allocated only when it is new. b is not
 // retained.
 func (in *Interner) InternConstBytes(b []byte) ID {
-	in.mu.RLock()
+	for _, p := range in.chain {
+		if id, ok := p.consts[string(b)]; ok {
+			return id
+		}
+	}
+	locked := in.rlock()
 	id, ok := in.consts[string(b)]
-	in.mu.RUnlock()
+	if locked {
+		in.mu.RUnlock()
+	}
 	if ok {
 		return id
 	}
-	in.mu.Lock()
-	id = in.internLocked(NewConst(string(b)))
-	in.mu.Unlock()
-	return id
+	return in.internNew(NewConst(string(b)))
 }
 
 // Lookup returns the ID previously issued for v, without interning it.
 // ok is false when v has never been interned — in that case no stored
 // tuple of any store sharing this interner can contain v.
 func (in *Interner) Lookup(v Value) (ID, bool) {
-	in.mu.RLock()
-	id, ok := in.lookupLocked(v)
-	in.mu.RUnlock()
+	locked := in.rlock()
+	id, ok := in.find(v)
+	if locked {
+		in.mu.RUnlock()
+	}
 	return id, ok
+}
+
+// level returns the level of the chain that issued id; the caller holds
+// mu unless the interner is frozen.
+func (in *Interner) level(id ID) *Interner {
+	if id >= in.base {
+		return in
+	}
+	i := len(in.chain) - 1
+	for in.chain[i].base > id {
+		i--
+	}
+	return in.chain[i]
 }
 
 // Resolve returns the Value for an issued ID. It panics on NoID or an ID
 // from a different interner (out of range), which indicates corruption.
 func (in *Interner) Resolve(id ID) Value {
+	if in.frozen.Load() || id < in.base {
+		l := in.level(id)
+		return l.vals[id-l.base]
+	}
 	in.mu.RLock()
-	v := in.vals[id]
+	v := in.vals[id-in.base]
 	in.mu.RUnlock()
 	return v
 }
 
 // KindOf returns the Kind of an issued ID without materializing the Value.
 func (in *Interner) KindOf(id ID) Kind {
+	if in.frozen.Load() || id < in.base {
+		l := in.level(id)
+		return l.kinds[id-l.base]
+	}
 	in.mu.RLock()
-	k := in.kinds[id]
+	k := in.kinds[id-in.base]
 	in.mu.RUnlock()
 	return k
 }
 
-// Len returns the number of distinct values interned so far; issued IDs
-// are exactly [0, Len).
+// Len returns the number of distinct values interned so far across the
+// chain; issued IDs are exactly [0, Len).
 func (in *Interner) Len() int {
-	in.mu.RLock()
-	n := len(in.vals)
-	in.mu.RUnlock()
+	locked := in.rlock()
+	n := int(in.base) + len(in.vals)
+	if locked {
+		in.mu.RUnlock()
+	}
 	return n
 }
 
@@ -219,26 +374,28 @@ func (in *Interner) Len() int {
 func (in *Interner) InternAll(dst []ID, tup []Value) []ID {
 	base := len(dst)
 	misses := 0
-	in.mu.RLock()
+	locked := in.rlock()
 	for _, v := range tup {
-		id, ok := in.lookupLocked(v)
+		id, ok := in.find(v)
 		if !ok {
 			id = NoID
 			misses++
 		}
 		dst = append(dst, id)
 	}
-	in.mu.RUnlock()
+	if locked {
+		in.mu.RUnlock()
+	}
 	if misses == 0 {
 		return dst
 	}
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	for i, v := range tup {
 		if dst[base+i] == NoID {
 			dst[base+i] = in.internLocked(v)
 		}
 	}
-	in.mu.Unlock()
 	return dst
 }
 
@@ -249,16 +406,18 @@ func (in *Interner) InternAll(dst []ID, tup []Value) []ID {
 func (in *Interner) LookupAll(dst []ID, tup []Value) ([]ID, bool) {
 	base := len(dst)
 	ok := true
-	in.mu.RLock()
+	locked := in.rlock()
 	for _, v := range tup {
-		id, found := in.lookupLocked(v)
+		id, found := in.find(v)
 		if !found {
 			ok = false
 			break
 		}
 		dst = append(dst, id)
 	}
-	in.mu.RUnlock()
+	if locked {
+		in.mu.RUnlock()
+	}
 	if !ok {
 		return dst[:base], false
 	}
@@ -267,11 +426,14 @@ func (in *Interner) LookupAll(dst []ID, tup []Value) ([]ID, bool) {
 
 // ResolveAll resolves a row of IDs, appending the Values to dst.
 func (in *Interner) ResolveAll(dst []Value, ids []ID) []Value {
-	in.mu.RLock()
+	locked := in.rlock()
 	for _, id := range ids {
-		dst = append(dst, in.vals[id])
+		l := in.level(id)
+		dst = append(dst, l.vals[id-l.base])
 	}
-	in.mu.RUnlock()
+	if locked {
+		in.mu.RUnlock()
+	}
 	return dst
 }
 

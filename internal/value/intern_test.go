@@ -1,7 +1,9 @@
 package value
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,44 +29,186 @@ func randValue(r *rand.Rand) Value {
 	}
 }
 
-// TestNewInternerFrom asserts the seeding contract: the clone answers
-// identically for every seeded value, diverges independently afterwards,
-// and never writes back into its base.
-func TestNewInternerFrom(t *testing.T) {
-	base := NewInterner()
+// frozenParent interns n random values into a fresh interner, freezes
+// it, and returns it with the values in ID order.
+func frozenParent(r *rand.Rand, n int) (*Interner, []Value) {
+	in := NewInterner()
+	for i := 0; i < n; i++ {
+		in.Intern(randValue(r))
+	}
+	in.Freeze()
+	return in, in.Values()
+}
+
+// TestOverlay asserts the overlay contract: the parent's IDs keep their
+// meaning, new IDs start at parent.Len(), a parent value interned or
+// looked up in the overlay returns the parent's ID and adds nothing,
+// Resolve and KindOf answer across levels, the chain's Values round-trip
+// through NewInternerFromValues to the same IDs, and the parent never
+// changes.
+func TestOverlay(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	var seeded []Value
-	for i := 0; i < 500; i++ {
-		v := randValue(r)
-		base.Intern(v)
-		seeded = append(seeded, v)
+	parent, pvals := frozenParent(r, 500)
+	ov := NewOverlay(parent)
+	if ov.Depth() != 2 || !ov.Extends(parent) || parent.Extends(ov) {
+		t.Fatalf("overlay depth %d, extends parent %v, parent extends overlay %v", ov.Depth(), ov.Extends(parent), parent.Extends(ov))
 	}
-	baseLen := base.Len()
-	cl := NewInternerFrom(base)
-	if cl.Len() != baseLen {
-		t.Fatalf("clone has %d values, base %d", cl.Len(), baseLen)
+	if ov.Len() != parent.Len() {
+		t.Fatalf("empty overlay has %d values, parent %d", ov.Len(), parent.Len())
 	}
-	for _, v := range seeded {
-		want, _ := base.Lookup(v)
-		got, ok := cl.Lookup(v)
-		if !ok || got != want {
-			t.Fatalf("clone lookup(%v) = %v/%v, base has %v", v, got, ok, want)
+	for id, v := range pvals {
+		if got := ov.Intern(v); got != ID(id) {
+			t.Fatalf("Intern(%v) in the overlay = %d, parent issued %d", v, got, id)
 		}
-		if cl.Resolve(got) != v {
-			t.Fatalf("clone resolve(%v) != %v", got, v)
+		if got, ok := ov.Lookup(v); !ok || got != ID(id) {
+			t.Fatalf("Lookup(%v) in the overlay = %d,%v, want %d", v, got, ok, id)
+		}
+		if ov.Resolve(ID(id)) != v || ov.KindOf(ID(id)) != v.Kind() {
+			t.Fatalf("overlay resolves parent ID %d to %v (%v), want %v", id, ov.Resolve(ID(id)), ov.KindOf(ID(id)), v)
 		}
 	}
-	// Divergence: new values in the clone do not leak into the base.
-	fresh := NewConst("only-in-clone-after-seeding")
-	if _, ok := base.Lookup(fresh); ok {
-		t.Fatal("test value already in base")
+	if ov.Len() != parent.Len() {
+		t.Fatalf("interning parent values grew the overlay to %d values", ov.Len())
 	}
-	cl.Intern(fresh)
-	if _, ok := base.Lookup(fresh); ok {
-		t.Fatal("interning into the clone mutated the base")
+	var fresh []Value
+	for i := 0; len(fresh) < 200; i++ {
+		v := NewConst(fmt.Sprintf("overlay-%d", i))
+		want := ID(parent.Len() + len(fresh))
+		if got := ov.Intern(v); got != want {
+			t.Fatalf("new value %v got ID %d, want %d", v, got, want)
+		}
+		fresh = append(fresh, v)
 	}
-	if base.Len() != baseLen {
-		t.Fatalf("base grew %d -> %d", baseLen, base.Len())
+	ids := ov.InternAll(nil, append(pvals[:3:3], fresh[:3]...))
+	back := ov.ResolveAll(nil, ids)
+	for i, v := range append(pvals[:3:3], fresh[:3]...) {
+		if back[i] != v {
+			t.Fatalf("ResolveAll across levels[%d] = %v, want %v", i, back[i], v)
+		}
+	}
+	if _, ok := parent.Lookup(fresh[0]); ok || parent.Len() != len(pvals) {
+		t.Fatal("interning into the overlay changed its parent")
+	}
+
+	// A chain of three levels serializes as one table.
+	ov.Freeze()
+	top := NewOverlay(ov)
+	last := top.Intern(NewAnnNull(1, interval.MustNew(3, 9)))
+	if top.Depth() != 3 || !top.Extends(parent) || last != ID(ov.Len()) {
+		t.Fatalf("three-level chain: depth %d, extends root %v, first ID %d want %d", top.Depth(), top.Extends(parent), last, ov.Len())
+	}
+	flat, err := NewInternerFromValues(top.Values())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat.Len() != top.Len() {
+		t.Fatalf("flat table has %d values, chain %d", flat.Len(), top.Len())
+	}
+	for id := ID(0); int(id) < top.Len(); id++ {
+		v := top.Resolve(id)
+		if got, ok := flat.Lookup(v); !ok || got != id {
+			t.Fatalf("flat table maps %v to %d, chain to %d", v, got, id)
+		}
+	}
+}
+
+// TestOverlayFlattens: layering on a chain already maxDepth deep flattens
+// it into one frozen level first, keeping every ID, so no chain exceeds
+// maxDepth levels and the new overlay still extends every level it
+// replaced.
+func TestOverlayFlattens(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	root, _ := frozenParent(r, 50)
+	in := root
+	levels := []*Interner{root}
+	for i := 0; i < 8; i++ {
+		in = NewOverlay(in)
+		if in.Depth() > maxDepth {
+			t.Fatalf("layer %d: depth %d exceeds %d", i, in.Depth(), maxDepth)
+		}
+		in.Intern(NewConst(fmt.Sprintf("level-%d", i)))
+		in.Freeze()
+		levels = append(levels, in)
+	}
+	for i, l := range levels {
+		if !in.Extends(l) {
+			t.Fatalf("top level does not extend level %d", i)
+		}
+		for id := ID(0); int(id) < l.Len(); id++ {
+			if in.Resolve(id) != l.Resolve(id) {
+				t.Fatalf("ID %d of level %d changed meaning: %v, was %v", id, i, in.Resolve(id), l.Resolve(id))
+			}
+		}
+	}
+	if in.Extends(NewInterner()) {
+		t.Fatal("a chain extends an unrelated interner")
+	}
+}
+
+// TestFrozenInternerRejectsNewValues: a frozen interner still answers
+// for the values it holds, and interning anything else panics with a
+// message naming the freeze.
+func TestFrozenInternerRejectsNewValues(t *testing.T) {
+	in := NewInterner()
+	a := in.Intern(NewConst("a"))
+	in.Freeze()
+	if in.Intern(NewConst("a")) != a || in.InternConstBytes([]byte("a")) != a {
+		t.Fatal("a frozen interner forgot a value it holds")
+	}
+	for name, fn := range map[string]func(){
+		"Intern":           func() { in.Intern(NewConst("b")) },
+		"InternAll":        func() { in.InternAll(nil, []Value{NewConst("a"), NewNull(1)}) },
+		"InternConstBytes": func() { in.InternConstBytes([]byte("c")) },
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "frozen interner") {
+					t.Fatalf("%s of a new value into a frozen interner: recovered %q", name, msg)
+				}
+			}()
+			fn()
+		}()
+	}
+	if in.Len() != 1 {
+		t.Fatalf("frozen interner grew to %d values", in.Len())
+	}
+}
+
+// TestOverlaysConcurrent (run under -race): 8 goroutines each layer an
+// overlay on one frozen parent and intern and read through it; every
+// goroutine sees the parent's IDs, issues its own values from
+// parent.Len() upward, and leaves the parent unchanged.
+func TestOverlaysConcurrent(t *testing.T) {
+	parent, pvals := frozenParent(rand.New(rand.NewSource(3)), 300)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ov := NewOverlay(parent)
+			r := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 2000; i++ {
+				id := ID(r.Intn(len(pvals)))
+				if ov.Resolve(id) != pvals[id] || parent.KindOf(id) != pvals[id].Kind() {
+					t.Errorf("worker %d: parent ID %d resolves differently", w, id)
+					return
+				}
+				v := NewConst(fmt.Sprintf("w%d-%d", w, i%100))
+				got := ov.Intern(v)
+				if got < ID(len(pvals)) || ov.Resolve(got) != v {
+					t.Errorf("worker %d: %v interned to %d", w, v, got)
+					return
+				}
+			}
+			if ov.Len() != len(pvals)+100 {
+				t.Errorf("worker %d: overlay holds %d values, want %d", w, ov.Len(), len(pvals)+100)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if parent.Len() != len(pvals) {
+		t.Fatalf("parent grew to %d values", parent.Len())
 	}
 }
 

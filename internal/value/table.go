@@ -6,16 +6,22 @@ import (
 	"repro/internal/interval"
 )
 
-// Values returns a copy of the interner's value table in ID order:
-// Values()[i] is the value whose issued ID is i. Together with
-// NewInternerFromValues it is the serialization boundary of the interner:
-// persisting the table and rebuilding from it reproduces the exact ID
-// assignment, so persisted ID columns remain valid against the rebuilt
-// interner.
+// Values returns a copy of the value table of the interner's whole
+// chain in ID order: Values()[i] is the value whose issued ID is i,
+// whichever level issued it. Together with NewInternerFromValues it is
+// the serialization boundary of the interner: persisting the table and
+// rebuilding from it reproduces the exact ID assignment, so persisted ID
+// columns remain valid against the rebuilt (flat) interner.
 func (in *Interner) Values() []Value {
-	in.mu.RLock()
-	out := append(make([]Value, 0, len(in.vals)), in.vals...)
-	in.mu.RUnlock()
+	locked := in.rlock()
+	out := make([]Value, 0, int(in.base)+len(in.vals))
+	for _, p := range in.chain {
+		out = append(out, p.vals...)
+	}
+	out = append(out, in.vals...)
+	if locked {
+		in.mu.RUnlock()
+	}
 	return out
 }
 
@@ -47,6 +53,7 @@ func NewInternerFromValues(vals []Value) (*Interner, error) {
 		}
 	}
 	in := &Interner{
+		serial: serials.Add(1),
 		consts: make(map[string]ID, nConst),
 		nulls:  make(map[nullKey]ID, nNull),
 		anns:   make(map[annKey]ID, nAnn),
@@ -62,7 +69,7 @@ func NewInternerFromValues(vals []Value) (*Interner, error) {
 		default:
 			return nil, fmt.Errorf("value: table entry %d has invalid kind %d", i, v.K)
 		}
-		if id, dup := in.lookupLocked(v); dup {
+		if id, dup := in.local(v); dup {
 			return nil, fmt.Errorf("value: table entries %d and %d intern the same value %v", id, i, v)
 		}
 		in.storeLocked(v, ID(i))

@@ -89,11 +89,10 @@ func (e Event) String() string {
 // config is the resolved option set of an Exchange (or of one Run, when
 // per-call options override it).
 type config struct {
-	norm        Norm
-	egd         EgdStrategy
-	coalesce    bool
-	trace       func(Event)
-	runInterner bool
+	norm     Norm
+	egd      EgdStrategy
+	coalesce bool
+	trace    func(Event)
 }
 
 // Option configures an Exchange at Compile time; the executing methods
@@ -120,37 +119,31 @@ func WithCoalesce(on bool) Option { return func(c *config) { c.coalesce = on } }
 // be safe for concurrent use.
 func WithTrace(fn func(Event)) Option { return func(c *config) { c.trace = fn } }
 
-// WithRunInterner gives every Run (and Answer) its own value interner,
-// seeded from the exchange's frozen compile-time mapping-domain interner
-// instead of the shared exchange-wide one.
+// WithRunInterner is a no-op, kept so existing callers compile. Every
+// run already has its own interner: Run freezes its source, interner
+// included, and interns what the run creates — normalization fragments,
+// head rows, nulls, head literals — into one overlay on the source's
+// frozen interner, which is read without locks. No run writes an
+// interner another run or request can see, and an Exchange holds no
+// interner that grows with its inputs.
 //
-// The trade-off: the default shared interner amortizes interning of
-// values that recur across runs but never evicts, so a long-lived
-// exchange serving unbounded distinct inputs grows with every value it
-// has ever seen. With this option each run pays a small copy of the
-// mapping-domain seed and loses cross-run amortization, but everything a
-// run interns is released with its Solution — the right choice for
-// long-lived server exchanges over high-cardinality input streams. Keep
-// the default for repeated runs over a bounded value domain.
-//
-// A related retention trade-off applies to solutions themselves: every
-// Solution pins the frozen state a later RunDelta resumes from — the
-// source, the normalized source (the source itself when normalization
-// splits no fact, so it costs nothing extra), the pre-egd intermediate
-// target (for mappings with egds), and the null-numbering position —
-// roughly a constant small multiple of the solution's own footprint. Under
-// WithRunInterner the retained state also keeps that run's interner
-// clone alive. All of it is released when the Solution is dropped, so
-// callers that never use RunDelta pay only while they hold the
-// Solution; servers holding many live sessions should bound them (tdxd
-// does, see its -max-sessions flag).
-func WithRunInterner() Option { return func(c *config) { c.runInterner = true } }
+// Retention: every Solution pins the frozen state a later RunDelta
+// resumes from — the source, the normalized source (the source itself
+// when normalization splits no fact, so it costs nothing extra), the
+// pre-egd intermediate target (for mappings with egds), and the
+// null-numbering position — roughly a constant small multiple of the
+// solution's own footprint. They share the run's overlay, which holds
+// only the values the run created; the source's interner stays with the
+// source. All of it is released when the Solution is dropped, so callers
+// that never use RunDelta pay only while they hold the Solution; servers
+// holding many live sessions should bound them (tdxd does, see its
+// -max-sessions flag).
+func WithRunInterner() Option { return func(*config) {} }
 
 // fingerprint renders the output-affecting option values into a stable
 // string. Normalization strategy, egd strategy, and coalescing change
 // the solution an exchange produces, so they are part of an exchange's
-// identity. The interner policy is excluded — solutions are
-// byte-identical under either policy — and trace hooks are debug-only.
+// identity. Trace hooks are debug-only and excluded.
 func (c config) fingerprint() string {
 	return fmt.Sprintf("norm=%s egd=%s coalesce=%t", c.norm, c.egd, c.coalesce)
 }

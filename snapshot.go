@@ -18,8 +18,11 @@ import (
 // to the one that was saved — Facts, JSON, Snapshot(t), null family
 // numbering, data hashes — because the format serializes the physical
 // store layout (row numbering, validity bitmap, interner table in ID
-// order) rather than a logical re-encoding. See docs/SNAPSHOT.md for the
-// format itself.
+// order) rather than a logical re-encoding. A store's interner table is
+// its whole overlay chain in ID order (value.Interner.Values), so a run's
+// solution, whose interner is an overlay on its source's, persists as
+// one flat table with the same IDs. See docs/SNAPSHOT.md for the format
+// itself.
 
 // WriteSnapshot serializes the solution — and the frozen source it was
 // chased from, when retained — to w in the tdx snapshot format. The
@@ -76,7 +79,9 @@ func (s *Solution) snapshotPayload() (snapshot.Snapshot, error) {
 // chase-layer resume state is not persisted; later deltas are
 // incremental again). On linux the file is mapped, not read: relation
 // pages fault in on first touch and stay shared between processes, and
-// the mapping is released when the solution becomes unreachable.
+// the mapping is released when the solution becomes unreachable. The
+// interners of both loaded stores come back frozen, like a Run's, so
+// later runs and queries over them intern into overlays.
 //
 // The snapshot's relations are validated structurally against the
 // exchange's target (and source) schema — unknown relations, arity
@@ -104,6 +109,7 @@ func (ex *Exchange) loadSolution(f *snapshot.File) (*Solution, error) {
 	if err := checkStoreSchema(st, ex.target, "solution"); err != nil {
 		return nil, err
 	}
+	st.Interner().Freeze()
 	m := f.Meta()
 	sol := &Solution{Instance: Instance{c: instance.FromStore(ex.target, st)}, fp: m.Exchange}
 	if len(m.Stats) > 0 {
@@ -119,6 +125,7 @@ func (ex *Exchange) loadSolution(f *snapshot.File) (*Solution, error) {
 		if err := checkStoreSchema(src, ex.source, "source"); err != nil {
 			return nil, err
 		}
+		src.Interner().Freeze()
 		sol.src = &Instance{c: instance.FromStore(ex.source, src)}
 	}
 	return sol, nil

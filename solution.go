@@ -56,12 +56,15 @@ type Instance struct {
 // reads consult (posting-list indexes, decoded tuples) is built
 // eagerly and the instance becomes immutable — afterwards any number of
 // goroutines may run exchanges on it, query it, snapshot it, render it,
-// or clone it concurrently, and any write to it panics. Freeze is
-// idempotent and returns the same instance for chaining. Exchange.Run
-// freezes its source and its solution automatically; call Freeze
-// yourself to publish a parsed instance before fanning out.
+// or clone it concurrently, and any write to it panics. Its value
+// interner freezes too: a frozen interner is read without locks, and
+// every Run on the instance interns into its own overlay on it. Freeze
+// is idempotent and returns the same instance for chaining.
+// Exchange.Run freezes its source and its solution automatically; call
+// Freeze yourself to publish a parsed instance before fanning out.
 func (i *Instance) Freeze() *Instance {
 	i.c.Freeze()
+	i.c.Interner().Freeze()
 	return i
 }
 
@@ -113,7 +116,8 @@ func (i *Instance) IsComplete() bool { return i.c.IsComplete() }
 func (i *Instance) Coalesce() *Instance { return &Instance{c: i.c.Coalesce()} }
 
 // Clone returns an independent copy; clones may be mutated (and chased)
-// independently.
+// independently. A clone of a frozen instance interns new values into an
+// overlay on its frozen interner.
 func (i *Instance) Clone() *Instance { return &Instance{c: i.c.Clone()} }
 
 // Equal reports whether both instances contain exactly the same facts.
@@ -172,8 +176,9 @@ type Solution struct {
 	// Retained incremental-chase state: the frozen source this solution
 	// was chased from, and (for non-temporal mappings) the chase-layer
 	// base state RunDelta resumes from. Both stay nil on solutions not
-	// produced by Run/RunDelta. See the retention note on
-	// WithRunInterner for the memory trade-off.
+	// produced by Run/RunDelta. The solution's interner is its run's
+	// overlay on the source's, so the retained state shares it. See the
+	// retention note on WithRunInterner for the memory trade-off.
 	base *chase.BaseState
 	src  *Instance
 

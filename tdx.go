@@ -7,8 +7,9 @@
 //
 // The mapping is the fixed artifact; source instances are the variable
 // input. Compile parses, validates, and compiles a mapping once into a
-// reusable *Exchange — schemas, dependency plans, and a shared value
-// interner — and every run executes against it:
+// reusable *Exchange — schemas and dependency plans — and every run
+// executes against it, interning the values it creates into one overlay
+// on its source's frozen value interner:
 //
 //	ex, err := tdx.Compile(mappingText)
 //	src, err := ex.ParseSource(factsText)
@@ -37,7 +38,16 @@
 // executes on its calling goroutine, one sequential c-chase per run.
 // Behavior is configured with functional options at Compile time and
 // overridable per call — WithNorm, WithEgdStrategy, WithCoalesce,
-// WithTrace, WithRunInterner.
+// WithTrace.
+//
+// Value interning. Every stored value is interned to a dense ID. Freezing
+// an instance freezes its interner too, and a frozen interner is read
+// without locks. Each run interns the values it creates — normalization
+// fragments, head rows, nulls, head literals — into one overlay on its
+// source's frozen interner, so a source ID is already a run ID and no
+// run writes an interner another run can see. A returned solution's
+// interner is frozen with it, and a RunDelta layers its own overlay on
+// it; what a run interns is released with its Solution.
 //
 // All executing methods take a context.Context, checked throughout the
 // chase loops (normalization passes, tgd rounds, egd iterations): a
@@ -77,7 +87,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/schema"
 	"repro/internal/temporal"
-	"repro/internal/value"
 )
 
 // ErrNoSolution is wrapped by every Run (and Answer) failure caused by an
@@ -90,9 +99,11 @@ var ErrNoWitness = temporal.ErrNoWitness
 
 // Exchange is a compiled schema mapping: the one supported way to drive
 // the engine. It bundles the validated mapping, the pre-compiled
-// dependency plans, the declared queries, and a shared value interner, so
-// the per-mapping work is paid once at Compile and amortized over every
-// Run. Exchanges are immutable and safe for concurrent use.
+// dependency plans and the declared queries, so the per-mapping work is
+// paid once at Compile and amortized over every Run. It holds no value
+// interner: each run interns into an overlay on its source's, so an
+// Exchange does not grow with the inputs it serves. Exchanges are
+// immutable and safe for concurrent use.
 type Exchange struct {
 	cfg     config
 	cm      *chase.Compiled    // plain mappings
@@ -102,20 +113,6 @@ type Exchange struct {
 	target  *schema.Schema
 	queries []query.UCQ
 	byName  map[string]query.UCQ
-	// base is the frozen compile-time interner: it holds exactly the
-	// mapping-domain values (dependency and query literals), is never
-	// interned into after Compile, and seeds per-run interners when
-	// WithRunInterner is set.
-	base *value.Interner
-	// in is the exchange-wide interner: by default every run's target
-	// instances intern into it (it is thread-safe), so values recurring
-	// across runs — the mapping-domain constants, shared dimension values
-	// — are interned once instead of once per run. It accumulates every
-	// distinct value the runs ever intern and has no eviction, so an
-	// Exchange serving unbounded distinct inputs grows with them; the
-	// WithRunInterner option trades the amortization for bounded growth
-	// by giving each run a fresh clone of base instead.
-	in *value.Interner
 	// normBodies are the concrete tgd bodies the source is normalized
 	// against (derived from tm for temporal mappings).
 	normBodies []logic.Conjunction
@@ -203,9 +200,8 @@ func fromTemporal(m *temporal.Mapping, queries []query.UCQ, opts []Option) (*Exc
 	return ex.withQueries(queries)
 }
 
-// withQueries validates and indexes the declared queries, then seeds the
-// exchange's interners (queries contribute literals to the mapping
-// domain, so seeding runs after they are known).
+// withQueries validates and indexes the declared queries and computes
+// the fingerprint.
 func (ex *Exchange) withQueries(queries []query.UCQ) (*Exchange, error) {
 	ex.queries = queries
 	ex.byName = make(map[string]query.UCQ, len(queries))
@@ -218,9 +214,6 @@ func (ex *Exchange) withQueries(queries []query.UCQ) (*Exchange, error) {
 		}
 		ex.byName[u.Name] = u
 	}
-	ex.base = value.NewInterner()
-	ex.seedDomain(ex.base)
-	ex.in = value.NewInternerFrom(ex.base)
 	ex.fp = ex.fingerprint()
 	return ex, nil
 }
@@ -272,47 +265,6 @@ func (ex *Exchange) RunFingerprint(opts ...Option) string {
 // fingerprint and serves the same bytes, so a client re-registers the
 // mapping wherever the fingerprint is unknown.
 func (ex *Exchange) Fingerprint() string { return ex.fp }
-
-// seedDomain interns every literal of the mapping's dependencies and
-// declared queries — the value domain every run re-encounters — into in.
-// This is what makes the frozen base interner a useful per-run seed.
-func (ex *Exchange) seedDomain(in *value.Interner) {
-	conj := func(c logic.Conjunction) {
-		for _, a := range c {
-			for _, t := range a.Terms {
-				if !t.IsVar {
-					in.Intern(t.Val)
-				}
-			}
-		}
-	}
-	if ex.cm != nil {
-		m := ex.cm.Mapping()
-		for _, d := range m.TGDs {
-			conj(d.Body)
-			conj(d.Head)
-		}
-		for _, d := range m.EGDs {
-			conj(d.Body)
-		}
-	}
-	if ex.tm != nil {
-		for _, d := range ex.tm.TGDs {
-			conj(d.Body)
-			for _, ha := range d.Head {
-				conj(logic.Conjunction{ha.Atom})
-			}
-		}
-		for _, d := range ex.tm.EGDs {
-			conj(d.Body)
-		}
-	}
-	for _, u := range ex.queries {
-		for _, q := range u.Disjuncts {
-			conj(q.Body)
-		}
-	}
-}
 
 // Info summarizes a compiled exchange, for validation surfaces.
 type Info struct {
@@ -395,21 +347,13 @@ func (ex *Exchange) DecodeSourceJSON(r io.Reader) (*Instance, error) {
 	return &Instance{c: c}, nil
 }
 
-// chaseOptions builds one run's chase options: fresh per run (the null
-// generator must be private), sharing the exchange-wide interner — or a
-// per-run clone of the frozen compile-time interner under
-// WithRunInterner.
+// chaseOptions builds one run's chase options.
 func (ex *Exchange) chaseOptions(ctx context.Context, cfg config) *chase.Options {
-	in := ex.in
-	if cfg.runInterner {
-		in = value.NewInternerFrom(ex.base)
-	}
 	return &chase.Options{
-		Norm:     cfg.chaseNorm(),
-		Egd:      cfg.chaseEgd(),
-		Trace:    cfg.chaseTrace(),
-		Interner: in,
-		Ctx:      ctx,
+		Norm:  cfg.chaseNorm(),
+		Egd:   cfg.chaseEgd(),
+		Trace: cfg.chaseTrace(),
+		Ctx:   ctx,
 	}
 }
 
@@ -431,9 +375,11 @@ func ctxOrBackground(ctx context.Context) context.Context {
 // Run freezes src on entry (Run never writes to it; freezing makes that
 // contract structural): afterwards src is immutable — writes to it panic
 // — and may be shared by any number of concurrent Runs, which is how a
-// server shares one parsed source across requests. The returned Solution
-// is frozen too, so Facts, Table, JSON, Snapshot, Query, and Diff on it
-// are safe from any number of goroutines.
+// server shares one parsed source across requests. The run interns what
+// it creates into one overlay on src's frozen interner, so src's
+// interner never grows. The returned Solution is frozen too, interner
+// included, so Facts, Table, JSON, Snapshot, Query, and Diff on it are
+// safe from any number of goroutines.
 func (ex *Exchange) Run(ctx context.Context, src *Instance, opts ...Option) (*Solution, error) {
 	ctx = ctxOrBackground(ctx)
 	cfg := ex.cfg.apply(opts)
@@ -456,8 +402,9 @@ func (ex *Exchange) Run(ctx context.Context, src *Instance, opts ...Option) (*So
 	if cfg.coalesce {
 		jc = jc.Coalesce()
 	}
-	jc.Freeze() // publish: Solution reads are concurrently safe
-	return &Solution{Instance: Instance{c: jc}, stats: stats, fp: ex.fp, base: base, src: src}, nil
+	sol := &Solution{Instance: Instance{c: jc}, stats: stats, fp: ex.fp, base: base, src: src}
+	sol.Freeze() // publish: Solution reads are concurrently safe
+	return sol, nil
 }
 
 // Diff is the solution-level change set RunDelta reports: the semantic
@@ -517,8 +464,8 @@ func (ex *Exchange) RunDelta(ctx context.Context, sol *Solution, delta *Instance
 		if cfg.coalesce {
 			jc = jc.Coalesce()
 		}
-		jc.Freeze()
 		next = &Solution{Instance: Instance{c: jc}, stats: stats, fp: ex.fp, base: base, src: &Instance{c: base.Source()}}
+		next.Freeze()
 	} else {
 		// Temporal mappings retain no chase state: re-run over the
 		// combined source. Same result, no incrementality.
