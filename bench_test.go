@@ -717,11 +717,14 @@ func BenchmarkRunCopyBulk(b *testing.B) {
 	}
 }
 
-// TestRunCopyBulkAllocBytes guards the bytes one Run allocates over the
-// copy-bulk source: a run that re-interns every firing vector into an
-// interner of its own allocates about 6.9 MB and fails it; one that
-// writes the source's IDs as they are into an overlay on the source's
-// interner allocates about 3.3 MB.
+// TestRunCopyBulkAllocBytes guards the bytes and objects one Run
+// allocates over the copy-bulk source: a run that re-interns every
+// firing vector into an interner of its own allocates about 6.9 MB and
+// fails it; one that writes the source's IDs as they are into an overlay
+// on the source's interner allocates about 3.3 MB. A solution store that
+// decodes every row when it freezes allocates one object per fact, about
+// 5,400 per Run, and fails the object bound; one that keeps only its ID
+// columns allocates a few hundred.
 func TestRunCopyBulkAllocBytes(t *testing.T) {
 	ex, src := copyBulkSource(t)
 	ctx := context.Background()
@@ -738,8 +741,12 @@ func TestRunCopyBulkAllocBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("%.2f MB allocated per Run", perRun/1e6)
+	objects := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("%.2f MB and %.0f objects allocated per Run", perRun/1e6, objects)
 	if perRun > 4.5e6 {
 		t.Fatalf("a copy-bulk Run allocated %.2f MB, want under 4.5 MB", perRun/1e6)
+	}
+	if objects >= 1000 {
+		t.Fatalf("a copy-bulk Run allocated %.0f objects, want under 1,000", objects)
 	}
 }

@@ -97,8 +97,8 @@ func runPerfSnapshot(w io.Writer) error {
 	}
 	fmt.Fprint(w, render.Table(headers, rows))
 	fmt.Fprintln(w, "shape: the snapshot adopts its columns straight out of the mapped file")
-	fmt.Fprintln(w, "and pays only for derived structures (interner table, indexes, decoded")
-	fmt.Fprintln(w, "rows); the JSON path re-parses and re-interns every value, so the gap")
+	fmt.Fprintln(w, "and pays only for derived structures (interner table, indexes); the JSON")
+	fmt.Fprintln(w, "path re-parses and re-interns every value, so the gap")
 	fmt.Fprintln(w, "widens with solution size — past ~10k facts the load is ≥3x faster")
 	return nil
 }

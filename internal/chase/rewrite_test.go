@@ -57,7 +57,7 @@ func TestIncrementalRewriteMatchesFullRebuild(t *testing.T) {
 			}
 		}
 		// Warm an index so maintenance is exercised too.
-		st.Rel("R").Candidates(0, nulls[0])
+		st.Rel("R").EnsureIndex(0)
 
 		uf := newValueUF(in)
 		for m := 0; m < 1+r.Intn(4); m++ {

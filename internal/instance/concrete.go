@@ -26,6 +26,7 @@ import (
 type Concrete struct {
 	sch *schema.Schema // may be nil: schemaless instances allowed
 	st  *storage.Store
+	row []value.Value // InsertRowOf's decode buffer
 }
 
 // NewConcrete returns an empty concrete instance over the given schema
@@ -62,12 +63,13 @@ func (c *Concrete) Interner() *value.Interner { return c.st.Interner() }
 // Callers must not mutate it directly.
 func (c *Concrete) Store() *storage.Store { return c.st }
 
-// Freeze publishes the instance for concurrent reads: every lazy storage
-// structure reads consult (posting lists, decoded tuples) is built
-// eagerly and the underlying store flips to immutable — any number of
-// goroutines may then match, snapshot, render, or clone the instance
-// concurrently. Writes to a frozen instance panic. Idempotent; Clone
-// returns a mutable copy.
+// Freeze publishes the instance for concurrent reads: the posting lists
+// reads consult are built eagerly and the underlying store flips to
+// immutable — any number of goroutines may then match, snapshot, render,
+// or clone the instance concurrently. No fact is decoded ahead of time;
+// readers decode the rows they visit. The interner is left as it is.
+// Writes to a frozen instance panic. Idempotent; Clone returns a mutable
+// copy.
 func (c *Concrete) Freeze() { c.st.Freeze() }
 
 // Frozen reports whether the instance has been frozen.
@@ -159,16 +161,20 @@ func IntervalAt(r *storage.Rel, row int) interval.Interval {
 // InsertRowOf copies the fact stored at row of src's relation rel into
 // c by its interned row, without re-interning its values. It applies
 // Insert's checks and reports like Insert; c's interner must extend
-// src's.
+// src's. The checks read the fact decoded into a buffer c reuses (a
+// stack buffer would escape through Validate's error path).
 func (c *Concrete) InsertRowOf(src *Concrete, rel string, row int) (bool, error) {
-	f := src.FactAt(rel, row)
+	r := src.st.Rel(rel)
+	iv := IntervalAt(r, row)
+	c.row = r.AppendTuple(c.row[:0], row)
+	f := fact.CFact{Rel: rel, Args: c.row[:len(c.row)-1], T: iv}
 	if err := f.Validate(); err != nil {
 		return false, err
 	}
 	if err := c.CheckRel(f.Rel, len(f.Args)); err != nil {
 		return false, err
 	}
-	return c.st.InsertRowOf(src.st.Rel(rel), row), nil
+	return c.st.InsertRowOf(r, row), nil
 }
 
 // Len returns the number of facts.

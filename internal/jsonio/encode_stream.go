@@ -2,7 +2,7 @@ package jsonio
 
 import (
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -13,9 +13,11 @@ import (
 )
 
 // The streaming encoder walks the columnar store directly — per-relation
-// live-row collection off the validity bitmap (storage.Rel.AppendLive),
-// cached tuple decode (alloc-free on frozen stores), a reused scratch
-// buffer for value rendering — and writes the document in bounded chunks.
+// live-row collection off the validity bitmap (storage.Rel.AppendLive), a
+// row sort that compares interned IDs and resolves only the positions
+// where two rows differ, each row decoded from its columns into one
+// reused tuple buffer, a reused scratch buffer for value rendering — and
+// writes the document in bounded chunks.
 // It materializes neither the []fact.CFact of Facts() nor a []factJSON
 // mirror nor a MarshalIndent staging buffer, so encoding an n-fact
 // solution costs O(1) allocations per fact and never holds more than one
@@ -56,6 +58,7 @@ func EncodeCompactTo(w io.Writer, c *instance.Concrete) error {
 type streamEncoder struct {
 	w      io.Writer
 	buf    []byte
+	tup    []value.Value // the row being rendered, reused across rows
 	err    error
 	indent bool
 }
@@ -99,7 +102,7 @@ func encodeStream(w io.Writer, c *instance.Concrete, indent bool) error {
 			// sorted relation names + per-relation row sort reproduce it
 			// without a cross-relation merge.
 			rows = r.AppendLive(rows[:0])
-			sort.Slice(rows, func(i, j int) bool { return rowCompare(r, rows[i], rows[j]) < 0 })
+			slices.SortFunc(rows, func(a, b int) int { return rowCompare(r, a, b) })
 			for _, row := range rows {
 				if !first {
 					e.buf = append(e.buf, ',')
@@ -126,15 +129,12 @@ func encodeStream(w io.Writer, c *instance.Concrete, indent bool) error {
 // the raw tuples position-wise would be wrong for mixed-arity relations —
 // the interval tail of a short row would be compared against a data
 // argument of a long one, and interval values sort after every data kind.
+// Equal IDs are equal values, so only a position where the IDs differ is
+// resolved.
 func rowCompare(r *storage.Rel, a, b int) int {
-	ta, tb := r.Tuple(a), r.Tuple(b)
-	na, nb := len(ta)-1, len(tb)-1
-	n := na
-	if nb < n {
-		n = nb
-	}
-	for i := 0; i < n; i++ {
-		if c := value.Compare(ta[i], tb[i]); c != 0 {
+	na, nb := r.Arity(a)-1, r.Arity(b)-1
+	for i := 0; i < min(na, nb); i++ {
+		if c := idCompare(r, a, b, i, i); c != 0 {
 			return c
 		}
 	}
@@ -146,12 +146,23 @@ func rowCompare(r *storage.Rel, a, b int) int {
 	}
 	// Both tails are interval values, for which value.Compare is exactly
 	// interval.Compare — the CompareC tie-break.
-	return value.Compare(ta[na], tb[nb])
+	return idCompare(r, a, b, na, nb)
+}
+
+// idCompare compares position pa of row a with position pb of row b.
+func idCompare(r *storage.Rel, a, b, pa, pb int) int {
+	ia, ib := r.IDAt(a, pa), r.IDAt(b, pb)
+	if ia == ib {
+		return 0
+	}
+	in := r.Interner()
+	return value.Compare(in.Resolve(ia), in.Resolve(ib))
 }
 
 // fact renders one stored row as a wire fact object.
 func (e *streamEncoder) fact(rel string, r *storage.Rel, row int) {
-	tup := r.Tuple(row)
+	e.tup = r.AppendTuple(e.tup[:0], row)
+	tup := e.tup
 	n := len(tup) - 1
 	if tup[n].Kind() != value.IntervalVal {
 		// Mirror the legacy path's corruption panic (FromTuple).

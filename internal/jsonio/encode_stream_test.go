@@ -308,7 +308,10 @@ func benchInstance(n int) *instance.Concrete {
 // BenchmarkEncode compares the streamed encoder against the legacy
 // materialize-then-marshal path at 1k/10k/100k facts. The interesting
 // columns are allocs/op and B/op: the streamed path's are O(1) in the
-// fact count, the legacy path's are O(n).
+// fact count, the legacy path's are O(n). The streamed rows freeze only
+// the store, so every value the encoder resolves takes the interner's
+// read lock; the streamed-frozen rows freeze the interner too, as
+// tdx.Instance.Freeze does for every Solution, and resolve without it.
 func BenchmarkEncode(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		c := benchInstance(n)
@@ -317,6 +320,17 @@ func BenchmarkEncode(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := EncodeTo(io.Discard, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		fc := benchInstance(n)
+		fc.Freeze()
+		fc.Interner().Freeze()
+		b.Run(fmt.Sprintf("streamed-frozen/%dk", n/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := EncodeTo(io.Discard, fc); err != nil {
 					b.Fatal(err)
 				}
 			}

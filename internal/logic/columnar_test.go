@@ -32,7 +32,7 @@ func TestBruteForceAfterSubstitution(t *testing.T) {
 		// Warm some indexes so the substitution exercises posting-list
 		// maintenance, then rewrite a couple of IDs in place.
 		if rel := st.Rel("R"); rel != nil {
-			rel.Candidates(0, cv("c0"))
+			rel.EnsureIndex(0)
 		}
 		in := st.Interner()
 		for round := 0; round < 2; round++ {

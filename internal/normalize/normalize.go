@@ -544,27 +544,33 @@ func SyncFamilies(c *instance.Concrete) *instance.Concrete {
 // syncFamiliesCtx is SyncFamilies with a per-pass context check.
 func syncFamiliesCtx(ctx context.Context, c *instance.Concrete) (*instance.Concrete, error) {
 	cur := c
+	var fams []uint64
 	for {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
 		// Collect, per family, the endpoints of all occurrence annotations
 		// (equal to the enclosing fact intervals by the fact invariant).
-		// Iteration is store order (EachFact): deterministic without the
-		// sorted materialization Facts would pay twice per pass.
+		// Both scans walk the live rows in store order and read them by
+		// ID: only annotated nulls and the intervals of their facts are
+		// resolved, and no fact is decoded.
+		st := cur.Store()
 		cuts := make(map[uint64][]interval.Time)
-		cur.EachFact(func(f fact.CFact) bool {
-			for _, v := range f.Args {
-				if v.Kind() == value.AnnNull {
-					cuts[v.ID] = append(cuts[v.ID], f.T.Start, f.T.End)
+		st.EachLive(func(r *storage.Rel, row int) bool {
+			if fams = annFamilies(fams[:0], r, row); len(fams) > 0 {
+				iv := instance.IntervalAt(r, row)
+				for _, fam := range fams {
+					cuts[fam] = append(cuts[fam], iv.Start, iv.End)
 				}
 			}
 			return true
 		})
-		// splitting reports whether some family of f is cut inside f.T.
-		splitting := func(f fact.CFact) bool {
-			for _, v := range f.Args {
-				if v.Kind() == value.AnnNull && splits(f.T, cuts[v.ID]) {
+		// splitting reports whether some family of the fact at row of r is
+		// cut inside its interval, leaving the fact's families in fams.
+		splitting := func(r *storage.Rel, row int) bool {
+			fams = annFamilies(fams[:0], r, row)
+			for _, fam := range fams {
+				if splits(instance.IntervalAt(r, row), cuts[fam]) {
 					return true
 				}
 			}
@@ -572,8 +578,8 @@ func syncFamiliesCtx(ctx context.Context, c *instance.Concrete) (*instance.Concr
 		}
 		// Most passes change nothing: find a split before copying anything.
 		changed := false
-		cur.EachFact(func(f fact.CFact) bool {
-			changed = splitting(f)
+		st.EachLive(func(r *storage.Rel, row int) bool {
+			changed = splitting(r, row)
 			return !changed
 		})
 		if !changed {
@@ -581,27 +587,35 @@ func syncFamiliesCtx(ctx context.Context, c *instance.Concrete) (*instance.Concr
 		}
 		out := instance.NewConcreteWith(cur.Schema(), cur.Interner())
 		var factCuts []interval.Time
-		for _, rel := range cur.Relations() {
-			cur.Store().Rel(rel).EachLive(func(row int) bool {
-				f := cur.FactAt(rel, row)
-				if !splitting(f) {
-					copyRow(out, cur, rel, row)
-					return true
-				}
-				factCuts = factCuts[:0]
-				for _, v := range f.Args {
-					if v.Kind() == value.AnnNull {
-						factCuts = append(factCuts, cuts[v.ID]...)
-					}
-				}
-				for _, fr := range f.Fragment(factCuts) {
-					out.MustInsert(fr)
-				}
+		st.EachLive(func(r *storage.Rel, row int) bool {
+			if !splitting(r, row) {
+				copyRow(out, cur, r.Name(), row)
 				return true
-			})
-		}
+			}
+			factCuts = factCuts[:0]
+			for _, fam := range fams {
+				factCuts = append(factCuts, cuts[fam]...)
+			}
+			for _, fr := range cur.FactAt(r.Name(), row).Fragment(factCuts) {
+				out.MustInsert(fr)
+			}
+			return true
+		})
 		cur = out
 	}
+}
+
+// annFamilies appends to dst the family of each annotated null among the
+// data arguments of row of r, in argument order. It reads the row's IDs
+// and resolves only the annotated nulls.
+func annFamilies(dst []uint64, r *storage.Rel, row int) []uint64 {
+	in := r.Interner()
+	for p, n := 0, r.Arity(row)-1; p < n; p++ {
+		if id := r.IDAt(row, p); in.KindOf(id) == value.AnnNull {
+			dst = append(dst, in.Resolve(id).ID)
+		}
+	}
+	return dst
 }
 
 // ForEgdPhase prepares a target instance for egd matching: normalized

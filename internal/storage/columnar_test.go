@@ -131,7 +131,7 @@ func checkAgainstRef(t *testing.T, r *Rel, ref *refRel, probes [][]value.Value) 
 	for pos := 0; pos < 4; pos++ {
 		for _, tup := range probes {
 			for _, v := range tup {
-				rows := r.Candidates(pos, v)
+				rows := candidates(r, pos, v)
 				for i, row := range rows {
 					if i > 0 && rows[i-1] >= row {
 						t.Fatalf("posting list not strictly ascending: %v", rows)
@@ -194,7 +194,7 @@ func TestColumnarMatchesRowMajorReference(t *testing.T) {
 			// Occasionally probe mid-stream so indexes get built early and
 			// then maintained incrementally through inserts and rewrites.
 			if step%17 == 0 {
-				st.Rel(rel).Candidates(r.Intn(3), tup[0])
+				st.Rel(rel).EnsureIndex(r.Intn(3))
 			}
 		}
 		for _, rel := range rels {
@@ -294,7 +294,7 @@ func TestSubstituteCollapsesDuplicates(t *testing.T) {
 	st.Insert("R", []value.Value{n2, x})
 	st.Insert("R", []value.Value{x, x})
 	rel := st.Rel("R")
-	rel.Candidates(0, n1) // build the index before substituting
+	rel.EnsureIndex(0) // build the index before substituting
 	in := st.Interner()
 	id1, _ := in.Lookup(n1)
 	id2, _ := in.Lookup(n2)
@@ -318,7 +318,7 @@ func TestSubstituteCollapsesDuplicates(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("Each visited %d rows, want 2", count)
 	}
-	if got := rel.Candidates(0, n1); len(got) != 1 || got[0] != 0 {
+	if got := candidates(rel, 0, n1); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("posting list after collapse = %v, want [0]", got)
 	}
 	if st.Insert("R", []value.Value{n1, x}) {

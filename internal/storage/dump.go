@@ -22,9 +22,9 @@ type SegmentDump struct {
 // global row-number space, the row-validity bitmap (exactly
 // ceil(NumRows/64) words, insertion growth order), and one segment per
 // arity class. Everything else a relation carries — segment locations,
-// dedup buckets, posting lists, decoded tuples — is derivable from these
-// three, which is what makes the dump the serialization boundary of the
-// storage layer.
+// dedup buckets, posting lists — is derivable from these three, and a
+// relation holds no decoded form of its rows, which is what makes the
+// dump the serialization boundary of the storage layer.
 type RelDump struct {
 	NumRows  int
 	Live     []uint64
@@ -50,9 +50,10 @@ func (r *Rel) Dump() RelDump {
 // dumps and the interner their ID columns refer to. The dump slices are
 // adopted, not copied — they may alias a read-only mapping (the mmap
 // snapshot path) and must not be mutated afterwards — so loading costs
-// only the derived structures: segment locations, dedup buckets, posting
-// lists, and decoded tuples are rebuilt here, exactly as Freeze would
-// have built them on the original.
+// only the derived structures: segment locations, dedup buckets and
+// posting lists are rebuilt here, exactly as Freeze would have built
+// them on the original. No row is decoded; a read decodes the row it
+// needs from the adopted columns.
 //
 // Every structural invariant a relation maintains is re-validated before
 // adoption — bitmap length and trailing bits, exactly-once row coverage,
@@ -138,7 +139,7 @@ func buildFrozenRel(name string, in *value.Interner, d RelDump) (*Rel, error) {
 		liveCount += bits.OnesCount64(w)
 	}
 	r.dead = n - liveCount
-	r.tuples = make([][]value.Value, n)
+	r.dedup = make(map[uint64]int, liveCount)
 	for row := 0; row < n; row++ {
 		if !r.Alive(row) {
 			continue

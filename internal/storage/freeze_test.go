@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -72,7 +74,7 @@ func TestFreezeIsIdempotentAndKeepsEpoch(t *testing.T) {
 		t.Fatal("frozen store lost a tuple")
 	}
 	_ = r.CandidatesID(0, 0)
-	_ = r.Candidates(1, value.NewConst("nope"))
+	_ = candidates(r, 1, value.NewConst("nope"))
 	r.EnsureIndex(99) // past every arity: must be a no-op on a frozen rel
 	if r.HasIndex(99) {
 		t.Fatal("EnsureIndex built an index on a frozen relation")
@@ -144,5 +146,53 @@ func TestCloneOfFrozenIsMutable(t *testing.T) {
 	cl.SubstituteIDs([]value.ID{0}, func(id value.ID) value.ID { return id })
 	if st.Size() != before {
 		t.Fatal("mutating the clone changed the frozen original")
+	}
+}
+
+// freezeAllocs builds a relation of n distinct rows over the same 100
+// constants, whatever n is, inserted as interned rows the way the chase
+// inserts them, and counts the objects Freeze allocates and then those
+// NewFrozenStore allocates to load its dump.
+func freezeAllocs(t *testing.T, n int) (freeze, load uint64) {
+	t.Helper()
+	in := value.NewInterner()
+	ids := make([]value.ID, 100)
+	for i := range ids {
+		ids[i] = in.Intern(value.NewConst(fmt.Sprintf("v%d", i)))
+	}
+	st := NewStoreWith(in)
+	for i := 0; i < n; i++ {
+		// Positions 0 and 1 make every row distinct for i < 10,000, and
+		// each position takes all 100 values from 1,000 rows up.
+		st.InsertIDs("R", []value.ID{ids[i%100], ids[(7*i+i/100)%100], ids[i/10%100]})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st.Freeze()
+	runtime.ReadMemStats(&after)
+	freeze = after.Mallocs - before.Mallocs
+	dumps := map[string]RelDump{"R": st.Rel("R").Dump()}
+	runtime.ReadMemStats(&before)
+	if _, err := NewFrozenStore(in, dumps); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return freeze, after.Mallocs - before.Mallocs
+}
+
+// TestFreezeAllocatesNothingPerRow: Freeze builds posting lists and
+// decodes no row, and NewFrozenStore adopts a dump's columns the same
+// way, so ten times the rows over the same values cost about the same
+// number of allocations. A store that decodes every row when it freezes
+// allocates one object per row and fails.
+func TestFreezeAllocatesNothingPerRow(t *testing.T) {
+	f1, l1 := freezeAllocs(t, 1_000)
+	f10, l10 := freezeAllocs(t, 10_000)
+	t.Logf("Freeze: %d objects for 1,000 rows, %d for 10,000; NewFrozenStore: %d and %d", f1, f10, l1, l10)
+	if f10 > f1+64 {
+		t.Errorf("Freeze of 10,000 rows allocated %d objects, 1,000 rows %d: want about as many", f10, f1)
+	}
+	if l10 > l1+64 {
+		t.Errorf("NewFrozenStore of 10,000 rows allocated %d objects, 1,000 rows %d: want about as many", l10, l1)
 	}
 }

@@ -10,15 +10,17 @@
 //
 // Representation. Every value entering a store is interned into a dense
 // value.ID by the store's value.Interner. A tuple of arity k lands in the
-// relation's arity-k segment as one entry per column; the caller-facing
-// []value.Value form is a decode cache, materialized lazily for rows that
-// were inserted as raw IDs (Tuple). Rows are addressed by a stable global
-// row number; a row-validity bitmap marks rows that were collapsed into
-// duplicates by an in-place substitution (SubstituteIDs, the egd-rewrite
-// fast path) — dead rows keep their number but are skipped by Len,
-// iteration, dedup, and the posting lists. Duplicate elimination hashes
-// the ID row (value.HashIDs) into buckets and compares against the
-// columns on collision; no strings are built on the insert/lookup path.
+// relation's arity-k segment as one entry per column. The ID columns are
+// the only form of a row the store keeps: the caller-facing []value.Value
+// form is decoded from them through the interner on every read (Tuple,
+// ValueAt, AppendTuple, Each) and never cached, so a row costs its IDs
+// and nothing more. Rows are addressed by a stable global row number; a
+// row-validity bitmap marks rows that were collapsed into duplicates by
+// an in-place substitution (SubstituteIDs, the egd-rewrite fast path) —
+// dead rows keep their number but are skipped by Len, iteration, dedup,
+// and the posting lists. Duplicate elimination hashes the ID row
+// (value.HashIDs) into buckets and compares against the columns on
+// collision; no strings are built on the insert/lookup path.
 //
 // SubstituteIDs rewrites only the rows that contain a substituted ID,
 // found through a lazily built reverse index (value-ID → rows containing
@@ -39,24 +41,26 @@
 // panics loudly instead of silently reading stale columns.
 //
 // Concurrency contract: a store is mutable-until-frozen. While mutable it
-// is single-goroutine (inserts, substitutions, and the lazy caches behind
-// Tuple/Contains/CandidatesID all write unsynchronized state). Freeze
-// eagerly builds every lazy structure reads consult — posting-list
-// indexes on every position, decoded tuples — and then flips the
-// store into an immutable published state: every read path is
-// mutation-free afterwards, so any number of goroutines may probe one
-// frozen store concurrently (the homomorphism engine additionally skips
-// epoch revalidation over frozen relations, letting one compiled plan
-// shape execute from many goroutines). Writing to a frozen store panics
-// loudly, mirroring the epoch-revalidation contract; Clone returns a
-// mutable copy when a derived store must be rewritten.
+// is single-goroutine (inserts, substitutions, and the lazy indexes and
+// scratch buffers behind Contains/CandidatesID all write unsynchronized
+// state). Freeze eagerly builds the one lazy structure reads consult —
+// the posting-list index on every position — and then flips the store
+// into an immutable published state: every read path is mutation-free
+// afterwards, so any number of goroutines may probe one frozen store
+// concurrently (the homomorphism engine additionally skips epoch
+// revalidation over frozen relations, letting one compiled plan shape
+// execute from many goroutines). Decoding a row reads the interner,
+// which is safe for concurrent readers and lock-free once it is frozen
+// too. Writing to a frozen store panics loudly, mirroring the
+// epoch-revalidation contract; Clone returns a mutable copy when a
+// derived store must be rewritten.
 //
 // The store is deliberately representation-agnostic: a tuple is a slice
 // of values, and both views use it — the concrete view stores a fact
 // R+(a, [s,e)) as the tuple ⟨a..., [s,e)⟩ whose last component is an
 // interval value, while abstract snapshots store plain ⟨a...⟩ tuples.
-// Tuples are treated as immutable once inserted; only SubstituteIDs
-// rewrites stored rows, and it preserves set semantics.
+// Rows are immutable once inserted; only SubstituteIDs rewrites stored
+// rows, and it preserves set semantics.
 package storage
 
 import (
@@ -94,9 +98,8 @@ type Rel struct {
 	dead  int      // rows invalidated by SubstituteIDs
 	epoch uint64   // bumped by every mutation (insert, substitute)
 
-	tuples [][]value.Value  // decode cache; nil entries resolve lazily
-	dedup  map[uint64]int   // row hash → a live row with that hash
-	over   map[uint64][]int // further live rows per hash (collisions only)
+	dedup map[uint64]int   // row hash → a live row with that hash
+	over  map[uint64][]int // further live rows per hash (collisions only)
 
 	idx map[int]map[value.ID][]int // pos → ID → sorted live rows
 	rev map[value.ID][]int         // ID → rows containing it (lazy; may hold stale entries)
@@ -127,20 +130,20 @@ func (r *Rel) NumRows() int { return len(r.loc) }
 // a plan over it runs; the engine records each relation's epoch at plan
 // compile time and revalidates it after every match callback, turning a
 // silent read of stale column headers into a loud panic. Building lazy
-// caches (posting-list indexes, the reverse ID index, decoded tuples)
-// does not change what a plan would read, so those do not bump the epoch.
+// indexes (posting lists, the reverse ID index) does not change what a
+// plan would read, so those do not bump the epoch.
 func (r *Rel) Epoch() uint64 { return r.epoch }
 
-// Freeze eagerly builds every lazy structure a read path can consult —
-// the posting-list index on every column position and the decoded form
-// of every row — and then flips the relation into an immutable state:
-// all read paths (Tuple, Contains, block access, posting lookups) are
-// mutation-free afterwards and safe for any number of concurrent
-// readers. The reverse ID index is exempt: it feeds only substitution,
-// which a frozen relation forbids, so building it would be dead weight.
-// Writes to a frozen relation panic loudly. Freeze is idempotent; it
-// must be called from the single goroutine that owns the still-mutable
-// relation.
+// Freeze eagerly builds the posting-list index on every column position,
+// the one lazy structure a read path can consult, and then flips the
+// relation into an immutable state: all read paths (Tuple, Contains,
+// block access, posting lookups) are mutation-free afterwards and safe
+// for any number of concurrent readers. The reverse ID index is exempt:
+// it feeds only substitution, which a frozen relation forbids, so
+// building it would be dead weight. Rows are not decoded: a read decodes
+// the row it needs from the columns. Writes to a frozen relation panic
+// loudly. Freeze is idempotent; it must be called from the single
+// goroutine that owns the still-mutable relation.
 func (r *Rel) Freeze() {
 	if r.frozen {
 		return
@@ -153,14 +156,6 @@ func (r *Rel) Freeze() {
 	}
 	for pos := 0; pos < maxArity; pos++ {
 		r.EnsureIndex(pos)
-	}
-	// Decode every row — dead ones included, so no read path is ever
-	// tempted to fill a cache entry after the freeze.
-	for row := range r.loc {
-		if r.tuples[row] == nil {
-			r.scratch = r.appendRowIDs(r.scratch[:0], row)
-			r.tuples[row] = r.in.ResolveAll(make([]value.Value, 0, len(r.scratch)), r.scratch)
-		}
 	}
 	r.frozen = true
 }
@@ -216,35 +211,33 @@ func (r *Rel) Row(i int) []value.ID {
 	return r.appendRowIDs(make([]value.ID, 0, r.arityOf(i)), i)
 }
 
-// Tuple returns row i as values, resolving and caching it on first use
-// for rows inserted as raw IDs. The caller must not mutate it. The cache
-// fill is unsynchronized, so a mutable relation is single-goroutine; a
-// frozen relation has every row pre-decoded and is safe for concurrent
-// Tuple calls.
+// Tuple returns row i as values in a fresh slice, decoded from its
+// columns; the caller owns it. It writes nothing, so a frozen relation
+// serves concurrent Tuple calls. Readers of many rows decode into a
+// buffer of their own with AppendTuple instead.
 func (r *Rel) Tuple(i int) []value.Value {
-	if t := r.tuples[i]; t != nil {
-		return t
-	}
-	r.scratch = r.appendRowIDs(r.scratch[:0], i)
-	t := r.in.ResolveAll(make([]value.Value, 0, len(r.scratch)), r.scratch)
-	r.tuples[i] = t
-	return t
+	return r.AppendTuple(make([]value.Value, 0, r.arityOf(i)), i)
+}
+
+// AppendTuple appends row i's values, decoded from its columns, to dst
+// and returns the extended slice. It allocates only when dst must grow.
+func (r *Rel) AppendTuple(dst []value.Value, i int) []value.Value {
+	var ids [8]value.ID
+	return r.in.ResolveAll(dst, r.appendRowIDs(ids[:0], i))
 }
 
 // Arity returns the arity of row i.
 func (r *Rel) Arity(i int) int { return r.arityOf(i) }
 
-// ValueAt returns position pos of row i without decoding the rest of the
-// row: from the decode cache when the row is decoded, else resolved
-// straight from its column. Unlike Tuple it never fills the cache, so it
-// allocates nothing and writes nothing, on mutable relations too.
-func (r *Rel) ValueAt(i, pos int) value.Value {
-	if t := r.tuples[i]; t != nil {
-		return t[pos]
-	}
+// IDAt returns the interned ID at position pos of row i.
+func (r *Rel) IDAt(i, pos int) value.ID {
 	l := r.loc[i]
-	return r.in.Resolve(r.segs[l.seg].cols[pos][l.off])
+	return r.segs[l.seg].cols[pos][l.off]
 }
+
+// ValueAt returns position pos of row i, resolved from its column
+// without decoding the rest of the row. It allocates nothing.
+func (r *Rel) ValueAt(i, pos int) value.Value { return r.in.Resolve(r.IDAt(i, pos)) }
 
 // hashRow hashes a stored row the same way value.HashIDs hashes its
 // slice form.
@@ -337,8 +330,8 @@ func (r *Rel) detachDedup(h uint64, row int) {
 
 // insertIDs adds the interned row unless an identical live one is
 // present. The ids are copied into the columns, so the caller may reuse
-// the slice; tup, when non-nil, is retained as the row's decoded form.
-func (r *Rel) insertIDs(ids []value.ID, tup []value.Value) bool {
+// the slice.
+func (r *Rel) insertIDs(ids []value.ID) bool {
 	if r.frozen {
 		r.frozenPanic()
 	}
@@ -359,7 +352,6 @@ func (r *Rel) insertIDs(ids []value.ID, tup []value.Value) bool {
 		r.live = append(r.live, 0)
 	}
 	r.live[row>>6] |= 1 << (uint(row) & 63)
-	r.tuples = append(r.tuples, tup)
 	r.attachDedup(h, row)
 	for pos, byID := range r.idx {
 		if pos < len(ids) {
@@ -381,7 +373,7 @@ func (r *Rel) insert(tup []value.Value) bool {
 		r.frozenPanic()
 	}
 	r.scratch = r.in.InternAll(r.scratch[:0], tup)
-	return r.insertIDs(r.scratch, tup)
+	return r.insertIDs(r.scratch)
 }
 
 // Contains reports whether an identical tuple is stored. Safe for
@@ -513,16 +505,6 @@ func (r *Rel) EnsureIndex(pos int) {
 func (r *Rel) CandidatesID(pos int, id value.ID) []int {
 	r.EnsureIndex(pos)
 	return r.idx[pos][id]
-}
-
-// Candidates is CandidatesID for a raw value: rows whose component pos
-// equals v.
-func (r *Rel) Candidates(pos int, v value.Value) []int {
-	id, ok := r.in.Lookup(v)
-	if !ok {
-		return nil
-	}
-	return r.CandidatesID(pos, id)
 }
 
 // HasIndex reports whether an index exists on pos (for tests and
@@ -683,7 +665,6 @@ func (r *Rel) substitute(subs []value.ID, canon func(value.ID) value.ID, touched
 			s.cols[p][l.off] = nid
 			r.rev[nid] = append(r.rev[nid], row)
 		}
-		r.tuples[row] = nil // decode cache is stale; re-resolve lazily
 	}
 
 	// Phase 2 — reattach in ascending row order: a row identical to a
@@ -832,10 +813,10 @@ func (s *Store) rel(name string) *Rel {
 	return r
 }
 
-// Freeze eagerly builds every lazy structure of every relation that
-// reads consult (posting lists, decoded tuples) and flips the store into
-// an immutable published state: all read paths are mutation-free
-// afterwards, so any number of goroutines may share the frozen store.
+// Freeze eagerly builds the posting lists of every relation, the one lazy
+// structure reads consult, and flips the store into an immutable
+// published state: all read paths are mutation-free afterwards, so any
+// number of goroutines may share the frozen store. No row is decoded.
 // Writes (Insert, InsertIDs, SubstituteIDs) panic loudly. The interner
 // is left as it is: a frozen store may share a still-mutable interner
 // with the stores of a run in progress (a chase's pre-egd target and
@@ -890,15 +871,14 @@ func (s *Store) InsertIDs(rel string, ids []value.ID) bool {
 	if s.frozen {
 		s.frozenPanic("InsertIDs")
 	}
-	return s.rel(rel).insertIDs(ids, nil)
+	return s.rel(rel).insertIDs(ids)
 }
 
 // InsertRowOf copies row i of src — a relation of a store whose
 // interner this store's extends (value.Interner.Extends) — into the
-// same-named relation of this store, as InsertIDs would, and shares
-// src's decoded form of the row (tuples are immutable). This is the copy
-// fast path for derived instances that pass most rows through unchanged:
-// no value is rendered or re-interned.
+// same-named relation of this store, as InsertIDs would. This is the
+// copy fast path for derived instances that pass most rows through
+// unchanged: no value is decoded, rendered or re-interned.
 func (s *Store) InsertRowOf(src *Rel, i int) bool {
 	if s.frozen {
 		s.frozenPanic("InsertRowOf")
@@ -908,7 +888,7 @@ func (s *Store) InsertRowOf(src *Rel, i int) bool {
 	}
 	r := s.rel(src.name)
 	r.scratch = src.appendRowIDs(r.scratch[:0], i)
-	return r.insertIDs(r.scratch, src.tuples[i])
+	return r.insertIDs(r.scratch)
 }
 
 // SubstituteIDs rewrites, in place, every live row of every relation
@@ -979,54 +959,66 @@ func (s *Store) Size() int {
 	return n
 }
 
+// eachChunk is the number of values Each decodes into one backing array.
+const eachChunk = 1024
+
 // Each calls fn for every live tuple of every relation (relations in
-// lexicographic order, tuples in insertion order). fn must not mutate
-// the tuple. Iteration stops early if fn returns false.
+// lexicographic order, tuples in insertion order), decoded from the
+// columns. Iteration stops early if fn returns false. Tuples are cut
+// from shared chunks of about eachChunk values, each capped at its own
+// length and never written again, so fn may keep them but must not
+// mutate them; no tuple costs an allocation of its own.
 func (s *Store) Each(fn func(rel string, tup []value.Value) bool) {
-	for _, name := range s.Relations() {
-		r := s.rels[name]
-		stop := false
-		r.EachLive(func(row int) bool {
-			if !fn(name, r.Tuple(row)) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
+	left := 0 // values still to decode at most: bounds the chunk size
+	for _, r := range s.rels {
+		for _, sg := range r.segs {
+			left += sg.arity * len(sg.rows)
 		}
 	}
+	var chunk []value.Value
+	s.EachLive(func(r *Rel, row int) bool {
+		k := r.arityOf(row)
+		if cap(chunk)-len(chunk) < k {
+			chunk = make([]value.Value, 0, max(k, min(eachChunk, left)))
+		}
+		n := len(chunk)
+		chunk = r.AppendTuple(chunk, row)
+		left -= k
+		return fn(r.name, chunk[n:len(chunk):len(chunk)])
+	})
 }
 
 // EachRow is Each over interned rows. The ids slice is reused between
 // calls; fn must copy it to retain it.
 func (s *Store) EachRow(fn func(rel string, ids []value.ID) bool) {
 	var buf []value.ID
+	s.EachLive(func(r *Rel, row int) bool {
+		buf = r.appendRowIDs(buf[:0], row)
+		return fn(r.name, buf)
+	})
+}
+
+// EachLive calls fn with every live row of every relation, in Each's
+// order, stopping early if fn returns false. Readers that need a few
+// positions of each row read them by ID (Rel.IDAt) instead of decoding
+// it.
+func (s *Store) EachLive(fn func(r *Rel, row int) bool) {
 	for _, name := range s.Relations() {
 		r := s.rels[name]
-		stop := false
-		r.EachLive(func(row int) bool {
-			buf = r.appendRowIDs(buf[:0], row)
-			if !fn(name, buf) {
-				stop = true
-				return false
+		for row := range r.loc {
+			if r.Alive(row) && !fn(r, row) {
+				return
 			}
-			return true
-		})
-		if stop {
-			return
 		}
 	}
 }
 
 // Clone returns a deep copy of the relation structure sharing the
 // interner, or interning into an overlay on it when it is frozen.
-// Columns and the validity bitmap are copied (the clone can be
-// substituted independently); decoded tuples are shared (they are
-// immutable); indexes are rebuilt lazily. The clone is always mutable,
-// even when the receiver is frozen — Clone is how a frozen published
-// store spawns a rewritable descendant.
+// Columns, the validity bitmap and the dedup buckets are copied (the
+// clone can be substituted independently); indexes are rebuilt lazily.
+// The clone is always mutable, even when the receiver is frozen — Clone
+// is how a frozen published store spawns a rewritable descendant.
 func (s *Store) Clone() *Store { return s.CloneWith(s.interner()) }
 
 // CloneWith is Clone into the interner in (an overlay on it when it is
@@ -1051,7 +1043,6 @@ func (s *Store) CloneWith(in *value.Interner) *Store {
 		nr.loc = append([]rowLoc(nil), r.loc...)
 		nr.live = append([]uint64(nil), r.live...)
 		nr.dead = r.dead
-		nr.tuples = append([][]value.Value(nil), r.tuples...)
 		nr.dedup = make(map[uint64]int, len(r.dedup))
 		for k, v := range r.dedup {
 			nr.dedup[k] = v
@@ -1064,19 +1055,6 @@ func (s *Store) CloneWith(in *value.Interner) *Store {
 		}
 		out.rels[name] = nr
 	}
-	return out
-}
-
-// Rewrite builds a new store by applying fn to every tuple. fn returns
-// the replacement tuple (it may return its argument unchanged). Identical
-// results are deduplicated. Used by value-level substitutions that cannot
-// be expressed as an ID mapping; prefer SubstituteIDs on the hot path.
-func (s *Store) Rewrite(fn func(rel string, tup []value.Value) []value.Value) *Store {
-	out := NewStoreWith(s.interner())
-	s.Each(func(rel string, tup []value.Value) bool {
-		out.Insert(rel, fn(rel, tup))
-		return true
-	})
 	return out
 }
 

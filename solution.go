@@ -52,14 +52,15 @@ type Instance struct {
 	c *instance.Concrete
 }
 
-// Freeze publishes the instance for concurrent use: every lazy structure
-// reads consult (posting-list indexes, decoded tuples) is built
-// eagerly and the instance becomes immutable — afterwards any number of
-// goroutines may run exchanges on it, query it, snapshot it, render it,
-// or clone it concurrently, and any write to it panics. Its value
-// interner freezes too: a frozen interner is read without locks, and
-// every Run on the instance interns into its own overlay on it. Freeze
-// is idempotent and returns the same instance for chaining.
+// Freeze publishes the instance for concurrent use: the posting-list
+// indexes reads consult are built eagerly and the instance becomes
+// immutable — afterwards any number of goroutines may run exchanges on
+// it, query it, snapshot it, render it, or clone it concurrently, and any
+// write to it panics. Its value interner freezes too: a frozen interner
+// is read without locks, so readers decode rows from their ID columns
+// without a lock, and every Run on the instance interns into its own
+// overlay on it. Freeze is idempotent and returns the same instance for
+// chaining.
 // Exchange.Run freezes its source and its solution automatically; call
 // Freeze yourself to publish a parsed instance before fanning out.
 func (i *Instance) Freeze() *Instance {
@@ -140,8 +141,9 @@ func (i *Instance) JSON() ([]byte, error) { return jsonio.Encode(i.c) }
 // WriteJSON streams the instance's TDX JSON document to w —
 // byte-identical to JSON — without materializing the fact set or the
 // document: the encoder walks the columnar store relation by relation
-// (validity-bitmap row scan, cached tuple decode, a reused scratch
-// buffer flushed in bounded chunks), so writing an n-fact solution costs
+// (validity-bitmap row scan, a row sort on interned IDs, each row decoded
+// into one reused buffer, a reused scratch buffer flushed in bounded
+// chunks), so writing an n-fact solution costs
 // O(1) allocations per fact and holds at most one flush chunk in memory
 // regardless of n. On a frozen instance (every Solution is one) it is
 // safe for concurrent callers. This is the path tdxd serves solution
