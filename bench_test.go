@@ -233,7 +233,11 @@ func BenchmarkNaiveEval(b *testing.B) {
 		b.Run(fmt.Sprintf("solution=%d", jc.Len()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if query.NaiveEvalConcrete(u, jc).Len() == 0 {
+				ans, err := query.NaiveEval(context.Background(), u, jc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ans.Len() == 0 {
 					b.Fatal("no answers")
 				}
 			}

@@ -111,7 +111,10 @@ func runThm21(w io.Writer) error {
 			continue
 		}
 		jc := sol.Concrete()
-		lhs := query.NaiveEvalConcrete(u, jc)
+		lhs, err := query.NaiveEval(ctx, u, jc)
+		if err != nil {
+			return err
+		}
 		rhs := query.CertainAbstract(u, jc.Abstract())
 		if lhs.Abstract().EqualTo(rhs.Abstract()) {
 			agree++
@@ -230,7 +233,10 @@ func runPerfQuery(w io.Writer) error {
 			return err
 		}
 		var ans *instance.Concrete
-		d := timeIt(func() { ans = query.NaiveEvalConcrete(u, sol.Concrete()) })
+		d := timeIt(func() { ans, err = query.NaiveEval(ctx, u, sol.Concrete()) })
+		if err != nil {
+			return err
+		}
 		rows = append(rows, []string{
 			fmt.Sprint(sol.Len()),
 			fmt.Sprintf("%.2f", float64(d.Microseconds())/1000),

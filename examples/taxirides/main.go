@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ans, err := query.NaiveEvalCtx(ctx, u, sol.Concrete())
+	ans, err := query.NaiveEval(ctx, u, sol.Concrete())
 	if err != nil {
 		log.Fatal(err)
 	}

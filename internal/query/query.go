@@ -4,6 +4,15 @@
 // null-freezing, evaluation, and null-dropping — and certain answers,
 // which by Corollary 22 coincide with naïve evaluation on the c-chase
 // result.
+//
+// Naïve evaluation runs on the solution's interned rows, where freezing
+// is the identity: the interner gives each interval-annotated null
+// (family and annotation) one ID and never gives that ID to a constant
+// or to another null, so the ID already is the fresh constant the paper
+// substitutes — shared by every fact holding the same unknown, so joins
+// through it succeed, and distinct from every data constant, however the
+// constant is spelled. Dropping a tuple that holds a frozen null is then
+// a kind test on its IDs.
 package query
 
 import (
@@ -152,94 +161,54 @@ func EvalSnapshot(u UCQ, snap *instance.Snapshot, certainOnly bool) []fact.Fact 
 	return out
 }
 
-// frozen tracks the fresh constants substituted for interval-annotated
-// nulls in step 2 of naïve evaluation.
-type frozen struct {
-	consts map[value.Value]bool
-}
-
-// freezeNulls replaces every interval-annotated null with a fresh
-// constant cn_{N,[s,e)}, injectively per (family, annotation) — the same
-// unknown value occurring in several facts freezes to the same constant,
-// so joins through it still succeed (naïve-table semantics).
-func freezeNulls(c *instance.Concrete) (*instance.Concrete, *frozen) {
-	fz := &frozen{consts: make(map[value.Value]bool)}
-	out := instance.NewConcrete(c.Schema())
-	for _, f := range c.Facts() {
-		args := make([]value.Value, len(f.Args))
-		for i, v := range f.Args {
-			if v.Kind() == value.AnnNull {
-				cv := value.NewConst("cn_" + v.String())
-				fz.consts[cv] = true
-				args[i] = cv
-			} else {
-				args[i] = v
-			}
-		}
-		out.MustInsert(fact.CFact{Rel: f.Rel, Args: args, T: f.T})
-	}
-	return out, fz
-}
-
-func (fz *frozen) isFrozen(v value.Value) bool { return fz.consts[v] }
-
-// NaiveEvalConcrete computes q+(Jc)↓ per §5: for each disjunct q′,
-// (1) normalize Jc w.r.t. q′, (2) replace interval-annotated nulls with
-// fresh constants, (3) evaluate q′+ finding all homomorphisms — the
-// temporal variable maps to a time interval which becomes the answer's
-// validity interval — and (4) drop tuples containing fresh constants.
-// The union of the disjuncts' answers is returned as a coalesced concrete
-// instance over the answer relation u.Name.
-func NaiveEvalConcrete(u UCQ, jc *instance.Concrete) *instance.Concrete {
-	out, _ := NaiveEvalCtx(context.Background(), u, jc) // Background never cancels
-	return out
-}
-
-// NaiveEvalCtx is NaiveEvalConcrete under a context: the per-disjunct
-// normalization and the homomorphism enumeration abort promptly with the
-// context's error once ctx is done. Concurrent evaluations may share one
-// frozen jc.
-func NaiveEvalCtx(ctx context.Context, u UCQ, jc *instance.Concrete) (*instance.Concrete, error) {
+// NaiveEval computes q+(Jc)↓ per §5: for each disjunct q′, (1) normalize
+// Jc w.r.t. q′, (2) replace interval-annotated nulls with fresh
+// constants, (3) evaluate q′+ finding all homomorphisms — the temporal
+// variable maps to a time interval which becomes the answer's validity
+// interval — and (4) drop tuples containing fresh constants. Step 2 is
+// the identity on interned IDs (see the package comment), so step 3
+// enumerates the normalized solution's own rows — Jc itself when nothing
+// splits — and builds facts only for the answers step 4 keeps. The
+// union of the disjuncts' answers is returned as a coalesced concrete
+// instance over the answer relation u.Name. The normalization and the
+// enumeration abort promptly with the context's error once ctx is done.
+// Concurrent evaluations may share one frozen jc.
+func NaiveEval(ctx context.Context, u UCQ, jc *instance.Concrete) (*instance.Concrete, error) {
 	out := instance.NewConcrete(nil)
 	for _, q := range u.Disjuncts {
 		body := q.ConcreteBody()
 		// Step 1 — normalize w.r.t. q′ and synchronize null families, so
-		// that step 2 freezes one constant per unknown-per-time-range and
+		// that one null ID stands for one unknown per time range and
 		// joins through a shared unknown still succeed.
 		normed, err := normalize.ForEgdPhaseCtx(ctx, jc, []logic.Conjunction{body}, normalize.StrategySmart)
 		if err != nil {
 			return nil, err
 		}
-		frozenInst, fz := freezeNulls(normed) // step 2
+		in := normed.Interner()
+		args := make([]value.Value, len(q.Head))
 		matches := 0
 		var stepErr error
-		logic.ForEach(frozenInst.Store(), body, nil, func(m logic.Match) bool { // step 3
+		logic.ForEachIDs(normed.Store(), body, nil, func(m *logic.IDMatch) bool { // step 3
 			matches++
 			if matches&63 == 0 {
-				select {
-				case <-ctx.Done():
-					stepErr = fmt.Errorf("query: %w", ctx.Err())
+				if err := ctx.Err(); err != nil {
+					stepErr = fmt.Errorf("query: %w", err)
 					return false
-				default:
 				}
 			}
-			tv := m.Binding[dependency.TemporalVar]
-			t, ok := tv.Interval()
+			tid, ok := m.ID(dependency.TemporalVar)
 			if !ok {
-				return true
+				return true // the empty body binds no interval
 			}
-			args := make([]value.Value, len(q.Head))
-			dropped := false
 			for i, h := range q.Head {
-				args[i] = m.Binding[h]
-				if fz.isFrozen(args[i]) { // step 4
-					dropped = true
-					break
+				id, _ := m.ID(h)
+				if in.KindOf(id) == value.AnnNull {
+					return true // step 4
 				}
+				args[i] = in.Resolve(id)
 			}
-			if !dropped {
-				out.MustInsert(fact.NewC(u.Name, t, args...))
-			}
+			t, _ := in.Resolve(tid).Interval()
+			out.MustInsert(fact.NewC(u.Name, t, args...))
 			return true
 		})
 		if stepErr != nil {
@@ -264,7 +233,7 @@ func CertainAnswers(u UCQ, ic *instance.Concrete, m *dependency.Mapping, opts *c
 	if opts != nil && opts.Ctx != nil {
 		ctx = opts.Ctx
 	}
-	return NaiveEvalCtx(ctx, u, jc)
+	return NaiveEval(ctx, u, jc)
 }
 
 // CertainAbstract computes the sequence certain(q, Ja) — q(db)↓ per

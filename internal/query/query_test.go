@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/paperex"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // empQuery returns q(n, s) :- Emp(n, c, s): who earns what, when.
@@ -26,6 +28,16 @@ func empQuery(t *testing.T) UCQ {
 		t.Fatal(err)
 	}
 	return u
+}
+
+// naiveEval is NaiveEval under a context that never cancels.
+func naiveEval(t *testing.T, u UCQ, jc *instance.Concrete) *instance.Concrete {
+	t.Helper()
+	out, err := NaiveEval(context.Background(), u, jc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func chaseFigure4(t *testing.T) *instance.Concrete {
@@ -70,7 +82,7 @@ func TestNaiveEvalOnPaperSolution(t *testing.T) {
 	// unknown-salary periods produce no certain answers.
 	jc := chaseFigure4(t)
 	u := empQuery(t)
-	got := NaiveEvalConcrete(u, jc)
+	got := naiveEval(t, u, jc)
 	iv, c, inf := paperex.Iv, paperex.C, paperex.Inf
 	want := []fact.CFact{
 		fact.NewC("q", iv(2013, inf), c("Ada"), c("18k")),
@@ -100,7 +112,7 @@ func TestJoinThroughNullSurvivesFreezing(t *testing.T) {
 		logic.NewAtom("Emp", logic.Var("n2"), logic.Var("c"), logic.Var("s")),
 	}}
 	u, _ := NewUCQ("q", q)
-	got := NaiveEvalConcrete(u, jc)
+	got := naiveEval(t, u, jc)
 	if !got.Contains(fact.NewC("q", paperex.Iv(1, 5), paperex.C("a"), paperex.C("b"))) {
 		t.Fatalf("join through shared null lost:\n%s", got)
 	}
@@ -108,7 +120,7 @@ func TestJoinThroughNullSurvivesFreezing(t *testing.T) {
 	jc2 := instance.NewConcrete(nil)
 	jc2.MustInsert(fact.NewC("Emp", paperex.Iv(1, 5), paperex.C("a"), paperex.C("X"), g.FreshAnn(paperex.Iv(1, 5))))
 	jc2.MustInsert(fact.NewC("Emp", paperex.Iv(1, 5), paperex.C("b"), paperex.C("X"), g.FreshAnn(paperex.Iv(1, 5))))
-	got2 := NaiveEvalConcrete(u, jc2)
+	got2 := naiveEval(t, u, jc2)
 	if got2.Contains(fact.NewC("q", paperex.Iv(1, 5), paperex.C("a"), paperex.C("b"))) {
 		t.Fatalf("distinct nulls joined:\n%s", got2)
 	}
@@ -120,7 +132,7 @@ func TestAnswersWithNullHeadAreDropped(t *testing.T) {
 	q := CQ{Name: "q", Head: []string{"s"}, Body: logic.Conjunction{
 		logic.NewAtom("Emp", logic.Var("n"), logic.Var("c"), logic.Var("s"))}}
 	u, _ := NewUCQ("q", q)
-	got := NaiveEvalConcrete(u, jc)
+	got := naiveEval(t, u, jc)
 	for _, f := range got.Facts() {
 		if f.HasNulls() {
 			t.Fatalf("null leaked into answers: %v", f)
@@ -142,7 +154,7 @@ func TestUCQUnionSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := NaiveEvalConcrete(u, jc)
+	got := naiveEval(t, u, jc)
 	iv, c, inf := paperex.Iv, paperex.C, paperex.Inf
 	// Ada at IBM [2012,2014) and at Google [2014,inf) coalesce into one
 	// answer interval [2012,inf); Bob at IBM on [2013,2018). The null
@@ -164,7 +176,7 @@ func TestTheorem21OnPaperExample(t *testing.T) {
 	// ⟦q+(Jc)↓⟧ = q(⟦Jc⟧)↓ on the running example.
 	jc := chaseFigure4(t)
 	u := empQuery(t)
-	lhs := NaiveEvalConcrete(u, jc)
+	lhs := naiveEval(t, u, jc)
 	rhs := CertainAbstract(u, jc.Abstract())
 	if !lhs.Abstract().EqualTo(rhs.Abstract()) {
 		t.Fatalf("Theorem 21 violated:\nconcrete:\n%s\nabstract:\n%s", lhs, rhs)
@@ -242,7 +254,7 @@ func TestTheorem21Property(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		jc := randomSolution(r, &g)
 		for _, u := range []UCQ{u1, u2, u3} {
-			lhs := NaiveEvalConcrete(u, jc)
+			lhs := naiveEval(t, u, jc)
 			rhs := CertainAbstract(u, jc.Abstract())
 			if !lhs.Abstract().EqualTo(rhs.Abstract()) {
 				t.Fatalf("Theorem 21 violated on:\n%s\nquery %v\nconcrete:\n%s\nabstract:\n%s",
@@ -278,5 +290,80 @@ func TestQueryString(t *testing.T) {
 	u, _ := NewUCQ("q", q)
 	if u.Arity() != 2 {
 		t.Fatal("Arity broken")
+	}
+}
+
+func TestNaiveEvalConstantSpelledLikeNull(t *testing.T) {
+	// Bob's salary is a data constant spelled "cn_" + Ada's unknown
+	// salary, the constant referenceNaiveEval freezes that null to. It
+	// must stay a constant: a certain answer for Bob, and no join with
+	// Ada's unknown.
+	m := paperex.EmploymentMapping()
+	iv, c := paperex.Iv(0, 5), paperex.C
+	chaseWith := func(bobSalary value.Value) *instance.Concrete {
+		ic := instance.NewConcrete(m.Source)
+		ic.MustInsert(fact.NewC("E", iv, c("Ada"), c("IBM")))
+		ic.MustInsert(fact.NewC("E", iv, c("Bob"), c("IBM")))
+		ic.MustInsert(fact.NewC("S", iv, c("Bob"), bobSalary))
+		jc, _, err := chase.Concrete(ic, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jc
+	}
+	adaNull := func(jc *instance.Concrete) value.Value {
+		for _, f := range jc.FactsOf("Emp") {
+			if f.Args[0] == c("Ada") && f.Args[2].Kind() == value.AnnNull {
+				return f.Args[2]
+			}
+		}
+		t.Fatalf("no unknown salary for Ada in:\n%s", jc)
+		return value.Value{}
+	}
+	n := adaNull(chaseWith(c("13k")))
+	jc := chaseWith(value.NewConst("cn_" + n.String()))
+	if got := adaNull(jc); got != n {
+		t.Fatalf("Ada's unknown salary is %v, want %v", got, n)
+	}
+	pair, err := NewUCQ("pair", CQ{Name: "pair", Head: []string{"a", "b"}, Body: logic.Conjunction{
+		logic.NewAtom("Emp", logic.Var("a"), logic.Var("c"), logic.Var("s")),
+		logic.NewAtom("Emp", logic.Var("b"), logic.Var("c2"), logic.Var("s")),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []UCQ{empQuery(t), pair} {
+		got := naiveEval(t, u, jc)
+		want := CertainAbstract(u, jc.Abstract())
+		if !got.Abstract().EqualTo(want.Abstract()) {
+			t.Fatalf("%v on\n%s\nnaive:\n%s\ncertain:\n%s", u.Disjuncts, jc, got, want)
+		}
+	}
+}
+
+func TestNaiveEvalAllocs(t *testing.T) {
+	// q(n, s) :- Emp(n, c, s) over the frozen 999-fact employment-200
+	// solution. The bound leaves room above the ~2,800 allocations of
+	// matching the solution's interned rows, but not for a copy of the
+	// solution (referenceNaiveEval's, about 11,000).
+	ic := workload.Employment(workload.EmploymentConfig{
+		Seed: 1, Persons: 200, JobsPerPerson: 4, SalaryCoverage: 0.7, Span: 200,
+	})
+	jc, _, err := chase.Concrete(ic, paperex.EmploymentMapping(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jc.Len() != 999 {
+		t.Fatalf("employment-200 solution has %d facts, want 999", jc.Len())
+	}
+	u := empQuery(t)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NaiveEval(ctx, u, jc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 5000 {
+		t.Fatalf("NaiveEval allocated %.0f objects, want under 5,000", allocs)
 	}
 }

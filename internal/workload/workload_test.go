@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -77,8 +78,8 @@ func TestMedicalWorkload(t *testing.T) {
 	q := query.CQ{Name: "q", Head: []string{"p"}, Body: logic.Conjunction{
 		logic.NewAtom("Chart", logic.Var("p"), logic.Var("w"), logic.Var("d"))}}
 	u, _ := query.NewUCQ("q", q)
-	if query.NaiveEvalConcrete(u, jc) == nil {
-		t.Fatal("query failed")
+	if _, err := query.NaiveEval(context.Background(), u, jc); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -545,7 +545,7 @@ func (ex *Exchange) Query(ctx context.Context, sol *Solution, q string) (*Instan
 
 // queryResolved evaluates an already-resolved query on a solution.
 func (ex *Exchange) queryResolved(ctx context.Context, sol *Solution, u query.UCQ) (*Instance, error) {
-	ans, err := query.NaiveEvalCtx(ctxOrBackground(ctx), u, sol.c)
+	ans, err := query.NaiveEval(ctxOrBackground(ctx), u, sol.c)
 	if err != nil {
 		return nil, err
 	}
