@@ -76,11 +76,17 @@ func (c *Concrete) Freeze() { c.st.Freeze() }
 func (c *Concrete) Frozen() bool { return c.st.Frozen() }
 
 // CheckRel validates a relation name and data arity against the
-// instance's schema; a nil schema accepts everything. Insert applies it
-// per fact; the chase's tgd kernel (which inserts interned rows
-// directly) shares it so both paths report identical errors.
+// instance's schema. A relation has one arity (paper §2), so without a
+// schema the relation's earlier facts fix it: a fact of another data
+// arity is rejected, and a relation with none accepts any. Insert
+// applies it per fact; the chase's tgd kernel and the JSON decoder
+// (which insert interned rows directly) share it so every path reports
+// identical errors, and no row of a second arity reaches the store.
 func (c *Concrete) CheckRel(rel string, arity int) error {
 	if c.sch == nil {
+		if r := c.st.Rel(rel); r != nil && r.NumRows() > 0 && r.Arity()-1 != arity {
+			return fmt.Errorf("instance: %s has %d data attributes, got %d", rel, r.Arity()-1, arity)
+		}
 		return nil
 	}
 	r, ok := c.sch.Relation(rel)
@@ -151,7 +157,7 @@ func (c *Concrete) FactAt(rel string, row int) fact.CFact {
 // off the row's interval column without decoding the fact. Like
 // FromTuple it panics when the row lacks an interval tail.
 func IntervalAt(r *storage.Rel, row int) interval.Interval {
-	v := r.ValueAt(row, r.Arity(row)-1)
+	v := r.ValueAt(row, r.Arity()-1)
 	if v.Kind() != value.IntervalVal {
 		FromTuple(r.Name(), r.Tuple(row)) // panics with the row rendered
 	}

@@ -57,6 +57,26 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
+// TestSchemalessInsertRejectsSecondArity: a relation has one arity
+// (paper §2). Without a schema its first fact fixes it, and a fact of
+// another arity is rejected with the relation and both arities named;
+// under a schema the schema's arity is checked as before.
+func TestSchemalessInsertRejectsSecondArity(t *testing.T) {
+	c := NewConcrete(nil)
+	c.MustInsert(fact.NewC("R", iv(0, 1), cs("a")))
+	_, err := c.Insert(fact.NewC("R", iv(0, 2), cs("a"), cs("b")))
+	if want := "instance: R has 1 data attributes, got 2"; err == nil || err.Error() != want {
+		t.Fatalf("second arity: err = %v, want %q", err, want)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d after a rejected fact, want 1", c.Len())
+	}
+	_, err = figure4(t).Insert(fact.NewC("E", iv(1, 2), cs("x")))
+	if want := "instance: E expects 2 data attributes, got 1"; err == nil || err.Error() != want {
+		t.Fatalf("schema arity: err = %v, want %q", err, want)
+	}
+}
+
 func TestInsertRowOfAndIntervalAt(t *testing.T) {
 	c := figure4(t)
 	out := NewConcreteWith(c.Schema(), c.Interner())

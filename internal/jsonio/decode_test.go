@@ -16,9 +16,9 @@ import (
 )
 
 // TestDecodeMatchesReference: on Encode output of random instances —
-// tricky strings, every null form, mixed arities — the scanner builds
-// what referenceDecode builds, interner IDs included, with and without
-// the instance's schema expected.
+// tricky strings, every null form, relations of different arities — the
+// scanner builds what referenceDecode builds, interner IDs included, with
+// and without the instance's schema expected.
 func TestDecodeMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 40; i++ {
@@ -37,6 +37,20 @@ func TestDecodeMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstReference(t, data, nil)
+}
+
+// TestDecodeRejectsSecondArity: without a schema, a relation whose facts
+// take two arities is rejected by the scanner and by referenceDecode
+// with the same error.
+func TestDecodeRejectsSecondArity(t *testing.T) {
+	const want = "jsonio: fact 1: instance: R has 1 data attributes, got 2"
+	for name, decode := range map[string]func(io.Reader, *schema.Schema) (*instance.Concrete, error){
+		"DecodeReader": DecodeReader, "referenceDecode": referenceDecode,
+	} {
+		if _, err := decode(strings.NewReader(mixedArityDoc), nil); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+	}
 }
 
 // decodable keeps the facts of c whose arguments value.Parse reads back

@@ -15,9 +15,11 @@ import (
 // The streaming encoder walks the columnar store directly — per-relation
 // live-row collection off the validity bitmap (storage.Rel.AppendLive), a
 // row sort that compares interned IDs and resolves only the positions
-// where two rows differ, each row decoded from its columns into one
-// reused tuple buffer, a reused scratch buffer for value rendering — and
-// writes the document in bounded chunks.
+// where two rows differ (a relation has one arity, which
+// instance.Concrete.CheckRel enforces, so rows compare position by
+// position), each row decoded from its columns into one reused tuple
+// buffer, a reused scratch buffer for value rendering — and writes the
+// document in bounded chunks.
 // It materializes neither the []fact.CFact of Facts() nor a []factJSON
 // mirror nor a MarshalIndent staging buffer, so encoding an n-fact
 // solution costs O(1) allocations per fact and never holds more than one
@@ -124,39 +126,19 @@ func encodeStream(w io.Writer, c *instance.Concrete, indent bool) error {
 }
 
 // rowCompare orders two rows of one relation exactly as fact.CompareC
-// orders their decoded facts: data arguments position-wise up to the
-// shorter data arity, then arity, then the trailing interval. Comparing
-// the raw tuples position-wise would be wrong for mixed-arity relations —
-// the interval tail of a short row would be compared against a data
-// argument of a long one, and interval values sort after every data kind.
-// Equal IDs are equal values, so only a position where the IDs differ is
-// resolved.
+// orders their decoded facts: data arguments position-wise, then the
+// trailing interval. The rows have the relation's one arity, so no arity
+// tie-break is needed, and on the interval tail value.Compare is exactly
+// interval.Compare. Equal IDs are equal values, so only a position where
+// the IDs differ is resolved.
 func rowCompare(r *storage.Rel, a, b int) int {
-	na, nb := r.Arity(a)-1, r.Arity(b)-1
-	for i := 0; i < min(na, nb); i++ {
-		if c := idCompare(r, a, b, i, i); c != 0 {
-			return c
+	for _, col := range r.Cols() {
+		if ia, ib := col[a], col[b]; ia != ib {
+			in := r.Interner()
+			return value.Compare(in.Resolve(ia), in.Resolve(ib))
 		}
 	}
-	if na != nb {
-		if na < nb {
-			return -1
-		}
-		return 1
-	}
-	// Both tails are interval values, for which value.Compare is exactly
-	// interval.Compare — the CompareC tie-break.
-	return idCompare(r, a, b, na, nb)
-}
-
-// idCompare compares position pa of row a with position pb of row b.
-func idCompare(r *storage.Rel, a, b, pa, pb int) int {
-	ia, ib := r.IDAt(a, pa), r.IDAt(b, pb)
-	if ia == ib {
-		return 0
-	}
-	in := r.Interner()
-	return value.Compare(in.Resolve(ia), in.Resolve(ib))
+	return 0
 }
 
 // fact renders one stored row as a wire fact object.

@@ -13,6 +13,10 @@ import (
 	"repro/internal/value"
 )
 
+// mixedArityDoc gives relation R two arities, which a schemaless decode
+// rejects as Concrete.Insert does: a relation has one arity.
+const mixedArityDoc = `{"facts":[{"rel":"R","args":["a"],"interval":"[0,1)"},{"rel":"R","args":["a","b"],"interval":"[0,2)"}]}`
+
 // quirkDocs are documents at the edges of what referenceDecode accepts:
 // encoding/json's field matching, duplicate keys and nulls, skipped
 // values and the number grammar, escapes and invalid UTF-8, values that
@@ -82,6 +86,7 @@ var quirkDocs = []string{
 	`{"facts":[{"rel":"R","args":["a"],"interval":" [ 1 , inf ) "}]}`,
 	`{"facts":[{"rel":"R","args":["a"],"interval":"[1,∞)"},{"rel":"R","args":["a"],"interval":"[1,INF)"}]}`,
 	`{"facts":[{"rel":"R","args":["a"],"interval":"[2,1)"}]}`,
+	mixedArityDoc,
 	`{"facts":[{"rel":"R","args":["a"],"interval":"[1,2,3)"}]}`,
 	`{"facts":[{"rel":"R","args":["a"],"interval":"[18446744073709551615,inf)"}]}`,
 	`{"facts":[{"rel":"R","args":["a"],"interval":"[999999999999999999,1000000000000000000)"}]}`,

@@ -134,9 +134,10 @@ func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn fu
 		a := conj[k]
 		rel := st.Rel(a.Rel)
 		cand := delta.Rows(a.Rel)
-		if len(cand) == 0 {
+		if len(cand) == 0 || rel.Arity() != len(a.Terms) {
 			continue
 		}
+		cols := rel.Cols()
 
 		// Pre-resolve atom k's literals; a literal the store has never
 		// interned cannot match any row.
@@ -165,6 +166,7 @@ func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn fu
 		rest = append(rest, conj[k+1:]...)
 		var rp plan
 		var restSlot []int // rest slot → full slot
+		var seeded []int   // rest slots seeded from atom k, reset after each sweep
 		if len(rest) > 0 {
 			rp = compile(st, rest, nil)
 			if rp.empty {
@@ -174,14 +176,11 @@ func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn fu
 			for i, n := range rp.names {
 				restSlot[i] = slotOf[n]
 			}
+			seeded = make([]int, 0, len(restSlot))
 		}
 
 		for _, row := range cand {
 			if row >= rel.NumRows() || !rel.Alive(row) {
-				continue
-			}
-			ids := rel.Row(row)
-			if len(ids) != len(a.Terms) {
 				continue
 			}
 			// Bind atom k against the row: literals must match, repeated
@@ -191,19 +190,20 @@ func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn fu
 			}
 			ok := true
 			for j, t := range a.Terms {
+				id := cols[j][row]
 				if !t.IsVar {
-					if lits[j] != ids[j] {
+					if lits[j] != id {
 						ok = false
 						break
 					}
 					continue
 				}
 				s := slotOf[t.Name]
-				if full[s] != value.NoID && full[s] != ids[j] {
+				if full[s] != value.NoID && full[s] != id {
 					ok = false
 					break
 				}
-				full[s] = ids[j]
+				full[s] = id
 			}
 			if !ok {
 				continue
@@ -221,7 +221,7 @@ func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn fu
 
 			// Seed the residual plan with atom k's bindings and sweep it;
 			// the deferred reset keeps rp reusable for the next delta row.
-			seeded := make([]int, 0, len(restSlot))
+			seeded = seeded[:0]
 			for ri, fi := range restSlot {
 				if full[fi] != value.NoID {
 					rp.init[ri] = full[fi]

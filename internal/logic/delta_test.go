@@ -140,3 +140,31 @@ func TestDeltaSetRowsSorted(t *testing.T) {
 		t.Fatalf("Relations = %v", rels)
 	}
 }
+
+// TestForEachIDsDeltaAllocs: a delta stage binds atom k by reading the
+// relation's columns, so enumerating a one-atom conjunction allocates
+// per stage and call, never per delta row.
+func TestForEachIDsDeltaAllocs(t *testing.T) {
+	st := storage.NewStore()
+	for i := 0; i < 1000; i++ {
+		st.Insert("R", []value.Value{value.NewConst(fmt.Sprintf("a%d", i)), value.NewConst(fmt.Sprintf("b%d", i%7))})
+	}
+	st.Freeze()
+	delta := NewDeltaSet()
+	delta.AddRange("R", 0, 1000)
+	conj := Conjunction{NewAtom("R", Var("x"), Var("y"))}
+	n := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		n = 0
+		ForEachIDsDelta(st, conj, delta, func(int, *IDMatch) bool {
+			n++
+			return true
+		})
+	})
+	if n != 1000 {
+		t.Fatalf("enumerated %d matches, want 1000", n)
+	}
+	if allocs >= 50 {
+		t.Fatalf("ForEachIDsDelta allocated %.0f objects over 1000 delta rows, want < 50", allocs)
+	}
+}

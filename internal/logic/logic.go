@@ -14,13 +14,13 @@
 // conjunction is compiled against the store into an ID plan — variables
 // become dense slots, literals become interned value.IDs (a literal the
 // store has never interned cannot match anything, so compilation ends the
-// search immediately), and each atom binds to the columnar block of its
-// arity. Candidate rows come from sorted posting lists (intersected when
-// two or more positions are determined), and unification reads the
-// block's columns directly — cols[pos][off] — comparing uint32s with no
-// per-row materialization. ForEachIDs exposes that representation
-// directly for hot callers (the chase's egd loop, normalization);
-// ForEach/FindAll materialize value.Value bindings per match.
+// search immediately), and each atom binds to its relation's ID columns.
+// Candidate rows come from sorted posting lists (intersected when two or
+// more positions are determined), and unification reads the columns
+// directly — cols[pos][row] — comparing uint32s with no per-row
+// materialization. ForEachIDs exposes that representation directly for
+// hot callers (the chase's egd loop, normalization); ForEach/FindAll
+// materialize value.Value bindings per match.
 package logic
 
 import (
@@ -216,15 +216,17 @@ type planTerm struct {
 	lit  value.ID // literal ID when slot < 0
 }
 
-// planAtom is an atom compiled against a store: the relation, the
-// columnar block holding rows of the atom's arity, and the block's
+// planAtom is an atom compiled against a store: the relation and its
 // columns snapshotted for direct indexing — unification reads
-// cols[pos][off] without materializing a row. order lists the term
-// positions with literals first, so a candidate row is rejected before
-// any variable column is touched. dense records that block offsets and
-// global rows coincide (no dead rows, single arity class), eliding the
-// per-row translation; buf is the atom's posting-intersection scratch
-// (safe per atom: the search uses each atom at one depth at a time).
+// cols[pos][row] without materializing a row. A relation has one arity
+// (storage fixes it at the first row; instance.Concrete.CheckRel rejects
+// facts of another), so an atom of any other arity matches nothing and
+// compiles to an empty plan. order lists the term positions with literals
+// first, so a candidate row is rejected before any variable column is
+// touched. dense records that the relation has no dead rows, so a scan
+// skips the liveness check (posting lists hold live rows only); buf is
+// the atom's posting-intersection scratch (safe per atom: the search uses
+// each atom at one depth at a time).
 // epoch is the relation's mutation epoch at compile time: the column
 // snapshots are valid only while it holds, and the search revalidates it
 // after every match callback (the only point user code runs). frozen
@@ -233,7 +235,6 @@ type planTerm struct {
 // goroutines run plans over one frozen store concurrently.
 type planAtom struct {
 	rel    *storage.Rel
-	block  storage.Block
 	cols   [][]value.ID
 	terms  []planTerm
 	order  []int
@@ -269,13 +270,12 @@ func compile(st *storage.Store, conj Conjunction, initial Binding) plan {
 			p.empty = true
 			return p
 		}
-		block, ok := rel.BlockFor(len(a.Terms))
-		if !ok {
+		if rel.Arity() != len(a.Terms) {
 			// No stored row has the atom's arity, so nothing can match.
 			p.empty = true
 			return p
 		}
-		pa := planAtom{rel: rel, block: block, cols: block.Cols(), terms: make([]planTerm, len(a.Terms)), dense: block.Dense(), frozen: rel.Frozen(), epoch: rel.Epoch()}
+		pa := planAtom{rel: rel, cols: rel.Cols(), terms: make([]planTerm, len(a.Terms)), dense: rel.Len() == rel.NumRows(), frozen: rel.Frozen(), epoch: rel.Epoch()}
 		if !pa.frozen {
 			p.mutable = true
 		}
@@ -362,7 +362,7 @@ func (p *plan) revalidate() {
 // variable or literal), the intersection of the two smallest posting
 // lists — computed into buf, which is reused across calls at the same
 // search depth — otherwise the single available list. scan is true when
-// no position is determined and the caller must scan the whole block.
+// no position is determined and the caller must scan the whole relation.
 func candidates(pa *planAtom, bind []value.ID, buf []int) (cands []int, scan bool, out []int) {
 	var best, second []int
 	bestLen, secondLen := -1, -1
@@ -423,7 +423,7 @@ func run(p plan, fn func(*IDMatch) bool) {
 		// estimated candidate set — the minimum posting-list length over
 		// its determined positions (bound variable or literal), O(1) per
 		// read on the materialized posting lists. An atom with no
-		// determined position is estimated at its full block length (a
+		// determined position is estimated at its full row count (a
 		// scan). An empty posting list estimates to 0, so a contradicted
 		// atom is picked first and fails the branch immediately. Ties keep
 		// the lowest atom index, so the order stays deterministic.
@@ -434,7 +434,7 @@ func run(p plan, fn func(*IDMatch) bool) {
 				continue
 			}
 			cand := &p.atoms[i]
-			est := cand.block.Len()
+			est := cand.rel.NumRows()
 			for pos, t := range cand.terms {
 				var id value.ID
 				switch {
@@ -460,34 +460,21 @@ func run(p plan, fn func(*IDMatch) bool) {
 		pa.buf = buf
 		limit := len(cands)
 		if scan {
-			limit = pa.block.Len()
+			limit = pa.rel.NumRows()
 		}
 	rowLoop:
 		for k := 0; k < limit; k++ {
-			var row, off int
-			switch {
-			case scan && pa.dense:
-				row, off = k, k
-			case scan:
-				off = k
-				if !pa.block.LiveAt(off) {
-					continue
-				}
-				row = pa.block.RowAt(off)
-			case pa.dense:
+			row := k
+			if !scan {
 				row = cands[k]
-				off = row
-			default:
-				row = cands[k]
-				if off = pa.block.Offset(row); off < 0 {
-					continue // a row of another arity class sharing the index
-				}
+			} else if !pa.dense && !pa.rel.Alive(row) {
+				continue
 			}
 			base := len(trail)
 			ok := true
 			for _, j := range pa.order {
 				t := pa.terms[j]
-				got := pa.cols[j][off]
+				got := pa.cols[j][row]
 				if t.slot < 0 {
 					if t.lit != got {
 						ok = false

@@ -610,7 +610,7 @@ func syncFamiliesCtx(ctx context.Context, c *instance.Concrete) (*instance.Concr
 // and resolves only the annotated nulls.
 func annFamilies(dst []uint64, r *storage.Rel, row int) []uint64 {
 	in := r.Interner()
-	for p, n := 0, r.Arity(row)-1; p < n; p++ {
+	for p, n := 0, r.Arity()-1; p < n; p++ {
 		if id := r.IDAt(row, p); in.KindOf(id) == value.AnnNull {
 			dst = append(dst, in.Resolve(id).ID)
 		}

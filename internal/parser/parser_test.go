@@ -198,6 +198,8 @@ func TestFactParseErrors(t *testing.T) {
 		"R(a) @ [5,2)", // inverted
 		"R() @ [1,2)",  // no values
 		"R(a",          // unterminated
+		// A relation has one arity, which its first fact fixes.
+		"R(a) @ [0, 1)\nR(a, b) @ [0, 2)",
 	} {
 		if _, err := ParseFacts(src, nil); err == nil {
 			t.Errorf("no error for %q", src)

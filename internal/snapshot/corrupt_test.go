@@ -127,3 +127,63 @@ func TestGarbageInput(t *testing.T) {
 		}
 	}
 }
+
+// relPayload renders a relation payload in the file's layout: row count,
+// validity bitmap (all rows live), segment count, then per segment its
+// arity, row-number array and columns, every u32 array padded to 8
+// bytes. Each segment is given as its row array followed by its columns.
+func relPayload(numRows int, segs ...[][]uint32) []byte {
+	var b []byte
+	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	u32s := func(vs []uint32) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		for len(b)%8 != 0 {
+			b = append(b, 0)
+		}
+	}
+	u64(uint64(numRows))
+	words := (numRows + 63) / 64
+	u64(uint64(words))
+	for w := 0; w < words; w++ {
+		live := ^uint64(0)
+		if rest := numRows - 64*w; rest < 64 {
+			live = 1<<rest - 1
+		}
+		u64(live)
+	}
+	u64(uint64(len(segs)))
+	for _, sg := range segs {
+		u64(uint64(len(sg) - 1))
+		u64(uint64(len(sg[0])))
+		for _, arr := range sg {
+			u32s(arr)
+		}
+	}
+	return b
+}
+
+// TestDecodeRelRejectsOtherShapes: a relation payload holds one segment
+// whose row array is the identity, or none for a relation with no rows.
+// Two segments, or rows numbered otherwise, are corrupt.
+func TestDecodeRelRejectsOtherShapes(t *testing.T) {
+	for _, ok := range [][]byte{
+		relPayload(0),
+		relPayload(2, [][]uint32{{0, 1}, {3, 4}, {5, 6}}),
+	} {
+		if _, err := decodeRel(ok); err != nil {
+			t.Fatalf("well-formed payload rejected: %v", err)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"two segments":    relPayload(2, [][]uint32{{0}, {3}}, [][]uint32{{1}, {4}, {5}}),
+		"permuted rows":   relPayload(2, [][]uint32{{1, 0}, {3, 4}, {5, 6}}),
+		"no segment":      relPayload(2),
+		"segment, no row": relPayload(0, [][]uint32{{}, {}}),
+	} {
+		if _, err := decodeRel(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}

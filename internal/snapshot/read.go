@@ -349,9 +349,10 @@ func decodeInterner(b []byte) (*value.Interner, error) {
 
 // decodeRel decodes one relation payload into a storage.RelDump whose
 // column and bitmap slices view the payload in place (zero-copy on
-// little-endian hosts); the row-number arrays are widened to []int.
-// Structural validation beyond shape — row coverage, ID ranges, live
-// bits — happens in storage.NewFrozenStore.
+// little-endian hosts). A relation has one segment, whose row array is
+// the identity 0, 1, …, n−1, or none when it has no rows; any other shape
+// is corrupt. Structural validation beyond shape — ID ranges, live bits,
+// duplicate rows — happens in storage.NewFrozenStore.
 func decodeRel(b []byte) (storage.RelDump, error) {
 	var d storage.RelDump
 	r := &reader{b: b}
@@ -366,38 +367,35 @@ func decodeRel(b []byte) (storage.RelDump, error) {
 	d.NumRows = int(numRows)
 	d.Live = r.u64view(liveWords)
 	segCount := r.u64()
-	if segCount > uint64(len(b))/16 {
-		return d, corruptf("%d segments in %d bytes", segCount, len(b))
+	if r.err != nil {
+		return d, corruptf("%v", r.err)
 	}
-	d.Segments = make([]storage.SegmentDump, 0, segCount)
-	for i := uint64(0); i < segCount; i++ {
+	if segCount != min(numRows, 1) {
+		return d, corruptf("%d segments for %d rows (want one, or none for no rows)", segCount, numRows)
+	}
+	if segCount == 1 {
 		arity := r.u64()
 		nrows := r.u64()
 		if r.err != nil {
-			return d, corruptf("segment %d: %v", i, r.err)
+			return d, corruptf("segment: %v", r.err)
 		}
 		if arity < 1 || arity > uint64(len(b))/4 {
-			return d, corruptf("segment %d: arity %d", i, arity)
+			return d, corruptf("segment: arity %d", arity)
 		}
-		if nrows > uint64(len(b))/4 {
-			return d, corruptf("segment %d: %d rows in %d bytes", i, nrows, len(b))
+		if nrows != numRows {
+			return d, corruptf("segment holds %d rows, relation declares %d", nrows, numRows)
 		}
-		sg := storage.SegmentDump{Arity: int(arity)}
-		rows32 := r.u32view(nrows)
+		for i, row := range r.u32view(nrows) {
+			if uint64(row) != uint64(i) {
+				return d, corruptf("segment row %d is numbered %d", i, row)
+			}
+		}
 		r.pad8()
-		sg.Rows = make([]int, len(rows32))
-		for j, row := range rows32 {
-			sg.Rows[j] = int(row)
-		}
-		sg.Cols = make([][]value.ID, arity)
-		for p := range sg.Cols {
-			sg.Cols[p] = idView(r.u32view(nrows))
+		d.Cols = make([][]value.ID, arity)
+		for p := range d.Cols {
+			d.Cols[p] = idView(r.u32view(nrows))
 			r.pad8()
 		}
-		if r.err != nil {
-			return d, corruptf("segment %d: %v", i, r.err)
-		}
-		d.Segments = append(d.Segments, sg)
 	}
 	if r.err != nil {
 		return d, corruptf("%v", r.err)

@@ -1,13 +1,13 @@
 // Package snapshot persists frozen stores as mmap-able columnar files.
 //
-// The engine's frozen representation — per-arity []value.ID column blocks,
-// a row-validity bitmap, and the interner's dense value table — is already
-// a near-memcpy serialization format. This package writes exactly that
-// physical layout to disk and maps it back: a loaded store's ID columns
-// and validity bitmap alias the mapped file directly (no per-row decode,
-// no re-interning), so loading costs only the derived structures a Freeze
-// would build, while the column data itself is paged in lazily by the OS
-// as relations are first touched.
+// The engine's frozen representation — one []value.ID column per
+// relation position, a row-validity bitmap, and the interner's dense
+// value table — is already a near-memcpy serialization format. This
+// package writes exactly that physical layout to disk and maps it back: a
+// loaded store's ID columns and validity bitmap alias the mapped file
+// directly (no per-row decode, no re-interning), so loading costs only the
+// derived structures a Freeze would build, while the column data itself
+// is paged in lazily by the OS as relations are first touched.
 //
 // # File layout
 //

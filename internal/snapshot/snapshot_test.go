@@ -16,8 +16,8 @@ import (
 
 // testStore builds a deterministic pseudo-random frozen store exercising
 // every value kind, hash-collision buckets (many tuples, few distinct
-// constants), multiple arity segments, and — via egd-style substitution —
-// dead rows in the validity bitmap.
+// constants), relations of different arities, and — via egd-style
+// substitution — dead rows in the validity bitmap.
 func testStore(seed int64) *storage.Store {
 	rng := rand.New(rand.NewSource(seed))
 	st := storage.NewStore()
@@ -42,7 +42,8 @@ func testStore(seed int64) *storage.Store {
 	for i := 0; i < n; i++ {
 		rel := rels[rng.Intn(len(rels))]
 		tup := []value.Value{anyVal(), anyVal(), value.NewInterval(iv())}
-		if rng.Intn(4) == 0 { // a second arity segment per relation
+		if rng.Intn(4) == 0 { // a 4-ary relation of its own
+			rel += "4"
 			tup = append([]value.Value{value.NewConst("x")}, tup...)
 		}
 		st.Insert(rel, tup)

@@ -174,25 +174,28 @@ func writeInterner(sw *sectionWriter, vals []value.Value) error {
 }
 
 // writeRel serializes one relation's physical dump: row count, validity
-// bitmap, then per segment the arity, row-number array, and columns. The
-// u32 arrays are padded to 8 bytes so every array in the file is 8-byte
-// aligned and can alias the mapping directly on load.
+// bitmap, then one segment — the arity, the identity row-number array,
+// and the columns — or none for a relation with no rows. The u32 arrays
+// are padded to 8 bytes so every array in the file is 8-byte aligned and
+// can alias the mapping directly on load.
 func writeRel(sw *sectionWriter, d storage.RelDump) error {
 	sw.u64(uint64(d.NumRows))
 	sw.u64(uint64(len(d.Live)))
 	sw.u64s(d.Live)
-	sw.u64(uint64(len(d.Segments)))
-	for _, sg := range d.Segments {
-		sw.u64(uint64(sg.Arity))
-		sw.u64(uint64(len(sg.Rows)))
-		for _, row := range sg.Rows {
-			sw.u32(uint32(row))
-		}
+	if d.NumRows == 0 {
+		sw.u64(0)
+		return nil
+	}
+	sw.u64(1)
+	sw.u64(uint64(len(d.Cols)))
+	sw.u64(uint64(d.NumRows))
+	for row := 0; row < d.NumRows; row++ {
+		sw.u32(uint32(row))
+	}
+	sw.pad8()
+	for _, col := range d.Cols {
+		sw.ids(col)
 		sw.pad8()
-		for _, col := range sg.Cols {
-			sw.ids(col)
-			sw.pad8()
-		}
 	}
 	return nil
 }

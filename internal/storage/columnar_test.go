@@ -168,8 +168,8 @@ func TestColumnarMatchesRowMajorReference(t *testing.T) {
 			return value.NewInterval(interval.MustNew(interval.Time(r.Intn(5)), interval.Time(6+r.Intn(5))))
 		}
 	}
-	randTup := func() []value.Value {
-		tup := make([]value.Value, 1+r.Intn(3))
+	randTup := func(arity int) []value.Value {
+		tup := make([]value.Value, arity)
 		for i := range tup {
 			tup[i] = pool()
 		}
@@ -179,10 +179,13 @@ func TestColumnarMatchesRowMajorReference(t *testing.T) {
 		st := NewStore()
 		refs := map[string]*refRel{"R": {}, "S": {}}
 		rels := []string{"R", "S"}
+		// A relation has one arity; the two may differ, so probes of
+		// one relation's arity also check the other's rejects them.
+		arity := map[string]int{"R": 1 + r.Intn(3), "S": 1 + r.Intn(3)}
 		var probes [][]value.Value
 		for step := 0; step < 120; step++ {
 			rel := rels[r.Intn(2)]
-			tup := randTup()
+			tup := randTup(arity[rel])
 			if len(probes) < 25 {
 				probes = append(probes, tup)
 			}

@@ -8,27 +8,20 @@ import (
 	"repro/internal/value"
 )
 
-// SegmentDump is the physical form of one fixed-arity columnar segment:
-// Cols[p][i] is position p of the segment's i-th row and Rows[i] is that
-// row's global row number. The slices are shared with (or adopted into)
-// the relation — see Dump and NewFrozenStore for the ownership contract.
-type SegmentDump struct {
-	Arity int
-	Rows  []int
-	Cols  [][]value.ID
-}
-
 // RelDump is the complete physical representation of a relation: the
-// global row-number space, the row-validity bitmap (exactly
-// ceil(NumRows/64) words, insertion growth order), and one segment per
-// arity class. Everything else a relation carries — segment locations,
-// dedup buckets, posting lists — is derivable from these three, and a
-// relation holds no decoded form of its rows, which is what makes the
-// dump the serialization boundary of the storage layer.
+// row-number space, the row-validity bitmap (exactly ceil(NumRows/64)
+// words, insertion growth order), and one ID column per position, Cols[p]
+// holding position p of every row, indexed by row number (no columns for
+// a relation with no rows). Everything else a relation carries — dedup
+// buckets, posting lists — is derivable from these three, and a relation
+// holds no decoded form of its rows, which is what makes the dump the
+// serialization boundary of the storage layer. The slices are shared with
+// (or adopted into) the relation — see Dump and NewFrozenStore for the
+// ownership contract.
 type RelDump struct {
-	NumRows  int
-	Live     []uint64
-	Segments []SegmentDump
+	NumRows int
+	Live    []uint64
+	Cols    [][]value.ID
 }
 
 // Dump returns the physical representation of a frozen relation. The
@@ -39,28 +32,23 @@ func (r *Rel) Dump() RelDump {
 	if !r.frozen {
 		panic(fmt.Sprintf("storage: Dump of mutable relation %q: freeze the store first", r.name))
 	}
-	d := RelDump{NumRows: len(r.loc), Live: r.live, Segments: make([]SegmentDump, len(r.segs))}
-	for i, s := range r.segs {
-		d.Segments[i] = SegmentDump{Arity: s.arity, Rows: s.rows, Cols: s.cols}
-	}
-	return d
+	return RelDump{NumRows: r.rows, Live: r.live, Cols: r.cols}
 }
 
 // NewFrozenStore reconstructs a frozen store from per-relation physical
 // dumps and the interner their ID columns refer to. The dump slices are
 // adopted, not copied — they may alias a read-only mapping (the mmap
 // snapshot path) and must not be mutated afterwards — so loading costs
-// only the derived structures: segment locations, dedup buckets and
-// posting lists are rebuilt here, exactly as Freeze would have built
-// them on the original. No row is decoded; a read decodes the row it
-// needs from the adopted columns.
+// only the derived structures: dedup buckets and posting lists are
+// rebuilt here, exactly as Freeze would have built them on the original.
+// No row is decoded; a read decodes the row it needs from the adopted
+// columns, where a row's number is its offset.
 //
 // Every structural invariant a relation maintains is re-validated before
-// adoption — bitmap length and trailing bits, exactly-once row coverage,
-// per-segment column shapes, unique arities, value IDs within the
-// interner's issued range, no duplicate live rows — and a violation
-// returns an error rather than panicking, so corrupt or adversarial
-// dumps cannot produce a store that fails later and loudly.
+// adoption — bitmap length and trailing bits, column shapes, value IDs
+// within the interner's issued range, no duplicate live rows — and a
+// violation returns an error rather than panicking, so corrupt or
+// adversarial dumps cannot produce a store that fails later and loudly.
 func NewFrozenStore(in *value.Interner, rels map[string]RelDump) (*Store, error) {
 	if in == nil {
 		return nil, fmt.Errorf("storage: NewFrozenStore: nil interner")
@@ -89,51 +77,22 @@ func buildFrozenRel(name string, in *value.Interner, d RelDump) (*Rel, error) {
 	if rem := uint(n) % 64; rem != 0 && d.Live[len(d.Live)-1]>>rem != 0 {
 		return nil, fmt.Errorf("validity bitmap has bits set beyond row %d", n-1)
 	}
+	if (n == 0) != (len(d.Cols) == 0) {
+		return nil, fmt.Errorf("%d columns for %d rows", len(d.Cols), n)
+	}
 	idLimit := in.Len()
+	for p, col := range d.Cols {
+		if len(col) != n {
+			return nil, fmt.Errorf("column %d has %d entries for %d rows", p, len(col), n)
+		}
+		for _, id := range col {
+			if int(id) >= idLimit {
+				return nil, fmt.Errorf("column %d holds value ID %d beyond interner table (%d values)", p, id, idLimit)
+			}
+		}
+	}
 	r := newRel(name, in)
-	r.loc = make([]rowLoc, n)
-	r.live = d.Live
-	seen := make([]bool, n)
-	total := 0
-	arities := make(map[int]bool, len(d.Segments))
-	r.segs = make([]*segment, 0, len(d.Segments))
-	for si, sd := range d.Segments {
-		if sd.Arity < 1 {
-			return nil, fmt.Errorf("segment %d: arity %d (must be ≥ 1)", si, sd.Arity)
-		}
-		if arities[sd.Arity] {
-			return nil, fmt.Errorf("two segments of arity %d", sd.Arity)
-		}
-		arities[sd.Arity] = true
-		if len(sd.Cols) != sd.Arity {
-			return nil, fmt.Errorf("segment %d: %d columns for arity %d", si, len(sd.Cols), sd.Arity)
-		}
-		for p, col := range sd.Cols {
-			if len(col) != len(sd.Rows) {
-				return nil, fmt.Errorf("segment %d: column %d has %d entries for %d rows", si, p, len(col), len(sd.Rows))
-			}
-			for _, id := range col {
-				if int(id) >= idLimit {
-					return nil, fmt.Errorf("segment %d: column %d holds value ID %d beyond interner table (%d values)", si, p, id, idLimit)
-				}
-			}
-		}
-		for off, row := range sd.Rows {
-			if row < 0 || row >= n {
-				return nil, fmt.Errorf("segment %d: global row %d out of range [0,%d)", si, row, n)
-			}
-			if seen[row] {
-				return nil, fmt.Errorf("global row %d appears in two segment slots", row)
-			}
-			seen[row] = true
-			r.loc[row] = rowLoc{seg: int32(si), off: int32(off)}
-		}
-		total += len(sd.Rows)
-		r.segs = append(r.segs, &segment{arity: sd.Arity, cols: sd.Cols, rows: sd.Rows})
-	}
-	if total != n {
-		return nil, fmt.Errorf("segments hold %d rows, relation declares %d", total, n)
-	}
+	r.arity, r.rows, r.cols, r.live = len(d.Cols), n, d.Cols, d.Live
 	liveCount := 0
 	for _, w := range d.Live {
 		liveCount += bits.OnesCount64(w)

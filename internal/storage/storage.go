@@ -1,26 +1,28 @@
 // Package storage implements the in-memory relational storage engine the
-// rest of the system is built on. Relations are stored column-wise: each
-// relation is a set of fixed-arity segments, and each segment keeps one
-// dense []value.ID column per attribute position, so the homomorphism
-// engine verifies a candidate row by indexing straight into the columns
-// it cares about instead of chasing per-tuple pointers. Secondary indexes
-// are sorted posting lists (position, value-ID) → ascending row numbers,
-// which support both index-nested-loop probes and sorted-list
-// intersection for conjunctive candidate sets.
+// rest of the system is built on. Relations are stored column-wise: a
+// relation has one arity, fixed by its first row, and keeps one dense
+// []value.ID column per attribute position, indexed by row number, so the
+// homomorphism engine verifies a candidate row by indexing straight into
+// the columns it cares about instead of chasing per-tuple pointers. A row
+// of another arity is an internal invariant violation and panics:
+// instance.Concrete.CheckRel rejects such a fact before it reaches a
+// store. Secondary indexes are sorted posting lists (position, value-ID)
+// → ascending row numbers, which support both index-nested-loop probes
+// and sorted-list intersection for conjunctive candidate sets.
 //
 // Representation. Every value entering a store is interned into a dense
-// value.ID by the store's value.Interner. A tuple of arity k lands in the
-// relation's arity-k segment as one entry per column. The ID columns are
-// the only form of a row the store keeps: the caller-facing []value.Value
-// form is decoded from them through the interner on every read (Tuple,
-// ValueAt, AppendTuple, Each) and never cached, so a row costs its IDs
-// and nothing more. Rows are addressed by a stable global row number; a
-// row-validity bitmap marks rows that were collapsed into duplicates by
-// an in-place substitution (SubstituteIDs, the egd-rewrite fast path) —
-// dead rows keep their number but are skipped by Len, iteration, dedup,
-// and the posting lists. Duplicate elimination hashes the ID row
-// (value.HashIDs) into buckets and compares against the columns on
-// collision; no strings are built on the insert/lookup path.
+// value.ID by the store's value.Interner. A row appends one entry to each
+// of its relation's columns, so its row number is its offset in every
+// column. The ID columns are the only form of a row the store keeps: the
+// caller-facing []value.Value form is decoded from them through the
+// interner on every read (Tuple, ValueAt, AppendTuple, Each) and never
+// cached, so a row costs its IDs and nothing more. Row numbers are
+// stable; a row-validity bitmap marks rows that were collapsed into
+// duplicates by an in-place substitution (SubstituteIDs, the egd-rewrite
+// fast path) — dead rows keep their number but are skipped by Len,
+// iteration, dedup, and the posting lists. Duplicate elimination hashes
+// the ID row (value.HashIDs) into buckets and compares against the
+// columns on collision; no strings are built on the insert/lookup path.
 //
 // SubstituteIDs rewrites only the rows that contain a substituted ID,
 // found through a lazily built reverse index (value-ID → rows containing
@@ -72,31 +74,18 @@ import (
 	"repro/internal/value"
 )
 
-// segment is one fixed-arity columnar block of a relation: column p of
-// the segment's i-th row is cols[p][i], and rows[i] is its global row
-// number in the relation.
-type segment struct {
-	arity int
-	cols  [][]value.ID
-	rows  []int
-}
-
-// rowLoc locates a global row inside its segment.
-type rowLoc struct {
-	seg int32
-	off int32
-}
-
-// Rel is a single relation: an append-only set of deduplicated tuples in
-// columnar segments, with optional per-position posting-list indexes.
+// Rel is a single relation: an append-only set of deduplicated tuples of
+// one arity in ID columns, with optional per-position posting-list
+// indexes.
 type Rel struct {
 	name  string
 	in    *value.Interner
-	segs  []*segment
-	loc   []rowLoc // global row → segment location
-	live  []uint64 // validity bitmap over global rows
-	dead  int      // rows invalidated by SubstituteIDs
-	epoch uint64   // bumped by every mutation (insert, substitute)
+	arity int          // fixed by the first row
+	rows  int          // row-number space, dead rows included
+	cols  [][]value.ID // cols[p][row]: position p of every row
+	live  []uint64     // validity bitmap over rows
+	dead  int          // rows invalidated by SubstituteIDs
+	epoch uint64       // bumped by every mutation (insert, substitute)
 
 	dedup map[uint64]int   // row hash → a live row with that hash
 	over  map[uint64][]int // further live rows per hash (collisions only)
@@ -117,12 +106,20 @@ func newRel(name string, in *value.Interner) *Rel {
 func (r *Rel) Name() string { return r.name }
 
 // Len returns the number of (distinct, live) tuples.
-func (r *Rel) Len() int { return len(r.loc) - r.dead }
+func (r *Rel) Len() int { return r.rows - r.dead }
 
 // NumRows returns the physical row-number space: valid row arguments are
 // [0, NumRows), of which Len are alive. The two differ only after an
 // in-place substitution collapsed rows.
-func (r *Rel) NumRows() int { return len(r.loc) }
+func (r *Rel) NumRows() int { return r.rows }
+
+// Arity returns the relation's arity: that of its first row, and 0 while
+// it has none.
+func (r *Rel) Arity() int { return r.arity }
+
+// Cols returns the relation's columns, one per position: Cols()[p][row]
+// is position p of the row, dead rows included. Do not mutate.
+func (r *Rel) Cols() [][]value.ID { return r.cols }
 
 // Epoch returns the relation's mutation epoch: a counter bumped by every
 // insert and every in-place substitution. Compiled homomorphism plans
@@ -134,10 +131,11 @@ func (r *Rel) NumRows() int { return len(r.loc) }
 // plan would read, so those do not bump the epoch.
 func (r *Rel) Epoch() uint64 { return r.epoch }
 
-// Freeze eagerly builds the posting-list index on every column position,
-// the one lazy structure a read path can consult, and then flips the
+// Freeze eagerly builds the posting-list index on every position below
+// the arity, one per column (a row's number is its offset in each), the
+// one lazy structure a read path can consult, and then flips the
 // relation into an immutable state: all read paths (Tuple, Contains,
-// block access, posting lookups) are mutation-free afterwards and safe
+// column access, posting lookups) are mutation-free afterwards and safe
 // for any number of concurrent readers. The reverse ID index is exempt:
 // it feeds only substitution, which a frozen relation forbids, so
 // building it would be dead weight. Rows are not decoded: a read decodes
@@ -148,13 +146,7 @@ func (r *Rel) Freeze() {
 	if r.frozen {
 		return
 	}
-	maxArity := 0
-	for _, s := range r.segs {
-		if s.arity > maxArity {
-			maxArity = s.arity
-		}
-	}
-	for pos := 0; pos < maxArity; pos++ {
+	for pos := 0; pos < r.arity; pos++ {
 		r.EnsureIndex(pos)
 	}
 	r.frozen = true
@@ -181,34 +173,17 @@ func (r *Rel) kill(row int) {
 	r.dead++
 }
 
-// segFor returns the segment for the arity, creating it on first use.
-func (r *Rel) segFor(arity int) (int32, *segment) {
-	for i, s := range r.segs {
-		if s.arity == arity {
-			return int32(i), s
-		}
-	}
-	s := &segment{arity: arity, cols: make([][]value.ID, arity)}
-	r.segs = append(r.segs, s)
-	return int32(len(r.segs) - 1), s
-}
-
-// arityOf returns the arity of a row.
-func (r *Rel) arityOf(row int) int { return r.segs[r.loc[row].seg].arity }
-
 // appendRowIDs appends row's IDs to dst, which may be nil.
 func (r *Rel) appendRowIDs(dst []value.ID, row int) []value.ID {
-	l := r.loc[row]
-	s := r.segs[l.seg]
-	for p := 0; p < s.arity; p++ {
-		dst = append(dst, s.cols[p][l.off])
+	for _, col := range r.cols {
+		dst = append(dst, col[row])
 	}
 	return dst
 }
 
 // Row returns the interned form of row i as a fresh slice.
 func (r *Rel) Row(i int) []value.ID {
-	return r.appendRowIDs(make([]value.ID, 0, r.arityOf(i)), i)
+	return r.appendRowIDs(make([]value.ID, 0, r.arity), i)
 }
 
 // Tuple returns row i as values in a fresh slice, decoded from its
@@ -216,7 +191,7 @@ func (r *Rel) Row(i int) []value.ID {
 // serves concurrent Tuple calls. Readers of many rows decode into a
 // buffer of their own with AppendTuple instead.
 func (r *Rel) Tuple(i int) []value.Value {
-	return r.AppendTuple(make([]value.Value, 0, r.arityOf(i)), i)
+	return r.AppendTuple(make([]value.Value, 0, r.arity), i)
 }
 
 // AppendTuple appends row i's values, decoded from its columns, to dst
@@ -226,14 +201,8 @@ func (r *Rel) AppendTuple(dst []value.Value, i int) []value.Value {
 	return r.in.ResolveAll(dst, r.appendRowIDs(ids[:0], i))
 }
 
-// Arity returns the arity of row i.
-func (r *Rel) Arity(i int) int { return r.arityOf(i) }
-
 // IDAt returns the interned ID at position pos of row i.
-func (r *Rel) IDAt(i, pos int) value.ID {
-	l := r.loc[i]
-	return r.segs[l.seg].cols[pos][l.off]
-}
+func (r *Rel) IDAt(i, pos int) value.ID { return r.cols[pos][i] }
 
 // ValueAt returns position pos of row i, resolved from its column
 // without decoding the rest of the row. It allocates nothing.
@@ -242,24 +211,20 @@ func (r *Rel) ValueAt(i, pos int) value.Value { return r.in.Resolve(r.IDAt(i, po
 // hashRow hashes a stored row the same way value.HashIDs hashes its
 // slice form.
 func (r *Rel) hashRow(row int) uint64 {
-	l := r.loc[row]
-	s := r.segs[l.seg]
 	h := value.NewHash64()
-	for p := 0; p < s.arity; p++ {
-		h = h.Word(uint64(s.cols[p][l.off]))
+	for _, col := range r.cols {
+		h = h.Word(uint64(col[row]))
 	}
 	return h.Sum()
 }
 
 // rowEqual reports whether stored row equals the ID slice.
 func (r *Rel) rowEqual(row int, ids []value.ID) bool {
-	l := r.loc[row]
-	s := r.segs[l.seg]
-	if s.arity != len(ids) {
+	if r.arity != len(ids) {
 		return false
 	}
 	for p, id := range ids {
-		if s.cols[p][l.off] != id {
+		if r.cols[p][row] != id {
 			return false
 		}
 	}
@@ -330,33 +295,34 @@ func (r *Rel) detachDedup(h uint64, row int) {
 
 // insertIDs adds the interned row unless an identical live one is
 // present. The ids are copied into the columns, so the caller may reuse
-// the slice.
+// the slice. The relation's first row fixes its arity; a row of another
+// arity panics.
 func (r *Rel) insertIDs(ids []value.ID) bool {
 	if r.frozen {
 		r.frozenPanic()
+	}
+	if r.rows == 0 {
+		r.arity, r.cols = len(ids), make([][]value.ID, len(ids))
+	} else if len(ids) != r.arity {
+		panic(fmt.Sprintf("storage: row of arity %d inserted into relation %q of arity %d", len(ids), r.name, r.arity))
 	}
 	h := value.HashIDs(ids)
 	if r.lookupHash(h, ids) >= 0 {
 		return false
 	}
 	r.epoch++
-	row := len(r.loc)
-	si, s := r.segFor(len(ids))
-	off := int32(len(s.rows))
+	row := r.rows
 	for p, id := range ids {
-		s.cols[p] = append(s.cols[p], id)
+		r.cols[p] = append(r.cols[p], id)
 	}
-	s.rows = append(s.rows, row)
-	r.loc = append(r.loc, rowLoc{seg: si, off: off})
+	r.rows++
 	if row>>6 >= len(r.live) {
 		r.live = append(r.live, 0)
 	}
 	r.live[row>>6] |= 1 << (uint(row) & 63)
 	r.attachDedup(h, row)
 	for pos, byID := range r.idx {
-		if pos < len(ids) {
-			byID[ids[pos]] = append(byID[ids[pos]], row)
-		}
+		byID[ids[pos]] = append(byID[ids[pos]], row)
 	}
 	if r.rev != nil {
 		for _, id := range ids {
@@ -400,7 +366,7 @@ func (r *Rel) Contains(tup []value.Value) bool {
 // EachLive calls fn with every live row number in ascending order,
 // stopping early if fn returns false.
 func (r *Rel) EachLive(fn func(row int) bool) {
-	for row := 0; row < len(r.loc); row++ {
+	for row := 0; row < r.rows; row++ {
 		if r.Alive(row) && !fn(row) {
 			return
 		}
@@ -415,7 +381,7 @@ func (r *Rel) EachLive(fn func(row int) bool) {
 // scans (the streaming encoder's per-relation row collection) allocation-
 // free once the buffer has grown to the largest relation.
 func (r *Rel) AppendLive(dst []int) []int {
-	n := len(r.loc)
+	n := r.rows
 	if r.dead == 0 {
 		for row := 0; row < n; row++ {
 			dst = append(dst, row)
@@ -437,16 +403,12 @@ func (r *Rel) AppendLive(dst []int) []int {
 }
 
 // EnsureIndex builds the posting-list index on position pos if not yet
-// present. Lists hold live rows in ascending order. On a frozen relation
-// every position with rows is already indexed, so the call is a pure read.
+// present. Lists hold live rows in ascending order. A position at or past
+// the arity holds no rows, so it gets no index (its posting lists are
+// empty). On a frozen relation every position below the arity is already
+// indexed, so the call is a pure read.
 func (r *Rel) EnsureIndex(pos int) {
-	if _, ok := r.idx[pos]; ok {
-		return
-	}
-	if r.frozen {
-		// Freeze indexed every position up to the maximum arity; a missing
-		// position has no rows, so there is nothing to build (and building
-		// would mutate shared state).
+	if _, ok := r.idx[pos]; ok || r.frozen || pos >= r.arity {
 		return
 	}
 	if r.idx == nil {
@@ -459,12 +421,11 @@ func (r *Rel) EnsureIndex(pos int) {
 	// this is the difference between thousands of small allocations and
 	// three on the bulk paths (Freeze, the snapshot warm-start load), and
 	// the map sees one write per distinct ID instead of one per row.
+	col := r.cols[pos]
 	counts := make([]int32, r.in.Len())
 	total, distinct := 0, 0
-	for row, l := range r.loc {
-		s := r.segs[l.seg]
-		if pos < s.arity && r.Alive(row) {
-			id := s.cols[pos][l.off]
+	for row, id := range col {
+		if r.Alive(row) {
 			if counts[id] == 0 {
 				distinct++
 			}
@@ -479,10 +440,8 @@ func (r *Rel) EnsureIndex(pos int) {
 		off += c
 	}
 	backing := make([]int, total)
-	for row, l := range r.loc {
-		s := r.segs[l.seg]
-		if pos < s.arity && r.Alive(row) {
-			id := s.cols[pos][l.off]
+	for row, id := range col {
+		if r.Alive(row) {
 			backing[offs[id]] = row
 			offs[id]++
 		}
@@ -517,60 +476,6 @@ func (r *Rel) HasIndex(pos int) bool {
 // Interner returns the interner whose IDs this relation's rows use.
 func (r *Rel) Interner() *value.Interner { return r.in }
 
-// Block is a read-only view of one arity class of a relation, the unit
-// the homomorphism engine compiles against: Col(p)[off] is position p of
-// the class's off-th row, with no per-row indirection.
-type Block struct {
-	rel *Rel
-	s   *segment
-	si  int32
-}
-
-// BlockFor returns the block holding rows of the given arity; ok is
-// false when the relation has no such rows (then no atom of that arity
-// can match).
-func (r *Rel) BlockFor(arity int) (Block, bool) {
-	for i, s := range r.segs {
-		if s.arity == arity {
-			return Block{rel: r, s: s, si: int32(i)}, true
-		}
-	}
-	return Block{}, false
-}
-
-// Len returns the number of rows (offsets) in the block, dead included.
-func (b Block) Len() int { return len(b.s.rows) }
-
-// Col returns column p of the block. Do not mutate.
-func (b Block) Col(p int) []value.ID { return b.s.cols[p] }
-
-// Cols returns all columns of the block. Do not mutate.
-func (b Block) Cols() [][]value.ID { return b.s.cols }
-
-// RowAt returns the global row number of the block's off-th row.
-func (b Block) RowAt(off int) int { return b.s.rows[off] }
-
-// LiveAt reports whether the block's off-th row is live.
-func (b Block) LiveAt(off int) bool { return b.rel.Alive(b.s.rows[off]) }
-
-// Offset returns the block offset of a global row, or -1 when the row
-// belongs to a different arity class or is dead.
-func (b Block) Offset(row int) int {
-	l := b.rel.loc[row]
-	if l.seg != b.si || !b.rel.Alive(row) {
-		return -1
-	}
-	return int(l.off)
-}
-
-// Dense reports whether the block covers the whole relation with no dead
-// rows — then global row numbers and block offsets coincide and Offset /
-// LiveAt checks can be skipped. The answer is a snapshot: an in-place
-// substitution can invalidate it, so re-ask after mutating.
-func (b Block) Dense() bool {
-	return b.rel.dead == 0 && len(b.s.rows) == len(b.rel.loc)
-}
-
 // ensureRev builds the reverse index ID → rows containing it. It is
 // maintained on insert once built; substitution may leave stale entries
 // (rows that no longer contain the ID), which consumers re-verify.
@@ -579,14 +484,12 @@ func (r *Rel) ensureRev() {
 		return
 	}
 	r.rev = make(map[value.ID][]int)
-	for row, l := range r.loc {
+	for row := 0; row < r.rows; row++ {
 		if !r.Alive(row) {
 			continue
 		}
-		s := r.segs[l.seg]
-		for p := 0; p < s.arity; p++ {
-			id := s.cols[p][l.off]
-			r.rev[id] = append(r.rev[id], row)
+		for _, col := range r.cols {
+			r.rev[col[row]] = append(r.rev[col[row]], row)
 		}
 	}
 }
@@ -602,7 +505,7 @@ func (r *Rel) substitute(subs []value.ID, canon func(value.ID) value.ID, touched
 	if r.frozen {
 		r.frozenPanic()
 	}
-	if len(r.loc) == 0 {
+	if r.rows == 0 {
 		return 0
 	}
 	r.ensureRev()
@@ -625,10 +528,8 @@ func (r *Rel) substitute(subs []value.ID, canon func(value.ID) value.ID, touched
 		if i > 0 && row == cand[i-1] {
 			continue
 		}
-		l := r.loc[row]
-		s := r.segs[l.seg]
-		for p := 0; p < s.arity; p++ {
-			if id := s.cols[p][l.off]; canon(id) != id {
+		for _, col := range r.cols {
+			if id := col[row]; canon(id) != id {
 				changed = append(changed, row)
 				break
 			}
@@ -651,10 +552,8 @@ func (r *Rel) substitute(subs []value.ID, canon func(value.ID) value.ID, touched
 	// regardless of order.
 	for _, row := range changed {
 		r.detachDedup(r.hashRow(row), row)
-		l := r.loc[row]
-		s := r.segs[l.seg]
-		for p := 0; p < s.arity; p++ {
-			id := s.cols[p][l.off]
+		for p, col := range r.cols {
+			id := col[row]
 			nid := canon(id)
 			if nid == id {
 				continue
@@ -662,7 +561,7 @@ func (r *Rel) substitute(subs []value.ID, canon func(value.ID) value.ID, touched
 			if byID, ok := r.idx[p]; ok {
 				removePosting(byID, id, row)
 			}
-			s.cols[p][l.off] = nid
+			col[row] = nid
 			r.rev[nid] = append(r.rev[nid], row)
 		}
 	}
@@ -971,13 +870,11 @@ const eachChunk = 1024
 func (s *Store) Each(fn func(rel string, tup []value.Value) bool) {
 	left := 0 // values still to decode at most: bounds the chunk size
 	for _, r := range s.rels {
-		for _, sg := range r.segs {
-			left += sg.arity * len(sg.rows)
-		}
+		left += r.arity * r.rows
 	}
 	var chunk []value.Value
 	s.EachLive(func(r *Rel, row int) bool {
-		k := r.arityOf(row)
+		k := r.arity
 		if cap(chunk)-len(chunk) < k {
 			chunk = make([]value.Value, 0, max(k, min(eachChunk, left)))
 		}
@@ -1005,7 +902,7 @@ func (s *Store) EachRow(fn func(rel string, ids []value.ID) bool) {
 func (s *Store) EachLive(fn func(r *Rel, row int) bool) {
 	for _, name := range s.Relations() {
 		r := s.rels[name]
-		for row := range r.loc {
+		for row := 0; row < r.rows; row++ {
 			if r.Alive(row) && !fn(r, row) {
 				return
 			}
@@ -1031,16 +928,13 @@ func (s *Store) CloneWith(in *value.Interner) *Store {
 	}
 	for name, r := range s.rels {
 		nr := newRel(name, out.in)
-		nr.segs = make([]*segment, len(r.segs))
-		for i, sg := range r.segs {
-			ns := &segment{arity: sg.arity, cols: make([][]value.ID, sg.arity)}
-			for p, col := range sg.cols {
-				ns.cols[p] = append([]value.ID(nil), col...)
+		nr.arity, nr.rows = r.arity, r.rows
+		if r.cols != nil {
+			nr.cols = make([][]value.ID, len(r.cols))
+			for p, col := range r.cols {
+				nr.cols[p] = append([]value.ID(nil), col...)
 			}
-			ns.rows = append([]int(nil), sg.rows...)
-			nr.segs[i] = ns
 		}
-		nr.loc = append([]rowLoc(nil), r.loc...)
 		nr.live = append([]uint64(nil), r.live...)
 		nr.dead = r.dead
 		nr.dedup = make(map[uint64]int, len(r.dedup))

@@ -132,17 +132,20 @@ func TestEachOrderAndEarlyStop(t *testing.T) {
 // TestEachTuplesOutliveIteration: Each cuts the tuples it hands out from
 // shared chunks of decoded values. Every tuple kept across chunk
 // boundaries must still equal a per-row decode after the iteration ends,
-// over mixed arities and rows a substitution killed, and must be capped
-// at its own length so appending to it cannot write into its neighbor.
+// over relations of different arities and rows a substitution killed,
+// and must be capped at its own length so appending to it cannot write
+// into its neighbor.
 func TestEachTuplesOutliveIteration(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	st := NewStore()
+	arity := map[string]int{"A": 1, "B": 3, "C": 5}
 	for i := 0; i < 3000; i++ {
-		tp := make([]value.Value, 1+r.Intn(5))
+		rel := []string{"A", "B", "C"}[r.Intn(3)]
+		tp := make([]value.Value, arity[rel])
 		for j := range tp {
 			tp[j] = value.NewConst(fmt.Sprintf("v%d", r.Intn(50)))
 		}
-		st.Insert([]string{"A", "B", "C"}[r.Intn(3)], tp)
+		st.Insert(rel, tp)
 	}
 	in := st.Interner()
 	v0, v1 := in.Intern(value.NewConst("v0")), in.Intern(value.NewConst("v1"))
@@ -247,8 +250,9 @@ func TestDedupMatchesStringKeyReference(t *testing.T) {
 	rels := []string{"R", "S"}
 	distinct := 0
 	for i := 0; i < 20_000; i++ {
-		rel := rels[r.Intn(2)]
 		tp := randTuple(r)
+		// A relation has one arity: the tuple's arity picks its relation.
+		rel := fmt.Sprintf("%s%d", rels[r.Intn(2)], len(tp))
 		k := stringKey(rel, tp)
 		added := s.Insert(rel, tp)
 		if added == ref[k] {
@@ -310,8 +314,8 @@ func TestInsertRowOfAndValueAt(t *testing.T) {
 	if r.ValueAt(0, 1) != value.NewConst("b") || r.ValueAt(1, 0) != value.NewConst("c") {
 		t.Fatalf("ValueAt: %v %v", r.ValueAt(0, 1), r.ValueAt(1, 0))
 	}
-	if r.Arity(1) != 2 {
-		t.Fatalf("Arity = %d", r.Arity(1))
+	if r.Arity() != 2 {
+		t.Fatalf("Arity = %d", r.Arity())
 	}
 	dst := NewStoreWith(in)
 	for row := 0; row < 2; row++ {

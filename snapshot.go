@@ -155,18 +155,18 @@ func checkStoreSchema(st *storage.Store, sch *schema.Schema, group string) error
 		if !ok {
 			return fmt.Errorf("%s group: relation %q not in the mapping's schema", group, name)
 		}
-		want := rel.Arity() + 1
-		d := st.Rel(name).Dump()
+		r := st.Rel(name)
+		if r.NumRows() == 0 {
+			continue
+		}
+		if want := rel.Arity() + 1; r.Arity() != want {
+			return fmt.Errorf("%s group: relation %q has rows of arity %d, schema wants %d",
+				group, name, r.Arity(), want)
+		}
 		in := st.Interner()
-		for _, seg := range d.Segments {
-			if seg.Arity != want {
-				return fmt.Errorf("%s group: relation %q has rows of arity %d, schema wants %d",
-					group, name, seg.Arity, want)
-			}
-			for _, id := range seg.Cols[seg.Arity-1] {
-				if in.KindOf(id) != value.IntervalVal {
-					return fmt.Errorf("%s group: relation %q has a non-interval timestamp column", group, name)
-				}
+		for _, id := range r.Cols()[r.Arity()-1] {
+			if in.KindOf(id) != value.IntervalVal {
+				return fmt.Errorf("%s group: relation %q has a non-interval timestamp column", group, name)
 			}
 		}
 	}

@@ -222,3 +222,64 @@ func TestLoadSolutionCorrupt(t *testing.T) {
 		t.Fatal("unexpected error kind")
 	}
 }
+
+// TestSnapshotFileStable pins the snapshot bytes across versions, since a
+// warm-started tdxd reads files that an older binary wrote. The checked-in
+// testdata/employment.snap was written by
+//
+//	go run ./cmd/tdx chase -m testdata/employment.tdx -d testdata/employment.facts -save testdata/employment.snap
+//
+// LoadSolution must read it as the live run's solution, and writing the
+// live run's snapshot must reproduce the file byte for byte.
+func TestSnapshotFileStable(t *testing.T) {
+	const fixture = "testdata/employment.snap"
+	mapping, err := os.ReadFile("testdata/employment.tdx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts, err := os.ReadFile("testdata/employment.facts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := MustCompile(string(mapping))
+	src, err := ex.ParseSource(string(facts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := ex.Run(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := ex.LoadSolution(fixture)
+	if err != nil {
+		t.Fatalf("LoadSolution: %v", err)
+	}
+	if w, g := sol.Facts(), loaded.Facts(); w != g {
+		t.Fatalf("loaded facts differ:\nwant:\n%s\ngot:\n%s", w, g)
+	}
+	wj, err1 := sol.JSON()
+	gj, err2 := loaded.JSON()
+	if err1 != nil || err2 != nil {
+		t.Fatalf("JSON: %v / %v", err1, err2)
+	}
+	if !bytes.Equal(wj, gj) {
+		t.Fatalf("loaded JSON differs:\nwant:\n%s\ngot:\n%s", wj, gj)
+	}
+
+	path := filepath.Join(t.TempDir(), "employment.snap")
+	if err := sol.WriteSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot bytes differ from %s: %d bytes, want %d", fixture, len(got), len(want))
+	}
+}
