@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/instance"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -111,6 +112,25 @@ func (d *DeltaSet) Relations() []string {
 // st must not be mutated while the enumeration runs (collect first,
 // write after), exactly as with ForEachIDs.
 func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn func(stage int, m *IDMatch) bool) {
+	forEachDelta(st, conj, delta, false, fn, nil)
+}
+
+// ForEachIDsDeltaOverlapping is ForEachIDsDelta kept, as
+// ForEachIDsOverlapping keeps ForEachIDs, to the homomorphisms whose
+// witness rows' intervals have a non-empty common intersection: each
+// sweep of a stage starts from the interval of its delta row, the
+// survivors come in ForEachIDsDelta's order, and pruned (nil for none)
+// is called once per rejected row. Incremental normalization is the only
+// caller.
+func ForEachIDsDeltaOverlapping(st *storage.Store, conj Conjunction, delta *DeltaSet, fn func(stage int, m *IDMatch) bool, pruned func() bool) {
+	forEachDelta(st, conj, delta, true, fn, pruned)
+}
+
+// forEachDelta is the stage sweep behind both delta entries; overlap
+// selects the pruned one. A stage compiles its residual plan once and
+// reruns it per delta row in the plan's own scratch, so a stage
+// allocates the same whatever the number of delta rows.
+func forEachDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, overlap bool, fn func(stage int, m *IDMatch) bool, pruned func() bool) {
 	if len(conj) == 0 || delta == nil {
 		return
 	}
@@ -168,9 +188,12 @@ func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn fu
 		var restSlot []int // rest slot → full slot
 		var seeded []int   // rest slots seeded from atom k, reset after each sweep
 		if len(rest) > 0 {
-			rp = compile(st, rest, nil)
+			compile(&rp, st, rest, nil)
 			if rp.empty {
 				continue
+			}
+			if overlap {
+				rp.pruneDisjoint(pruned)
 			}
 			restSlot = make([]int, len(rp.names))
 			for i, n := range rp.names {
@@ -179,7 +202,34 @@ func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn fu
 			seeded = make([]int, 0, len(restSlot))
 		}
 
-		for _, row := range cand {
+		// sweep takes one residual match of the delta row atom k is
+		// bound to.
+		var row int
+		sweep := func(m *IDMatch) bool {
+			// Stage discipline: atoms before k must be non-delta (a hom
+			// whose first delta atom precedes k belongs there).
+			for i := 0; i < k; i++ {
+				if delta.Contains(rest[i].Rel, m.Rows[i].Row) {
+					return true
+				}
+			}
+			for i := 0; i < k; i++ {
+				rows[i] = m.Rows[i]
+			}
+			rows[k] = RowRef{Rel: a.Rel, Row: row}
+			for i := k; i < len(rest); i++ {
+				rows[i+1] = m.Rows[i]
+			}
+			out := full
+			for ri, fi := range restSlot {
+				out[fi] = m.bind[ri]
+			}
+			im.Rows = rows
+			im.bind = out
+			return fn(k, &im)
+		}
+
+		for _, row = range cand {
 			if row >= rel.NumRows() || !rel.Alive(row) {
 				continue
 			}
@@ -219,8 +269,9 @@ func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn fu
 				continue
 			}
 
-			// Seed the residual plan with atom k's bindings and sweep it;
-			// the deferred reset keeps rp reusable for the next delta row.
+			// Seed the residual plan with atom k's bindings and interval,
+			// and sweep it; resetting the seeded slots keeps rp reusable
+			// for the next delta row.
 			seeded = seeded[:0]
 			for ri, fi := range restSlot {
 				if full[fi] != value.NoID {
@@ -228,38 +279,14 @@ func ForEachIDsDelta(st *storage.Store, conj Conjunction, delta *DeltaSet, fn fu
 					seeded = append(seeded, ri)
 				}
 			}
-			stop := false
-			run(rp, func(m *IDMatch) bool {
-				// Stage discipline: atoms before k must be non-delta (a
-				// hom whose first delta atom precedes k belongs there).
-				for i := 0; i < k; i++ {
-					if delta.Contains(rest[i].Rel, m.Rows[i].Row) {
-						return true
-					}
-				}
-				for i := 0; i < k; i++ {
-					rows[i] = m.Rows[i]
-				}
-				rows[k] = RowRef{Rel: a.Rel, Row: row}
-				for i := k; i < len(rest); i++ {
-					rows[i+1] = m.Rows[i]
-				}
-				out := full
-				for ri, fi := range restSlot {
-					out[fi] = m.bind[ri]
-				}
-				im.Rows = rows
-				im.bind = out
-				if !fn(k, &im) {
-					stop = true
-					return false
-				}
-				return true
-			})
+			if overlap {
+				rp.acc[0] = instance.IntervalAt(rel, row)
+			}
+			cont := rp.run(sweep)
 			for _, ri := range seeded {
 				rp.init[ri] = value.NoID
 			}
-			if stop {
+			if !cont {
 				return
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/interval"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -142,29 +143,65 @@ func TestDeltaSetRowsSorted(t *testing.T) {
 }
 
 // TestForEachIDsDeltaAllocs: a delta stage binds atom k by reading the
-// relation's columns, so enumerating a one-atom conjunction allocates
-// per stage and call, never per delta row.
+// relation's columns and sweeps its residual plan in the plan's own
+// scratch, so an enumeration allocates per stage and call, never per
+// delta row: over 1,000 frozen delta rows of R, the one-atom
+// conjunction R(x, y) and the join R(x, y), S(y, z), pruned by overlap
+// and not, each stay under 50 allocations.
 func TestForEachIDsDeltaAllocs(t *testing.T) {
 	st := storage.NewStore()
 	for i := 0; i < 1000; i++ {
-		st.Insert("R", []value.Value{value.NewConst(fmt.Sprintf("a%d", i)), value.NewConst(fmt.Sprintf("b%d", i%7))})
+		s := interval.Time(i % 50)
+		st.Insert("R", []value.Value{cv(fmt.Sprintf("a%d", i)), cv(fmt.Sprintf("b%d", i%7)), ivv(s, s+3)})
+	}
+	for j := 0; j < 7; j++ {
+		for k := 0; k < 3; k++ {
+			s := interval.Time(20 * k)
+			st.Insert("S", []value.Value{cv(fmt.Sprintf("b%d", j)), cv(fmt.Sprintf("c%d", k)), ivv(s, s+10)})
+		}
 	}
 	st.Freeze()
 	delta := NewDeltaSet()
 	delta.AddRange("R", 0, 1000)
-	conj := Conjunction{NewAtom("R", Var("x"), Var("y"))}
-	n := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		n = 0
-		ForEachIDsDelta(st, conj, delta, func(int, *IDMatch) bool {
+	one := Conjunction{NewAtom("R", Var("x"), Var("y"), Var("t"))}
+	join := Conjunction{NewAtom("R", Var("x"), Var("y"), Var("t")), NewAtom("S", Var("y"), Var("z"), Var("t"))}.RenameTemporal("t")
+	cases := []struct {
+		name    string
+		conj    Conjunction
+		overlap bool
+		want    int
+	}{
+		{"R(x, y)", one, false, 1000},
+		{"R(x, y), S(y, z)", join, false, 3000},
+		// Row i of R meets one of its three S rows when i%50 falls in
+		// [0, 10), [18, 30) or [38, 50): 34 rows in 50.
+		{"R(x, y), S(y, z) pruned", join, true, 1000 * 34 / 50},
+	}
+	for _, c := range cases {
+		n, pruned := 0, 0
+		count := func(int, *IDMatch) bool {
 			n++
 			return true
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			n, pruned = 0, 0
+			if c.overlap {
+				ForEachIDsDeltaOverlapping(st, c.conj, delta, count, func() bool {
+					pruned++
+					return true
+				})
+			} else {
+				ForEachIDsDelta(st, c.conj, delta, count)
+			}
 		})
-	})
-	if n != 1000 {
-		t.Fatalf("enumerated %d matches, want 1000", n)
-	}
-	if allocs >= 50 {
-		t.Fatalf("ForEachIDsDelta allocated %.0f objects over 1000 delta rows, want < 50", allocs)
+		if n != c.want {
+			t.Fatalf("%s: enumerated %d matches, want %d", c.name, n, c.want)
+		}
+		if c.overlap && n+pruned != 3000 {
+			t.Fatalf("%s: %d matches and %d pruned rows, want 3000 candidates", c.name, n, pruned)
+		}
+		if allocs >= 50 {
+			t.Fatalf("%s: ForEachIDsDelta allocated %.0f objects over 1000 delta rows, want < 50", c.name, allocs)
+		}
 	}
 }

@@ -19,8 +19,19 @@
 // more positions are determined), and unification reads the columns
 // directly — cols[pos][row] — comparing uint32s with no per-row
 // materialization. ForEachIDs exposes that representation directly for
-// hot callers (the chase's egd loop, normalization); ForEach/FindAll
-// materialize value.Value bindings per match.
+// hot callers (the chase's tgd and egd loops, query evaluation);
+// ForEach/FindAll materialize value.Value bindings per match.
+//
+// Algorithm 1 (line 3) and Definition 10 act only on matches whose
+// facts' intervals share a time point, but N(Φ+) renames each atom's
+// temporal variable apart, so the join alone cannot tell those from the
+// rest. ForEachIDsOverlapping and ForEachIDsDeltaOverlapping, the entries
+// normalization enumerates through, carry the intersection of the bound
+// rows' intervals (each row's last column) down the search and reject a
+// candidate row that empties it before descending: a match with an empty
+// intersection is never completed. The join order depends on the
+// bindings alone, so the surviving matches come in the order the
+// unpruned entries yield them.
 package logic
 
 import (
@@ -29,6 +40,8 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/instance"
+	"repro/internal/interval"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -226,7 +239,12 @@ type planTerm struct {
 // touched. dense records that the relation has no dead rows, so a scan
 // skips the liveness check (posting lists hold live rows only); buf is
 // the atom's posting-intersection scratch (safe per atom: the search uses
-// each atom at one depth at a time).
+// each atom at one depth at a time), and done marks the atom bound at a
+// depth above the current one. In a full overlap enumeration intervals
+// caches the relation's interval column by row, each decoded on first
+// use (the zero interval, never stored, marks a row not yet decoded) and
+// shared by the atoms over one relation: a self-join resolves each row's
+// interval once, not once per candidate pair.
 // epoch is the relation's mutation epoch at compile time: the column
 // snapshots are valid only while it holds, and the search revalidates it
 // after every match callback (the only point user code runs). frozen
@@ -234,18 +252,27 @@ type planTerm struct {
 // that, plus every buffer being plan-local, is what lets any number of
 // goroutines run plans over one frozen store concurrently.
 type planAtom struct {
-	rel    *storage.Rel
-	cols   [][]value.ID
-	terms  []planTerm
-	order  []int
-	dense  bool
-	frozen bool
-	epoch  uint64
-	buf    []int
+	rel       *storage.Rel
+	cols      [][]value.ID
+	terms     []planTerm
+	order     []int
+	dense     bool
+	frozen    bool
+	epoch     uint64
+	buf       []int
+	done      bool
+	intervals []interval.Interval
 }
 
 // plan is a conjunction compiled against a store: atoms over variable
-// slots and literal IDs, plus the initial slot bindings.
+// slots and literal IDs, plus the initial slot bindings. It also owns
+// the search's scratch (bindings, row witnesses, the running interval
+// intersection, the match handed to callbacks), which every run starts
+// from init, so one plan runs sweep after sweep without allocating (the
+// delta enumeration reruns a residual plan once per delta row), but
+// never two sweeps at once. The match handed to callbacks escapes to
+// the heap; nothing else takes the plan's address, so a plan stays on
+// its caller's stack.
 type plan struct {
 	atoms   []planAtom
 	names   []string   // slot → variable name
@@ -253,14 +280,26 @@ type plan struct {
 	extras  Binding    // initial bindings for variables not in the conjunction
 	empty   bool       // no homomorphism can exist (missing relation or never-interned value)
 	mutable bool       // some atom's relation is not frozen: revalidate epochs
+	// overlap restricts the search to Algorithm 1's match sets: a
+	// candidate row whose interval (its last column) empties the
+	// intersection of the intervals bound so far is rejected before the
+	// search descends, and counted by a call to pruned.
+	overlap bool
+	pruned  func() bool
+
+	bind  []value.ID
+	rows  []RowRef
+	trail []int               // slots bound since the sweep started, in order
+	acc   []interval.Interval // acc[d]: intersection of the intervals bound above depth d
+	im    *IDMatch
 }
 
-// compile builds the ID plan for conj over st. Literals and initial
-// bindings are looked up (not interned): a value the store has never
-// interned cannot occur in any stored row, so its atom — and therefore
-// the conjunction — has no homomorphism, and the plan is marked empty.
-func compile(st *storage.Store, conj Conjunction, initial Binding) plan {
-	var p plan
+// compile builds into the zero plan p the ID plan for conj over st.
+// Literals and initial bindings are looked up (not interned): a value
+// the store has never interned cannot occur in any stored row, so its
+// atom — and therefore the conjunction — has no homomorphism, and the
+// plan is marked empty.
+func compile(p *plan, st *storage.Store, conj Conjunction, initial Binding) {
 	in := st.Interner()
 	slotOf := make(map[string]int)
 	p.atoms = make([]planAtom, 0, len(conj))
@@ -268,12 +307,12 @@ func compile(st *storage.Store, conj Conjunction, initial Binding) plan {
 		rel := st.Rel(a.Rel)
 		if rel == nil {
 			p.empty = true
-			return p
+			return
 		}
 		if rel.Arity() != len(a.Terms) {
 			// No stored row has the atom's arity, so nothing can match.
 			p.empty = true
-			return p
+			return
 		}
 		pa := planAtom{rel: rel, cols: rel.Cols(), terms: make([]planTerm, len(a.Terms)), dense: rel.Len() == rel.NumRows(), frozen: rel.Frozen(), epoch: rel.Epoch()}
 		if !pa.frozen {
@@ -292,7 +331,7 @@ func compile(st *storage.Store, conj Conjunction, initial Binding) plan {
 				id, ok := in.Lookup(t.Val)
 				if !ok {
 					p.empty = true
-					return p
+					return
 				}
 				pa.terms[j] = planTerm{slot: -1, lit: id}
 			}
@@ -310,7 +349,10 @@ func compile(st *storage.Store, conj Conjunction, initial Binding) plan {
 		}
 		p.atoms = append(p.atoms, pa)
 	}
-	p.init = make([]value.ID, len(p.names))
+	// init and bind share one allocation.
+	n := len(p.names)
+	ids := make([]value.ID, 2*n)
+	p.init, p.bind = ids[:n:n], ids[n:]
 	for i := range p.init {
 		p.init[i] = value.NoID
 	}
@@ -326,11 +368,54 @@ func compile(st *storage.Store, conj Conjunction, initial Binding) plan {
 		id, ok := in.Lookup(v)
 		if !ok {
 			p.empty = true
-			return p
+			return
 		}
 		p.init[s] = id
 	}
-	return p
+	p.rows = make([]RowRef, len(p.atoms))
+	p.im = &IDMatch{names: p.names}
+}
+
+// pruneDisjoint turns p into an overlap plan whose sweeps report each
+// rejected row to pruned (nil: nobody counts them). Each sweep's running
+// intersection starts at acc[0], which the caller sets.
+func (p *plan) pruneDisjoint(pruned func() bool) {
+	p.overlap = true
+	p.pruned = pruned
+	p.acc = make([]interval.Interval, len(p.atoms)+1)
+}
+
+// cacheIntervals gives each atom of an overlap plan its relation's
+// interval cache (planAtom.intervals). A cache costs a word pair per row
+// of the relation, so only a full enumeration, which may touch every
+// row, keeps one; a delta sweep reads a handful of rows per delta row.
+func (p *plan) cacheIntervals() {
+	for i := range p.atoms {
+		pa := &p.atoms[i]
+		for j := range p.atoms[:i] {
+			if p.atoms[j].rel == pa.rel {
+				pa.intervals = p.atoms[j].intervals
+				break
+			}
+		}
+		if pa.intervals == nil {
+			pa.intervals = make([]interval.Interval, pa.rel.NumRows())
+		}
+	}
+}
+
+// rowInterval returns the interval of pa's row, through the atom's cache
+// when it has one.
+func rowInterval(pa *planAtom, row int) interval.Interval {
+	if pa.intervals == nil {
+		return instance.IntervalAt(pa.rel, row)
+	}
+	iv := pa.intervals[row]
+	if iv.End == 0 {
+		iv = instance.IntervalAt(pa.rel, row)
+		pa.intervals[row] = iv
+	}
+	return iv
 }
 
 // revalidate panics when any relation a plan was compiled against has
@@ -401,134 +486,159 @@ func candidates(pa *planAtom, bind []value.ID, buf []int) (cands []int, scan boo
 	return buf, false, buf
 }
 
-// run enumerates the plan's homomorphisms, invoking fn per match and
-// stopping early when fn returns false.
-func run(p plan, fn func(*IDMatch) bool) {
-	n := len(p.atoms)
-	bind := append([]value.ID(nil), p.init...)
-	rows := make([]RowRef, n)
-	done := make([]bool, n)
-	var trail []int // slots bound since the search started, in order
-	im := IDMatch{names: p.names}
-	var rec func(depth int) bool
-	rec = func(depth int) bool {
-		if depth == n {
-			im.Rows = rows
-			im.bind = bind
-			cont := fn(&im)
-			p.revalidate()
-			return cont
-		}
-		// Adaptive join order: the unprocessed atom with the smallest
-		// estimated candidate set — the minimum posting-list length over
-		// its determined positions (bound variable or literal), O(1) per
-		// read on the materialized posting lists. An atom with no
-		// determined position is estimated at its full row count (a
-		// scan). An empty posting list estimates to 0, so a contradicted
-		// atom is picked first and fails the branch immediately. Ties keep
-		// the lowest atom index, so the order stays deterministic.
-		bestAtom := -1
-		bestEst := int(^uint(0) >> 1)
-		for i := range p.atoms {
-			if done[i] {
-				continue
-			}
-			cand := &p.atoms[i]
-			est := cand.rel.NumRows()
-			for pos, t := range cand.terms {
-				var id value.ID
-				switch {
-				case t.slot < 0:
-					id = t.lit
-				case bind[t.slot] != value.NoID:
-					id = bind[t.slot]
-				default:
-					continue
-				}
-				if l := len(cand.rel.CandidatesID(pos, id)); l < est {
-					est = l
-				}
-			}
-			if est < bestEst {
-				bestEst, bestAtom = est, i
-			}
-		}
-		pa := &p.atoms[bestAtom]
-		done[bestAtom] = true
-		cont := true
-		cands, scan, buf := candidates(pa, bind, pa.buf)
-		pa.buf = buf
-		limit := len(cands)
-		if scan {
-			limit = pa.rel.NumRows()
-		}
-	rowLoop:
-		for k := 0; k < limit; k++ {
-			row := k
-			if !scan {
-				row = cands[k]
-			} else if !pa.dense && !pa.rel.Alive(row) {
-				continue
-			}
-			base := len(trail)
-			ok := true
-			for _, j := range pa.order {
-				t := pa.terms[j]
-				got := pa.cols[j][row]
-				if t.slot < 0 {
-					if t.lit != got {
-						ok = false
-						break
-					}
-					continue
-				}
-				if b := bind[t.slot]; b != value.NoID {
-					if b != got {
-						ok = false
-						break
-					}
-					continue
-				}
-				bind[t.slot] = got
-				trail = append(trail, t.slot)
-			}
-			if ok {
-				rows[bestAtom] = RowRef{Rel: pa.rel.Name(), Row: row}
-				if !rec(depth + 1) {
-					cont = false
-				}
-			}
-			for _, s := range trail[base:] {
-				bind[s] = value.NoID
-			}
-			trail = trail[:base]
-			if !cont {
-				break rowLoop
-			}
-		}
-		done[bestAtom] = false
+// run enumerates the plan's homomorphisms from its init bindings,
+// invoking fn per match, and reports whether the sweep ran to its end:
+// it stops early when fn returns false, or pruned in an overlap plan.
+func (p *plan) run(fn func(*IDMatch) bool) bool {
+	copy(p.bind, p.init)
+	return p.search(0, fn)
+}
+
+// search binds the atoms not yet done, one per depth, and reports
+// whether the sweep goes on.
+func (p *plan) search(depth int, fn func(*IDMatch) bool) bool {
+	if depth == len(p.atoms) {
+		p.im.Rows = p.rows
+		p.im.bind = p.bind
+		cont := fn(p.im)
+		p.revalidate()
 		return cont
 	}
-	rec(0)
+	bind := p.bind
+	// Adaptive join order: the unprocessed atom with the smallest
+	// estimated candidate set — the minimum posting-list length over
+	// its determined positions (bound variable or literal), O(1) per
+	// read on the materialized posting lists. An atom with no
+	// determined position is estimated at its full row count (a
+	// scan). An empty posting list estimates to 0, so a contradicted
+	// atom is picked first and fails the branch immediately. Ties keep
+	// the lowest atom index, so the order stays deterministic.
+	bestAtom := -1
+	bestEst := int(^uint(0) >> 1)
+	for i := range p.atoms {
+		cand := &p.atoms[i]
+		if cand.done {
+			continue
+		}
+		est := cand.rel.NumRows()
+		for pos, t := range cand.terms {
+			var id value.ID
+			switch {
+			case t.slot < 0:
+				id = t.lit
+			case bind[t.slot] != value.NoID:
+				id = bind[t.slot]
+			default:
+				continue
+			}
+			if l := len(cand.rel.CandidatesID(pos, id)); l < est {
+				est = l
+			}
+		}
+		if est < bestEst {
+			bestEst, bestAtom = est, i
+		}
+	}
+	pa := &p.atoms[bestAtom]
+	pa.done = true
+	cont := true
+	cands, scan, buf := candidates(pa, bind, pa.buf)
+	pa.buf = buf
+	limit := len(cands)
+	if scan {
+		limit = pa.rel.NumRows()
+	}
+	for k := 0; k < limit && cont; k++ {
+		row := k
+		if !scan {
+			row = cands[k]
+		} else if !pa.dense && !pa.rel.Alive(row) {
+			continue
+		}
+		base := len(p.trail)
+		ok := true
+		for _, j := range pa.order {
+			t := pa.terms[j]
+			got := pa.cols[j][row]
+			if t.slot < 0 {
+				if t.lit != got {
+					ok = false
+					break
+				}
+				continue
+			}
+			if b := bind[t.slot]; b != value.NoID {
+				if b != got {
+					ok = false
+					break
+				}
+				continue
+			}
+			bind[t.slot] = got
+			p.trail = append(p.trail, t.slot)
+		}
+		if ok && p.overlap {
+			// The join order depends on the bindings alone, so rejecting
+			// a row here leaves the surviving matches in their order.
+			if p.acc[depth+1], ok = p.acc[depth].Intersect(rowInterval(pa, row)); !ok && p.pruned != nil {
+				cont = p.pruned()
+			}
+		}
+		if ok {
+			p.rows[bestAtom] = RowRef{Rel: pa.rel.Name(), Row: row}
+			cont = p.search(depth+1, fn)
+		}
+		for _, s := range p.trail[base:] {
+			bind[s] = value.NoID
+		}
+		p.trail = p.trail[:base]
+	}
+	pa.done = false
+	return cont
 }
 
 // ForEachIDs enumerates homomorphisms in interned form: bindings are
 // value.IDs of st's interner and no value.Value is materialized. This is
-// the hot-path entry used by the chase's egd loop and by normalization;
-// use ForEach when you need the bindings as values. The IDMatch passed to
-// fn is transient. Initial bindings for variables outside the conjunction
-// are not visible through the IDMatch (use ForEach for those).
+// the hot-path entry of the chase's tgd and egd loops and of query
+// evaluation; use ForEach when you need the bindings as values. The
+// IDMatch passed to fn is transient. Initial bindings for variables
+// outside the conjunction are not visible through the IDMatch (use
+// ForEach for those).
 func ForEachIDs(st *storage.Store, conj Conjunction, initial Binding, fn func(*IDMatch) bool) {
 	if len(conj) == 0 {
 		// The empty conjunction has exactly one (empty) homomorphism.
 		fn(&IDMatch{})
 		return
 	}
-	p := compile(st, conj, initial)
+	var p plan
+	compile(&p, st, conj, initial)
 	if p.empty {
 		return
 	}
-	run(p, fn)
+	p.run(fn)
+}
+
+// ForEachIDsOverlapping is ForEachIDs, with no initial bindings, kept to
+// the homomorphisms Algorithm 1 acts on: those whose witness rows'
+// intervals (each row's last column, so st must hold a concrete
+// instance) have a non-empty common intersection. The search carries
+// the intersection of the rows bound so far and rejects a candidate row
+// that empties it before descending, so a disjoint match is never
+// completed, and the survivors come in ForEachIDs's order. pruned (nil
+// for none) is called once per rejected row, and returning false stops
+// the enumeration as fn's does: a caller that polls every so many
+// matches keeps polling while nothing survives. Normalization is the
+// only caller.
+func ForEachIDsOverlapping(st *storage.Store, conj Conjunction, fn func(*IDMatch) bool, pruned func() bool) {
+	var p plan
+	compile(&p, st, conj, nil)
+	if p.empty {
+		return
+	}
+	p.pruneDisjoint(pruned)
+	p.cacheIntervals()
+	p.acc[0] = interval.Interval{End: interval.Infinity} // every time point
+	p.run(fn)
 }
 
 // ForEach enumerates homomorphisms from the conjunction into the store,
@@ -545,13 +655,14 @@ func ForEach(st *storage.Store, conj Conjunction, initial Binding, fn func(Match
 		fn(Match{Binding: initial.Clone()})
 		return
 	}
-	p := compile(st, conj, initial)
+	var p plan
+	compile(&p, st, conj, initial)
 	if p.empty {
 		return
 	}
 	in := st.Interner()
 	var vals []value.Value
-	run(p, func(im *IDMatch) bool {
+	p.run(func(im *IDMatch) bool {
 		b := make(Binding, len(p.names)+len(p.extras))
 		for k, v := range p.extras {
 			b[k] = v
@@ -604,7 +715,8 @@ func Exists(st *storage.Store, conj Conjunction, initial Binding) bool {
 // bound to ids[i], an ID of st's interner. Variables outside conj are
 // ignored.
 func ExistsIDs(st *storage.Store, conj Conjunction, vars []string, ids []value.ID) bool {
-	p := compile(st, conj, nil)
+	var p plan
+	compile(&p, st, conj, nil)
 	if p.empty {
 		return false
 	}
@@ -614,7 +726,7 @@ func ExistsIDs(st *storage.Store, conj Conjunction, vars []string, ids []value.I
 		}
 	}
 	found := false
-	run(p, func(*IDMatch) bool {
+	p.run(func(*IDMatch) bool {
 		found = true
 		return false
 	})

@@ -2,6 +2,7 @@ package normalize
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -87,5 +88,68 @@ func TestMatchSetsAllocsFlatInMatches(t *testing.T) {
 	// allocation adds over a thousand.
 	if small, large := allocs(8), allocs(512); large > small+4 {
 		t.Fatalf("matchSets: %v allocs with 512 dropped matches per pass vs %v with 8: the per-match path allocates", large, small)
+	}
+}
+
+// pollCtx is a live context whose Done channel reads as closed from its
+// second call on: a pass's first poll, before it enumerates, sees it
+// live, and its first poll from inside the enumeration sees it done.
+type pollCtx struct {
+	context.Context
+	polls int
+}
+
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+func (c *pollCtx) Done() <-chan struct{} {
+	c.polls++
+	if c.polls >= 2 {
+		return closedDone
+	}
+	return nil
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls >= 2 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelWhilePruning: the rows the join rejects for their interval
+// count toward the collector's poll, so a pass that completes no match
+// still sees its context end. R(x, t), S(x, t) over 300 pairwise
+// disjoint rows each has 90,000 candidate pairs and no match set; the
+// full and the delta enumeration must both stop at their second poll
+// with the context's error.
+func TestCancelWhilePruning(t *testing.T) {
+	ic := instance.NewConcrete(nil)
+	for i := 0; i < 300; i++ {
+		ic.MustInsert(fact.NewC("R", paperex.Iv(interval.Time(i), interval.Time(i+1)), paperex.C("a")))
+		ic.MustInsert(fact.NewC("S", paperex.Iv(interval.Time(1000+i), interval.Time(1001+i)), paperex.C("a")))
+	}
+	ic.Freeze()
+	tv := logic.Var(dependency.TemporalVar)
+	phis := []logic.Conjunction{{
+		{Rel: "R", Terms: []logic.Term{logic.Var("x"), tv}},
+		{Rel: "S", Terms: []logic.Term{logic.Var("x"), tv}},
+	}}
+	if sets, err := matchSets(context.Background(), ic, phis); err != nil || len(sets) != 0 {
+		t.Fatalf("matchSets = %v, %v; want no set", sets, err)
+	}
+
+	ctx := &pollCtx{Context: context.Background()}
+	if _, err := matchSets(ctx, ic, phis); !errors.Is(err, context.Canceled) || ctx.polls != 2 {
+		t.Fatalf("matchSets under a context done from its 2nd poll: err %v after %d polls, want context.Canceled after 2", err, ctx.polls)
+	}
+	delta := logic.NewDeltaSet()
+	delta.AddRange("R", 0, 300)
+	ctx = &pollCtx{Context: context.Background()}
+	if _, err := DeltaAligned(ctx, ic, phis, delta); !errors.Is(err, context.Canceled) || ctx.polls != 2 {
+		t.Fatalf("DeltaAligned under a context done from its 2nd poll: err %v after %d polls, want context.Canceled after 2", err, ctx.polls)
 	}
 }

@@ -47,32 +47,36 @@ type deltaSetsOut struct {
 // deltaMatchSets enumerates the match sets of N(phis) over ic
 // that involve at least one delta row, hold two or more facts and have a
 // non-empty common intersection — the only sets Algorithm 1 would act on
-// that the base run has not already accounted for. A one-fact set is a
-// delta row with all-equal intervals, so it leaves aligned, touchesBase
-// and the delta fragments as they are; like matchSets, the enumeration
-// skips it and every one-atom conjunction.
+// that the base run has not already accounted for. The base
+// fragmentation ignores a set with an empty intersection too, so the
+// enumeration runs on logic.ForEachIDsDeltaOverlapping, which never
+// completes one; like matchSets, it counts the rows that entry rejects
+// toward its ctx poll. A one-fact set is a delta row with all-equal
+// intervals, so it leaves aligned, touchesBase and the delta fragments
+// as they are; like matchSets, the enumeration skips it and every
+// one-atom conjunction.
 func deltaMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction, delta *logic.DeltaSet) (deltaSetsOut, error) {
 	st := ic.Store()
 	out := deltaSetsOut{aligned: true}
 	c := newMatchCollector(st)
 	var err error
+	tick := func() bool {
+		err = c.tick(ctx)
+		return err == nil
+	}
 	for _, phi := range joins(phis) {
 		if err = ctxErr(ctx); err != nil {
 			return out, err
 		}
-		logic.ForEachIDsDelta(st, phi, delta, func(_ int, m *logic.IDMatch) bool {
-			if err = c.tick(ctx); err != nil {
+		logic.ForEachIDsDeltaOverlapping(st, phi, delta, func(_ int, m *logic.IDMatch) bool {
+			if !tick() {
 				return false
 			}
 			set := c.rows(m)
 			if len(set) < 2 {
 				return true
 			}
-			allEqual, ok := c.overlap(set)
-			if !ok {
-				return true // empty intersection: the base fragmentation ignores it too
-			}
-			out.aligned = out.aligned && allEqual
+			out.aligned = out.aligned && c.allEqual(set)
 			for _, r := range set {
 				if !delta.Contains(r.rel, r.row) {
 					out.touchesBase = true
@@ -83,7 +87,7 @@ func deltaMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Con
 				out.sets = append(out.sets, kept)
 			}
 			return true
-		})
+		}, tick)
 		if err != nil {
 			return out, err
 		}

@@ -92,10 +92,11 @@ func (ix setIndex) lookup(set []factRef) (uint64, bool) {
 
 // matchCollector is the per-match step of Algorithm 1 line 3, shared by
 // every enumeration (full and delta) and by the EIP check: it turns one
-// homomorphism's row witnesses into its fact set Δ. It works in
-// a reused scratch buffer and reads intervals straight off the stored
-// interval column, so a match whose set is dropped — empty intersection
-// or a duplicate — allocates nothing.
+// homomorphism's row witnesses into its fact set Δ. The enumerations run
+// on logic's overlap entries, which never complete a match whose
+// intervals have an empty common intersection, so every match the
+// collector sees intersects. It works in a reused scratch buffer, so a
+// match whose set is dropped as a duplicate allocates nothing.
 type matchCollector struct {
 	intervalReader
 	set     []factRef // scratch: the current match's fact set
@@ -126,7 +127,10 @@ func (ir *intervalReader) interval(r factRef) interval.Interval {
 	return instance.IntervalAt(rel, r.row)
 }
 
-// tick counts one match and, every 64 matches, reports ctx's error.
+// tick counts one step of an enumeration — a match, or a row the join
+// rejected for its interval — and, every 64 steps, reports ctx's error.
+// Counting the rejected rows keeps a pass that completes no match
+// cancellable.
 func (c *matchCollector) tick(ctx context.Context) error {
 	c.matches++
 	if c.matches&63 == 0 {
@@ -158,23 +162,16 @@ func (c *matchCollector) rows(m *logic.IDMatch) []factRef {
 	return set
 }
 
-// overlap intersects the intervals of set's facts: ok is false when the
-// common intersection is empty (always for the empty set), and allEqual
-// reports whether the intervals coincide.
-func (c *matchCollector) overlap(set []factRef) (allEqual, ok bool) {
-	if len(set) == 0 {
-		return false, false
-	}
+// allEqual reports whether the facts of a non-empty set carry one
+// interval.
+func (c *matchCollector) allEqual(set []factRef) bool {
 	first := c.interval(set[0])
-	acc, allEqual := first, true
 	for _, r := range set[1:] {
-		iv := c.interval(r)
-		if acc, ok = acc.Intersect(iv); !ok {
-			return false, false
+		if c.interval(r) != first {
+			return false
 		}
-		allEqual = allEqual && iv == first
 	}
-	return allEqual, true
+	return true
 }
 
 // keep records set unless an equal set was kept before. A new set is
@@ -191,16 +188,13 @@ func (c *matchCollector) keep(set []factRef) ([]factRef, bool) {
 	return kept, true
 }
 
-// collect is the whole step for Algorithm 1: the match's fact set when
-// it holds two or more facts, their intervals overlap and no equal set
-// was collected before.
+// collect is the whole step for Algorithm 1 on a match whose intervals
+// intersect: its fact set when it holds two or more facts and no equal
+// set was collected before.
 func (c *matchCollector) collect(m *logic.IDMatch) ([]factRef, bool) {
 	set := c.rows(m)
 	if len(set) < 2 {
 		return nil, false // one fact: no union, no new endpoint
-	}
-	if _, ok := c.overlap(set); !ok {
-		return nil, false // empty intersection: nothing to fragment
 	}
 	return c.keep(set)
 }
@@ -210,29 +204,36 @@ func (c *matchCollector) collect(m *logic.IDMatch) ([]factRef, bool) {
 // homomorphism from a conjunction in N(Φ+) and whose intervals have a
 // non-empty common intersection. Duplicate sets are returned once, and
 // one-atom conjunctions are not enumerated (see joins). Only the row
-// witnesses of each homomorphism are consumed, so the enumeration runs
-// on the interned fast path (ForEachIDs) and never materializes a
-// binding. The enumeration — the potentially large part of
-// normalization — checks ctx every few dozen matches and aborts with its
-// error once canceled.
+// witnesses of each homomorphism are consumed, so the enumeration never
+// materializes a binding. It runs on logic.ForEachIDsOverlapping, which
+// rejects a candidate row whose interval misses the intersection of the
+// rows bound before it: the matches with an empty intersection, most of
+// an egd round's on the taxi workload, are never completed. The
+// enumeration, the potentially large part of normalization, polls ctx
+// every 64 matches and rejected rows, and aborts with its error once
+// canceled.
 func matchSets(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction) ([][]factRef, error) {
 	st := ic.Store()
 	c := newMatchCollector(st)
 	var out [][]factRef
 	var stepErr error
+	tick := func() bool {
+		stepErr = c.tick(ctx)
+		return stepErr == nil
+	}
 	for _, phi := range joins(phis) {
 		if stepErr = ctxErr(ctx); stepErr != nil {
 			return nil, stepErr
 		}
-		logic.ForEachIDs(st, phi, nil, func(m *logic.IDMatch) bool {
-			if stepErr = c.tick(ctx); stepErr != nil {
+		logic.ForEachIDsOverlapping(st, phi, func(m *logic.IDMatch) bool {
+			if !tick() {
 				return false
 			}
 			if set, ok := c.collect(m); ok {
 				out = append(out, set)
 			}
 			return true
-		})
+		}, tick)
 		if stepErr != nil {
 			return nil, stepErr
 		}
@@ -461,25 +462,23 @@ func (s Strategy) String() string {
 // homomorphism from a conjunction of N(Φ+) into the instance, the common
 // intersection of the image facts' intervals is either empty or equal to
 // their union (i.e. all intervals coincide). By Theorem 11 this holds iff
-// the instance is normalized w.r.t. Φ+.
+// the instance is normalized w.r.t. Φ+. The homomorphisms with an empty
+// intersection satisfy it whatever they are, so the check enumerates
+// only the others (logic.ForEachIDsOverlapping), and asks of each that
+// its intervals coincide.
 func HasEmptyIntersectionProperty(ic *instance.Concrete, phis []logic.Conjunction) bool {
 	ok := true
 	st := ic.Store()
 	c := newMatchCollector(st)
 	for _, phi := range joins(phis) {
-		logic.ForEachIDs(st, phi, nil, func(m *logic.IDMatch) bool {
-			// Repeated rows repeat an interval: the row set decides both,
-			// and a set of one fact is all-equal.
-			set := c.rows(m)
-			if len(set) < 2 {
-				return true
-			}
-			if allEqual, nonEmpty := c.overlap(set); nonEmpty && !allEqual {
+		logic.ForEachIDsOverlapping(st, phi, func(m *logic.IDMatch) bool {
+			// Repeated rows repeat an interval: the row set decides, and
+			// a set of one fact is all-equal.
+			if set := c.rows(m); len(set) >= 2 && !c.allEqual(set) {
 				ok = false
-				return false
 			}
-			return true
-		})
+			return ok
+		}, nil)
 		if !ok {
 			return false
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/interval"
 	"repro/internal/logic"
 	"repro/internal/paperex"
+	"repro/internal/storage"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -44,7 +45,7 @@ func referenceMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic
 				return false
 			}
 			set := c.rows(m)
-			if _, ok := c.overlap(set); !ok {
+			if !intersects(&c.intervalReader, set) {
 				return true // empty intersection: nothing to fragment
 			}
 			if kept, ok := c.keep(set); ok {
@@ -57,6 +58,18 @@ func referenceMatchSets(ctx context.Context, ic *instance.Concrete, phis []logic
 		}
 	}
 	return out, nil
+}
+
+// intersects reports whether the intervals of set's facts share a time
+// point.
+func intersects(ir *intervalReader, set []factRef) bool {
+	acc, ok := interval.Interval{End: interval.Infinity}, true
+	for _, r := range set {
+		if acc, ok = acc.Intersect(ir.interval(r)); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // referenceFragmentSets is the second half of Algorithm 1: merge
@@ -261,5 +274,102 @@ func TestSmartSettledAllocs(t *testing.T) {
 	})
 	if allocs > 16 {
 		t.Fatalf("Smart on a settled 5000-fact instance: %v allocs, want at most 16", allocs)
+	}
+}
+
+// appendMatch appends a match's witness rows (atom i's is a row of its
+// relation) and bindings to dst.
+func appendMatch(dst []uint64, m *logic.IDMatch, vars []string) []uint64 {
+	for _, w := range m.Rows {
+		dst = append(dst, uint64(w.Row))
+	}
+	for _, v := range vars {
+		id, _ := m.ID(v)
+		dst = append(dst, uint64(id))
+	}
+	return dst
+}
+
+// TestOverlapEnumerationMatchesReference holds logic's overlap entries to
+// their definition on every reference case, with and without dead rows:
+// ForEachIDsOverlapping yields exactly the ForEachIDs matches whose
+// witness intervals have a non-empty common intersection, and
+// ForEachIDsDeltaOverlapping exactly the ForEachIDsDelta matches so
+// filtered, over a random third of the rows as delta — in the same
+// order, with the same rows, bindings and stages. Every renamed
+// conjunction is checked, one-atom ones included. Under the race
+// detector only every fifth random mapping runs.
+func TestOverlapEnumerationMatchesReference(t *testing.T) {
+	filtered, deltaFiltered := 0, 0
+	for i, c := range referenceCases() {
+		if raceEnabled && strings.HasPrefix(c.name, "rand/") && i%5 != 0 {
+			continue
+		}
+		r := rand.New(rand.NewSource(int64(i)))
+		for _, ic := range []*instance.Concrete{c.ic, withDeadRows(c.ic)} {
+			st := ic.Store()
+			ir := &intervalReader{st: st}
+			var set []factRef
+			intersecting := func(m *logic.IDMatch) bool {
+				set = set[:0]
+				for _, w := range m.Rows {
+					set = append(set, factRef{w.Rel, w.Row})
+				}
+				return intersects(ir, set)
+			}
+			delta := logic.NewDeltaSet()
+			st.EachLive(func(rel *storage.Rel, row int) bool {
+				if r.Intn(3) == 0 {
+					delta.Add(rel.Name(), row)
+				}
+				return true
+			})
+			for _, phi := range c.phis {
+				phi = phi.RenameTemporal(dependency.TemporalVar)
+				vars := phi.Vars()
+				var want, got []uint64
+				all, kept, survived := 0, 0, 0
+				logic.ForEachIDs(st, phi, nil, func(m *logic.IDMatch) bool {
+					all++
+					if intersecting(m) {
+						kept++
+						want = appendMatch(want, m, vars)
+					}
+					return true
+				})
+				logic.ForEachIDsOverlapping(st, phi, func(m *logic.IDMatch) bool {
+					survived++
+					got = appendMatch(got, m, vars)
+					return true
+				}, nil)
+				if survived != kept || !slices.Equal(got, want) {
+					t.Fatalf("%s: %v: ForEachIDsOverlapping differs from the filtered ForEachIDs (%d matches, want %d)", c.name, phi, survived, kept)
+				}
+				filtered += all - kept
+
+				want, got = want[:0], got[:0]
+				all, kept, survived = 0, 0, 0
+				logic.ForEachIDsDelta(st, phi, delta, func(stage int, m *logic.IDMatch) bool {
+					all++
+					if intersecting(m) {
+						kept++
+						want = appendMatch(append(want, uint64(stage)), m, vars)
+					}
+					return true
+				})
+				logic.ForEachIDsDeltaOverlapping(st, phi, delta, func(stage int, m *logic.IDMatch) bool {
+					survived++
+					got = appendMatch(append(got, uint64(stage)), m, vars)
+					return true
+				}, nil)
+				if survived != kept || !slices.Equal(got, want) {
+					t.Fatalf("%s: %v: ForEachIDsDeltaOverlapping differs from the filtered ForEachIDsDelta (%d matches, want %d)", c.name, phi, survived, kept)
+				}
+				deltaFiltered += all - kept
+			}
+		}
+	}
+	if filtered == 0 || deltaFiltered == 0 {
+		t.Fatalf("the cases filtered %d full and %d delta matches: no pruning was exercised", filtered, deltaFiltered)
 	}
 }
