@@ -384,21 +384,25 @@ func BenchmarkForEgdPhase(b *testing.B) {
 		b.Fatal(err)
 	}
 	phis := m.EGDBodies()
+	ctx := context.Background()
 	b.Run("fragmenting", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if normalize.ForEgdPhase(tgt.Clone(), phis, normalize.StrategySmart).Len() == 0 {
-				b.Fatal("renormalization lost everything")
+			if out, err := normalize.ForEgdPhaseCtx(ctx, tgt.Clone(), phis, normalize.StrategySmart); err != nil || out.Len() == 0 {
+				b.Fatalf("renormalization lost everything (%v)", err)
 			}
 		}
 	})
-	settled := normalize.ForEgdPhase(tgt.Clone(), phis, normalize.StrategySmart)
+	settled, err := normalize.ForEgdPhaseCtx(ctx, tgt.Clone(), phis, normalize.StrategySmart)
+	if err != nil {
+		b.Fatal(err)
+	}
 	settled.Freeze()
 	b.Run("settled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if normalize.ForEgdPhase(settled, phis, normalize.StrategySmart) != settled {
-				b.Fatal("a settled target was copied")
+			if out, err := normalize.ForEgdPhaseCtx(ctx, settled, phis, normalize.StrategySmart); err != nil || out != settled {
+				b.Fatalf("a settled target was copied (%v)", err)
 			}
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"repro/internal/dependency"
 	"repro/internal/instance"
 	"repro/internal/normalize"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -136,25 +135,16 @@ func concreteEgds(tgt *instance.Concrete, cm *Compiled, opts *Options, stats *St
 			// byte-identical to rewriting in place.
 			tgt = tgt.Clone()
 		}
-		stats.RowsRewritten += rewrite(tgt.Store(), uf)
+		// Apply the union-find in place. Identifications are per
+		// annotated-null value — the same family fragmented over two
+		// intervals yields two independent unknowns (one per snapshot
+		// range), and only the equated fragment is replaced, exactly as
+		// the abstract semantics requires. The substitution preserves the
+		// fact invariants: arity is unchanged, and an egd only equates
+		// values from facts with identical intervals, so annotations keep
+		// matching their fact's interval.
+		stats.RowsRewritten += tgt.Store().SubstituteIDs(uf.substituted(), uf.canon)
 	}
-}
-
-// rewrite applies the union-find substitution to a store in place,
-// returning the number of rows touched. Identifications are per
-// annotated-null value — the same family fragmented over two intervals
-// yields two independent unknowns (one per snapshot range), and only the
-// equated fragment is replaced, exactly as the abstract semantics
-// requires. The substitution is incremental and runs entirely on
-// interned rows: the store's reverse ID index yields exactly the rows
-// containing a merged ID, those rows' IDs are mapped through the
-// union-find in place, and collapsed duplicates are invalidated —
-// untouched rows are never hashed, copied, or re-resolved (the
-// substitution preserves the fact invariants: arity is unchanged, and an
-// egd only equates values from facts with identical intervals, so
-// annotations keep matching their fact's interval).
-func rewrite(st *storage.Store, uf *valueUF) int {
-	return st.SubstituteIDs(uf.substituted(), uf.canon)
 }
 
 // EgdPhase runs the egd phase (stage 3) alone, for callers that build the

@@ -3,6 +3,8 @@ package chase
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dependency"
@@ -32,56 +34,200 @@ func fullRebuildReference(st *storage.Store, uf *valueUF) *storage.Store {
 	return out
 }
 
-// TestIncrementalRewriteMatchesFullRebuild runs randomized union-find
-// substitutions through both the incremental SubstituteIDs path and the
-// full-rebuild reference and requires identical instances.
+// modelRow is one row number of a relation as the in-place rewrite must
+// leave it: its IDs, and whether it is live. A rewritten row that
+// collapses into a live row dies but keeps its number.
+type modelRow struct {
+	ids  []value.ID
+	live bool
+}
+
+// modelInsert adds ids to rows unless an identical live row is present,
+// reporting whether it was added.
+func modelInsert(rows []modelRow, ids []value.ID) ([]modelRow, bool) {
+	for _, mr := range rows {
+		if mr.live && slices.Equal(mr.ids, ids) {
+			return rows, false
+		}
+	}
+	return append(rows, modelRow{ids: ids, live: true}), true
+}
+
+// modelSubstitute applies canon to rows the way SubstituteIDs must and
+// returns the rewritten row numbers, ascending: every live row holding an
+// ID canon moves. Rewritten rows are reattached in ascending order, and
+// one equal to an untouched live row or to an earlier surviving rewritten
+// row dies.
+func modelSubstitute(rows []modelRow, canon func(value.ID) value.ID) []int {
+	var changed []int
+	isChanged := make(map[int]bool)
+	for i, mr := range rows {
+		if !mr.live {
+			continue
+		}
+		for _, id := range mr.ids {
+			if canon(id) != id {
+				changed = append(changed, i)
+				isChanged[i] = true
+				break
+			}
+		}
+	}
+	for _, i := range changed {
+		nids := make([]value.ID, len(rows[i].ids))
+		for p, id := range rows[i].ids {
+			nids[p] = canon(id)
+		}
+		rows[i].ids = nids
+	}
+	for _, i := range changed {
+		for j, mr := range rows {
+			if j == i || !mr.live || (isChanged[j] && j > i) {
+				continue
+			}
+			if slices.Equal(mr.ids, rows[i].ids) {
+				rows[i].live = false
+				break
+			}
+		}
+	}
+	return changed
+}
+
+// TestIncrementalRewriteMatchesFullRebuild runs 1–4 successive rounds of
+// randomized union-find substitutions through SubstituteIDsTouched over
+// 1–3 relations of arity 1–3, with posting lists warmed on none, some or
+// all positions, and a few inserts between rounds. After each round it
+// requires, against the full-rebuild reference and a by-row-number model:
+// the rows handed to the hook (ascending per relation, exactly the live
+// rows holding an ID that changes), the returned count, every row's
+// liveness and every live row's IDs by row number, the same instance as
+// the full rebuild, and each built position's posting lists equal to a
+// scan of the live rows.
 func TestIncrementalRewriteMatchesFullRebuild(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		st := storage.NewStore()
 		in := st.Interner()
-		var nulls []value.Value
-		for i := 1; i <= 8; i++ {
-			nulls = append(nulls, value.NewNull(uint64(i)))
-		}
 		mkVal := func() value.Value {
 			if r.Intn(2) == 0 {
-				return nulls[r.Intn(len(nulls))]
+				return value.NewNull(uint64(1 + r.Intn(6)))
 			}
-			return value.NewConst(fmt.Sprintf("c%d", r.Intn(5)))
+			return value.NewConst(fmt.Sprintf("c%d", r.Intn(4)))
 		}
-		for i := 0; i < 5+r.Intn(20); i++ {
-			st.Insert("R", []value.Value{mkVal(), mkVal()})
-			if r.Intn(3) == 0 {
-				st.Insert("S", []value.Value{mkVal()})
+		arity := make(map[string]int)
+		var rels []string
+		for i := 0; i < 1+r.Intn(3); i++ {
+			name := fmt.Sprintf("R%d", i)
+			rels = append(rels, name)
+			arity[name] = 1 + r.Intn(3)
+		}
+		model := make(map[string][]modelRow)
+		insert := func(rel string) {
+			tup := make([]value.Value, arity[rel])
+			ids := make([]value.ID, len(tup))
+			for p := range tup {
+				tup[p] = mkVal()
+				ids[p] = in.Intern(tup[p])
+			}
+			var want bool
+			model[rel], want = modelInsert(model[rel], ids)
+			if got := st.Insert(rel, tup); got != want {
+				t.Fatalf("trial %d: Insert(%s, %v) = %v, model %v", trial, rel, tup, got, want)
 			}
 		}
-		// Warm an index so maintenance is exercised too.
-		st.Rel("R").EnsureIndex(0)
+		for _, rel := range rels {
+			for i := 0; i < 1+r.Intn(12); i++ {
+				insert(rel)
+			}
+		}
+		warm := r.Intn(3) // none, some, or all positions
+		for _, rel := range rels {
+			for p := 0; p < arity[rel]; p++ {
+				if warm == 2 || (warm == 1 && r.Intn(2) == 0) {
+					st.Rel(rel).EnsureIndex(p)
+				}
+			}
+		}
 
-		uf := newValueUF(in)
-		for m := 0; m < 1+r.Intn(4); m++ {
-			a, b := mkVal(), mkVal()
-			ida, ok1 := in.Lookup(a)
-			idb, ok2 := in.Lookup(b)
-			if !ok1 || !ok2 {
-				continue
+		for round, rounds := 0, 1+r.Intn(4); round < rounds; round++ {
+			if round > 0 {
+				for i := 0; i < r.Intn(4); i++ {
+					insert(rels[r.Intn(len(rels))])
+				}
 			}
-			ca, cb := uf.canon(ida), uf.canon(idb)
-			if ca == cb {
-				continue
+			uf := newValueUF(in)
+			for m := 0; m < 1+r.Intn(4); m++ {
+				ida, ok1 := in.Lookup(mkVal())
+				idb, ok2 := in.Lookup(mkVal())
+				if !ok1 || !ok2 || uf.canon(ida) == uf.canon(idb) {
+					continue
+				}
+				_ = uf.union(uf.canon(ida), uf.canon(idb)) // a constant clash skips this merge
 			}
-			if err := uf.union(ca, cb); err != nil {
-				continue // constant clash: skip this merge
+			want := fullRebuildReference(st, uf)
+			wantTouched := make(map[string][]int)
+			total := 0
+			for _, rel := range rels {
+				if rows := modelSubstitute(model[rel], uf.canon); len(rows) > 0 {
+					wantTouched[rel] = rows
+					total += len(rows)
+				}
+			}
+			gotTouched := make(map[string][]int)
+			n := st.SubstituteIDsTouched(uf.substituted(), uf.canon, func(rel string, row int) {
+				gotTouched[rel] = append(gotTouched[rel], row)
+			})
+			where := fmt.Sprintf("trial %d round %d", trial, round)
+			if !reflect.DeepEqual(gotTouched, wantTouched) {
+				t.Fatalf("%s: hook rows %v, want %v", where, gotTouched, wantTouched)
+			}
+			if n != total {
+				t.Fatalf("%s: returned %d rewritten rows, want %d", where, n, total)
+			}
+			for _, rel := range rels {
+				checkRewrittenRel(t, where, st.Rel(rel), model[rel])
+			}
+			if got, w := st.String(), want.String(); got != w {
+				t.Fatalf("%s: incremental rewrite diverges from full rebuild:\n got:\n%s\nwant:\n%s", where, got, w)
+			}
+			if st.Size() != want.Size() {
+				t.Fatalf("%s: size %d vs rebuild %d", where, st.Size(), want.Size())
 			}
 		}
-		want := fullRebuildReference(st, uf)
-		st.SubstituteIDs(uf.substituted(), uf.canon)
-		if got, w := st.String(), want.String(); got != w {
-			t.Fatalf("trial %d: incremental rewrite diverges from full rebuild:\n got:\n%s\nwant:\n%s", trial, got, w)
+	}
+}
+
+// checkRewrittenRel requires rel's rows to match the model by row number
+// (liveness, and IDs of live rows), and every built position's posting
+// lists to equal a scan of the live rows for every interned ID.
+func checkRewrittenRel(t *testing.T, where string, rel *storage.Rel, rows []modelRow) {
+	t.Helper()
+	if rel.NumRows() != len(rows) {
+		t.Fatalf("%s: %s has %d row numbers, model %d", where, rel.Name(), rel.NumRows(), len(rows))
+	}
+	for i, mr := range rows {
+		if rel.Alive(i) != mr.live {
+			t.Fatalf("%s: %s row %d alive %v, model %v", where, rel.Name(), i, rel.Alive(i), mr.live)
 		}
-		if st.Size() != want.Size() {
-			t.Fatalf("trial %d: size %d vs rebuild %d", trial, st.Size(), want.Size())
+		if mr.live && !slices.Equal(rel.Row(i), mr.ids) {
+			t.Fatalf("%s: %s row %d = %v, model %v", where, rel.Name(), i, rel.Row(i), mr.ids)
+		}
+	}
+	for p := 0; p < rel.Arity(); p++ {
+		if !rel.HasIndex(p) {
+			continue
+		}
+		for id := value.ID(0); int(id) < rel.Interner().Len(); id++ {
+			var scan []int
+			for i, mr := range rows {
+				if mr.live && mr.ids[p] == id {
+					scan = append(scan, i)
+				}
+			}
+			if got := rel.CandidatesID(p, id); !slices.Equal(got, scan) {
+				t.Fatalf("%s: %s posting list (%d, %d) = %v, live rows %v", where, rel.Name(), p, id, got, scan)
+			}
 		}
 	}
 }

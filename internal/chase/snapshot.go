@@ -86,6 +86,6 @@ func snapshotEgds(tgt *instance.Snapshot, cm *Compiled, opts *Options, stats *St
 		if !uf.dirty() {
 			return tgt, nil
 		}
-		stats.RowsRewritten += rewrite(tgt.Store(), uf)
+		stats.RowsRewritten += tgt.Store().SubstituteIDs(uf.substituted(), uf.canon)
 	}
 }

@@ -314,50 +314,13 @@ func (c *Concrete) Equal(other *Concrete) bool {
 	return equal
 }
 
-// dataGroups groups the instance's facts by data identity — relation and
-// data arguments, with annotated nulls compared by family (fact.SameData)
-// — using fact.DataHash buckets instead of rendered string keys. Groups
-// are returned in insertion order; each carries the intervals of its
-// member facts in insertion order.
-type dataGroup struct {
-	proto fact.CFact
-	ivs   []interval.Interval // one per fact, in insertion order
-}
-
-func (c *Concrete) dataGroups() []*dataGroup {
-	buckets := make(map[uint64][]*dataGroup)
-	var order []*dataGroup
-	c.st.Each(func(rel string, tup []value.Value) bool {
-		f := FromTuple(rel, tup)
-		h := f.DataHash()
-		var g *dataGroup
-		for _, cand := range buckets[h] {
-			if cand.proto.SameData(f) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &dataGroup{proto: f}
-			buckets[h] = append(buckets[h], g)
-			order = append(order, g)
-		}
-		g.ivs = append(g.ivs, f.T)
-		return true
-	})
-	return order
-}
-
 // IsCoalesced reports whether facts with identical data values have
-// pairwise disjoint, non-adjacent intervals (paper §2).
+// pairwise disjoint, non-adjacent intervals (paper §2): every data
+// identity has as many maximal intervals as facts.
 func (c *Concrete) IsCoalesced() bool {
-	for _, g := range c.dataGroups() {
-		ivs := g.ivs
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Compare(ivs[j]) < 0 })
-		for i := 1; i < len(ivs); i++ {
-			if ivs[i-1].Overlaps(ivs[i]) || ivs[i-1].Adjacent(ivs[i]) {
-				return false
-			}
+	for _, cv := range NewCoverIndex(c).order {
+		if cv.ivs.Len() != cv.facts {
+			return false
 		}
 	}
 	return true
@@ -366,15 +329,10 @@ func (c *Concrete) IsCoalesced() bool {
 // Coalesce returns the canonical coalesced equivalent: facts sharing data
 // values (including the null family of annotated nulls) have their
 // intervals merged into maximal disjoint intervals, re-annotating nulls
-// accordingly. Coalescing is the inverse of fragmentation and preserves
-// ⟦·⟧.
+// accordingly. The result shares c's interner (an overlay on it when it
+// is frozen) and holds each data identity's maximal intervals in
+// ascending order, identities in store order. Coalescing is the inverse
+// of fragmentation and preserves ⟦·⟧.
 func (c *Concrete) Coalesce() *Concrete {
-	out := NewConcreteWith(c.sch, c.Interner())
-	for _, g := range c.dataGroups() {
-		set := interval.NewSet(g.ivs...)
-		for _, iv := range set.Intervals() {
-			out.MustInsert(g.proto.WithInterval(iv))
-		}
-	}
-	return out
+	return NewCoverIndex(c).emit(NewConcreteWith(c.sch, c.Interner()), nil)
 }

@@ -37,7 +37,6 @@ package logic
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/instance"
@@ -731,22 +730,4 @@ func ExistsIDs(st *storage.Store, conj Conjunction, vars []string, ids []value.I
 		return false
 	})
 	return found
-}
-
-// SortMatches orders matches deterministically by their bindings, for
-// stable output in tools and tests.
-func SortMatches(ms []Match, vars []string) {
-	sort.Slice(ms, func(i, j int) bool {
-		for _, v := range vars {
-			a, okA := ms[i].Binding[v]
-			bb, okB := ms[j].Binding[v]
-			if !okA || !okB {
-				continue
-			}
-			if c := value.Compare(a, bb); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
 }

@@ -212,19 +212,6 @@ func TestNullsMatchOnlyThemselves(t *testing.T) {
 	}
 }
 
-func TestSortMatchesDeterministic(t *testing.T) {
-	st := figure4Store()
-	conj := Conjunction{NewAtom("E", Var("n"), Var("c"), Var("t"))}
-	ms := FindAll(st, conj, nil)
-	SortMatches(ms, []string{"n", "c"})
-	if ms[0].Binding["n"] != cv("Ada") || ms[2].Binding["n"] != cv("Bob") {
-		t.Fatalf("sort order wrong: %v", ms)
-	}
-	if ms[0].Binding["c"] != cv("Google") {
-		t.Fatalf("tie-break wrong: %v", ms[0].Binding)
-	}
-}
-
 // TestAgainstBruteForce cross-checks the engine against a brute-force
 // enumerator on random instances and random conjunctive patterns.
 func TestAgainstBruteForce(t *testing.T) {

@@ -418,15 +418,9 @@ func Naive(ic *instance.Concrete) *instance.Concrete {
 	return out
 }
 
-// ForMapping normalizes an instance for the given strategy. Smart
-// requires the conjunction set; Naive ignores it.
-func ForMapping(ic *instance.Concrete, phis []logic.Conjunction, strategy Strategy) *instance.Concrete {
-	out, _ := ForMappingCtx(context.Background(), ic, phis, strategy)
-	return out
-}
-
-// ForMappingCtx is ForMapping under a context; once ctx is done the pass
-// aborts promptly with its error. Under Smart a pass that splits no fact
+// ForMappingCtx normalizes an instance for the given strategy. Smart
+// requires the conjunction set; Naive ignores it. Once ctx is done the
+// pass aborts promptly with its error. Under Smart a pass that splits no fact
 // returns a frozen ic itself and an unfrozen one as a Clone; Naive always
 // builds a new instance.
 func ForMappingCtx(ctx context.Context, ic *instance.Concrete, phis []logic.Conjunction, strategy Strategy) (*instance.Concrete, error) {
@@ -526,7 +520,7 @@ func Check(original, normalized *instance.Concrete) bool {
 	return true
 }
 
-// SyncFamilies fragments facts so that every occurrence of each
+// syncFamiliesCtx fragments facts so that every occurrence of each
 // interval-annotated null family carries an identical annotation where
 // occurrences overlap in time. The chase's egd step replaces an annotated
 // null "everywhere"; that is only sound when the value being replaced is
@@ -535,12 +529,7 @@ func Check(original, normalized *instance.Concrete) bool {
 // same family annotated [1,3) in one fact and [2,3) in another — this
 // pass propagates the cuts through families until all occurrences align.
 // (The naïve normalizer's global partition has this property already.)
-func SyncFamilies(c *instance.Concrete) *instance.Concrete {
-	out, _ := syncFamiliesCtx(context.Background(), c)
-	return out
-}
-
-// syncFamiliesCtx is SyncFamilies with a per-pass context check.
+// Each pass checks ctx first and aborts with its error once it is done.
 func syncFamiliesCtx(ctx context.Context, c *instance.Concrete) (*instance.Concrete, error) {
 	cur := c
 	var fams []uint64
@@ -617,20 +606,14 @@ func annFamilies(dst []uint64, r *storage.Rel, row int) []uint64 {
 	return dst
 }
 
-// ForEgdPhase prepares a target instance for egd matching: normalized
+// ForEgdPhaseCtx prepares a target instance for egd matching: normalized
 // w.r.t. the egd bodies AND family-synchronized, iterated to a joint
 // fixpoint (each pass can enable the other: syncing splits facts, which
 // can break the empty intersection property; normalizing splits facts,
 // which can desynchronize families). Terminates because cuts only refine
-// within the finite global endpoint set.
-func ForEgdPhase(c *instance.Concrete, phis []logic.Conjunction, strategy Strategy) *instance.Concrete {
-	out, _ := ForEgdPhaseCtx(context.Background(), c, phis, strategy)
-	return out
-}
-
-// ForEgdPhaseCtx is ForEgdPhase under a context; the joint fixpoint loop
-// and the match-set enumerations inside it abort promptly with the
-// context's error once ctx is done. Under Smart the fixpoint ends as
+// within the finite global endpoint set. The joint fixpoint loop and the
+// match-set enumerations inside it abort promptly with the context's
+// error once ctx is done. Under Smart the fixpoint ends as
 // soon as a pass splits nothing, and the last pass's input comes back:
 // c itself, frozen or not, when c is already normalized and
 // family-synchronized. Only a pass that built a new instance is compared

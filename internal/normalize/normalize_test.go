@@ -1,6 +1,7 @@
 package normalize
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -204,8 +205,14 @@ func TestFragmentBound(t *testing.T) {
 func TestForMappingStrategies(t *testing.T) {
 	ic := paperex.Figure4()
 	phis := []logic.Conjunction{paperex.Sigma2Body()}
-	smart := ForMapping(ic, phis, StrategySmart)
-	naive := ForMapping(ic, phis, StrategyNaive)
+	smart, err := ForMappingCtx(context.Background(), ic, phis, StrategySmart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := ForMappingCtx(context.Background(), ic, phis, StrategyNaive)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if smart.Len() != 9 || naive.Len() != 14 {
 		t.Fatalf("smart=%d naive=%d", smart.Len(), naive.Len())
 	}

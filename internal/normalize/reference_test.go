@@ -24,7 +24,7 @@ import (
 // sets included; referenceFragmentSets copies every row into a new
 // instance; referenceForEgdPhase compares each pass's result with its
 // input by Concrete.Equal. TestSmartMatchesReference holds Smart and
-// ForEgdPhase to these.
+// ForEgdPhaseCtx to these.
 
 // referenceMatchSets enumerates, per Definition 10 / Algorithm 1 line 3,
 // the sets Δ = {f1, ..., fm} ⊆ Ic that are the image of some
@@ -209,14 +209,14 @@ func referenceCases() []normCase {
 	return cs
 }
 
-// TestSmartMatchesReference holds Smart and ForEgdPhase to the reference
-// normalizer on every case, unfrozen and frozen, and again with dead
-// rows where rewriting b to a collapses some: the same facts in the same
-// per-relation row order. Smart returns its input exactly when the input
-// is frozen and the reference fragmented nothing; ForEgdPhase returns
-// its input exactly when referenceForEgdPhase does. The test runs on one
-// goroutine, so under the race detector only every fifth random mapping
-// runs.
+// TestSmartMatchesReference holds Smart and ForEgdPhaseCtx to the
+// reference normalizer on every case, unfrozen and frozen, and again
+// with dead rows where rewriting b to a collapses some: the same facts
+// in the same per-relation row order. Smart returns its input exactly
+// when the input is frozen and the reference fragmented nothing;
+// ForEgdPhaseCtx returns its input exactly when referenceForEgdPhase
+// does. The test runs on one goroutine, so under the race detector only
+// every fifth random mapping runs.
 func TestSmartMatchesReference(t *testing.T) {
 	for i, c := range referenceCases() {
 		if raceEnabled && strings.HasPrefix(c.name, "rand/") && i%5 != 0 {
@@ -244,12 +244,15 @@ func TestSmartMatchesReference(t *testing.T) {
 				if settled := frozen && want.Equal(ic); (got == ic) != settled {
 					t.Fatalf("%s: Smart returned its input = %v, want %v", name, got == ic, settled)
 				}
-				gotEgd := ForEgdPhase(ic, c.phis, StrategySmart)
+				gotEgd, err := ForEgdPhaseCtx(context.Background(), ic, c.phis, StrategySmart)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !slices.Equal(factSeq(gotEgd), factSeq(wantEgd)) {
-					t.Fatalf("%s: ForEgdPhase differs from the reference:\ngot  %v\nwant %v", name, factSeq(gotEgd), factSeq(wantEgd))
+					t.Fatalf("%s: ForEgdPhaseCtx differs from the reference:\ngot  %v\nwant %v", name, factSeq(gotEgd), factSeq(wantEgd))
 				}
 				if (gotEgd == ic) != (wantEgd == base) {
-					t.Fatalf("%s: ForEgdPhase returned its input = %v, the reference %v", name, gotEgd == ic, wantEgd == base)
+					t.Fatalf("%s: ForEgdPhaseCtx returned its input = %v, the reference %v", name, gotEgd == ic, wantEgd == base)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package normalize
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dependency"
@@ -14,7 +15,7 @@ import (
 
 // familyAnnotationsAligned reports whether every pair of overlapping
 // occurrences of the same null family carries identical annotations —
-// the invariant SyncFamilies establishes.
+// the invariant syncFamiliesCtx establishes.
 func familyAnnotationsAligned(c *instance.Concrete) bool {
 	occ := make(map[uint64][]interval.Interval)
 	for _, f := range c.Facts() {
@@ -48,7 +49,10 @@ func TestSyncFamiliesAlignsOccurrences(t *testing.T) {
 	if familyAnnotationsAligned(c) {
 		t.Fatal("test input should start misaligned")
 	}
-	out := SyncFamilies(c)
+	out, err := syncFamiliesCtx(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !familyAnnotationsAligned(out) {
 		t.Fatalf("occurrences still misaligned:\n%s", out)
 	}
@@ -57,13 +61,16 @@ func TestSyncFamiliesAlignsOccurrences(t *testing.T) {
 		t.Fatalf("T0 not fragmented:\n%s", out)
 	}
 	if !Check(c, out) {
-		t.Fatal("SyncFamilies changed semantics")
+		t.Fatal("syncFamiliesCtx changed semantics")
 	}
 	// Already-aligned instances pass through unchanged (same pointer-free
 	// equality).
-	again := SyncFamilies(out)
+	again, err := syncFamiliesCtx(context.Background(), out)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !again.Equal(out) {
-		t.Fatal("SyncFamilies not idempotent")
+		t.Fatal("syncFamiliesCtx not idempotent")
 	}
 }
 
@@ -79,7 +86,10 @@ func TestSyncFamiliesCascades(t *testing.T) {
 		value.NewAnnNull(n1, paperex.Iv(0, 4)), value.NewAnnNull(n2, paperex.Iv(0, 4))))
 	c.MustInsert(fact.NewC("S", paperex.Iv(0, 2), value.NewAnnNull(n1, paperex.Iv(0, 2))))
 	c.MustInsert(fact.NewC("P", paperex.Iv(1, 4), value.NewAnnNull(n2, paperex.Iv(1, 4))))
-	out := SyncFamilies(c)
+	out, err := syncFamiliesCtx(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !familyAnnotationsAligned(out) {
 		t.Fatalf("cascade not settled:\n%s", out)
 	}
@@ -110,7 +120,10 @@ func TestForEgdPhaseEstablishesBothInvariants(t *testing.T) {
 	c.MustInsert(fact.NewC("Emp", paperex.Iv(0, 6), paperex.C("a"), value.NewAnnNull(n, paperex.Iv(0, 6))))
 	c.MustInsert(fact.NewC("Emp", paperex.Iv(2, 4), paperex.C("a"), paperex.C("9k")))
 	c.MustInsert(fact.NewC("Other", paperex.Iv(1, 3), paperex.C("a"), value.NewAnnNull(n, paperex.Iv(1, 3))))
-	out := ForEgdPhase(c, []logic.Conjunction{phi}, StrategySmart)
+	out, err := ForEgdPhaseCtx(context.Background(), c, []logic.Conjunction{phi}, StrategySmart)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !HasEmptyIntersectionProperty(out, []logic.Conjunction{phi}) {
 		t.Fatalf("EIP missing:\n%s", out)
 	}
@@ -121,7 +134,10 @@ func TestForEgdPhaseEstablishesBothInvariants(t *testing.T) {
 		t.Fatal("semantics changed")
 	}
 	// Naive strategy gives both invariants in one pass.
-	nv := ForEgdPhase(c, []logic.Conjunction{phi}, StrategyNaive)
+	nv, err := ForEgdPhaseCtx(context.Background(), c, []logic.Conjunction{phi}, StrategyNaive)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !HasEmptyIntersectionProperty(nv, []logic.Conjunction{phi}) || !familyAnnotationsAligned(nv) {
 		t.Fatalf("naive path invariants missing:\n%s", nv)
 	}

@@ -168,13 +168,15 @@ func EvalSnapshot(u UCQ, snap *instance.Snapshot, certainOnly bool) []fact.Fact 
 // interval — and (4) drop tuples containing fresh constants. Step 2 is
 // the identity on interned IDs (see the package comment), so step 3
 // enumerates the normalized solution's own rows — Jc itself when nothing
-// splits — and builds facts only for the answers step 4 keeps. The
-// union of the disjuncts' answers is returned as a coalesced concrete
-// instance over the answer relation u.Name. The normalization and the
-// enumeration abort promptly with the context's error once ctx is done.
-// Concurrent evaluations may share one frozen jc.
+// splits — and builds facts only for the answers step 4 keeps. The kept
+// answers of every disjunct are grouped by data identity as they arrive
+// (instance.CoverIndex), and their union is returned as a coalesced,
+// schemaless concrete instance over the answer relation u.Name. The
+// normalization and the enumeration abort promptly with the context's
+// error once ctx is done. Concurrent evaluations may share one frozen
+// jc.
 func NaiveEval(ctx context.Context, u UCQ, jc *instance.Concrete) (*instance.Concrete, error) {
-	out := instance.NewConcrete(nil)
+	var answers instance.CoverIndex
 	for _, q := range u.Disjuncts {
 		body := q.ConcreteBody()
 		// Step 1 — normalize w.r.t. q′ and synchronize null families, so
@@ -208,14 +210,14 @@ func NaiveEval(ctx context.Context, u UCQ, jc *instance.Concrete) (*instance.Con
 				args[i] = in.Resolve(id)
 			}
 			t, _ := in.Resolve(tid).Interval()
-			out.MustInsert(fact.NewC(u.Name, t, args...))
+			answers.Add(fact.NewC(u.Name, t, args...))
 			return true
 		})
 		if stepErr != nil {
 			return nil, stepErr
 		}
 	}
-	return out.Coalesce(), nil
+	return answers.Coalesced(), nil
 }
 
 // CertainAnswers computes certain(q, ⟦Ic⟧, M) by Corollary 22: run the

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dependency"
 	"repro/internal/fact"
 	"repro/internal/instance"
+	"repro/internal/interval"
 	"repro/internal/jsonio"
 	"repro/internal/logic"
 	"repro/internal/normalize"
@@ -25,12 +26,15 @@ import (
 // the constant "cn_N^[s,e)", and step 4 drops the answers holding such a
 // constant. On a solution whose data constants include one spelled like
 // a renamed null it conflates the two; on every other solution it is
-// exact.
+// exact. It coalesces its answers with referenceCoalesce, not with the
+// code under test.
 func referenceNaiveEval(u UCQ, jc *instance.Concrete) *instance.Concrete {
 	out := instance.NewConcrete(nil)
 	for _, q := range u.Disjuncts {
 		body := q.ConcreteBody()
-		normed := normalize.ForEgdPhase(jc, []logic.Conjunction{body}, normalize.StrategySmart)
+		// The only error is the context's, and a background context is
+		// never done.
+		normed, _ := normalize.ForEgdPhaseCtx(context.Background(), jc, []logic.Conjunction{body}, normalize.StrategySmart)
 		frozen := instance.NewConcrete(normed.Schema())
 		fresh := make(map[value.Value]bool)
 		for _, f := range normed.Facts() {
@@ -62,7 +66,46 @@ func referenceNaiveEval(u UCQ, jc *instance.Concrete) *instance.Concrete {
 			return true
 		})
 	}
-	return out.Coalesce()
+	return referenceCoalesce(out)
+}
+
+// referenceCoalesce is instance.Concrete.Coalesce as it was before it
+// went through instance.CoverIndex: facts grouped by data identity
+// (fact.DataHash buckets confirmed with fact.SameData) in store order,
+// each group's intervals merged into maximal ones, emitted ascending
+// into an instance sharing c's interner.
+func referenceCoalesce(c *instance.Concrete) *instance.Concrete {
+	type group struct {
+		proto fact.CFact
+		ivs   []interval.Interval
+	}
+	buckets := make(map[uint64][]*group)
+	var order []*group
+	c.EachFact(func(f fact.CFact) bool {
+		h := f.DataHash()
+		var g *group
+		for _, cand := range buckets[h] {
+			if cand.proto.SameData(f) {
+				g = cand
+				break
+			}
+		}
+		if g == nil {
+			g = &group{proto: f}
+			buckets[h] = append(buckets[h], g)
+			order = append(order, g)
+		}
+		g.ivs = append(g.ivs, f.T)
+		return true
+	})
+	out := instance.NewConcreteWith(c.Schema(), c.Interner())
+	for _, g := range order {
+		set := interval.NewSet(g.ivs...)
+		for _, iv := range set.Intervals() {
+			out.MustInsert(g.proto.WithInterval(iv))
+		}
+	}
+	return out
 }
 
 // assertMatchesReference freezes jc and requires NaiveEval's answers to

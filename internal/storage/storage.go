@@ -25,16 +25,17 @@
 // columns on collision; no strings are built on the insert/lookup path.
 //
 // SubstituteIDs rewrites only the rows that contain a substituted ID,
-// found through a lazily built reverse index (value-ID → rows containing
-// it); unaffected rows — the vast majority in a typical egd round — are
-// not touched, hashed, or copied. Stores sharing one Interner (see
-// NewStoreWith) agree on IDs, which lets the chase rewrite and copy rows
-// between instances without re-rendering values. So do stores whose
-// interners extend one another: a mutable store handed a frozen interner
-// interns into an overlay on it (value.NewOverlay), so every chase run
-// interns into one overlay on its source's frozen interner, reads the
-// source's rows by ID as they are, and never writes an interner another
-// run can see. A frozen interner is read without a lock.
+// found through the posting lists of every position, which hold exactly
+// the live rows containing each ID; unaffected rows — the vast majority
+// in a typical egd round — are not touched, hashed, or copied. Stores
+// sharing one Interner (see NewStoreWith) agree on IDs, which lets the
+// chase rewrite and copy rows between instances without re-rendering
+// values. So do stores whose interners extend one another: a mutable
+// store handed a frozen interner interns into an overlay on it
+// (value.NewOverlay), so every chase run interns into one overlay on its
+// source's frozen interner, reads the source's rows by ID as they are,
+// and never writes an interner another run can see. A frozen interner is
+// read without a lock.
 //
 // Plans compiled by the homomorphism engine snapshot column slice
 // headers, so relations must not be mutated while a plan over them runs.
@@ -68,6 +69,7 @@ package storage
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -91,7 +93,6 @@ type Rel struct {
 	over  map[uint64][]int // further live rows per hash (collisions only)
 
 	idx map[int]map[value.ID][]int // pos → ID → sorted live rows
-	rev map[value.ID][]int         // ID → rows containing it (lazy; may hold stale entries)
 
 	scratch []value.ID // reusable insert/lookup buffer
 
@@ -126,9 +127,9 @@ func (r *Rel) Cols() [][]value.ID { return r.cols }
 // snapshot column slice headers, so a relation must not be mutated while
 // a plan over it runs; the engine records each relation's epoch at plan
 // compile time and revalidates it after every match callback, turning a
-// silent read of stale column headers into a loud panic. Building lazy
-// indexes (posting lists, the reverse ID index) does not change what a
-// plan would read, so those do not bump the epoch.
+// silent read of stale column headers into a loud panic. Building the
+// lazy posting lists does not change what a plan would read, so it does
+// not bump the epoch.
 func (r *Rel) Epoch() uint64 { return r.epoch }
 
 // Freeze eagerly builds the posting-list index on every position below
@@ -136,11 +137,9 @@ func (r *Rel) Epoch() uint64 { return r.epoch }
 // one lazy structure a read path can consult, and then flips the
 // relation into an immutable state: all read paths (Tuple, Contains,
 // column access, posting lookups) are mutation-free afterwards and safe
-// for any number of concurrent readers. The reverse ID index is exempt:
-// it feeds only substitution, which a frozen relation forbids, so
-// building it would be dead weight. Rows are not decoded: a read decodes
-// the row it needs from the columns. Writes to a frozen relation panic
-// loudly. Freeze is idempotent; it must be called from the single
+// for any number of concurrent readers. Rows are not decoded: a read
+// decodes the row it needs from the columns. Writes to a frozen relation
+// panic loudly. Freeze is idempotent; it must be called from the single
 // goroutine that owns the still-mutable relation.
 func (r *Rel) Freeze() {
 	if r.frozen {
@@ -324,11 +323,6 @@ func (r *Rel) insertIDs(ids []value.ID) bool {
 	for pos, byID := range r.idx {
 		byID[ids[pos]] = append(byID[ids[pos]], row)
 	}
-	if r.rev != nil {
-		for _, id := range ids {
-			r.rev[id] = append(r.rev[id], row)
-		}
-	}
 	return true
 }
 
@@ -476,28 +470,10 @@ func (r *Rel) HasIndex(pos int) bool {
 // Interner returns the interner whose IDs this relation's rows use.
 func (r *Rel) Interner() *value.Interner { return r.in }
 
-// ensureRev builds the reverse index ID → rows containing it. It is
-// maintained on insert once built; substitution may leave stale entries
-// (rows that no longer contain the ID), which consumers re-verify.
-func (r *Rel) ensureRev() {
-	if r.rev != nil {
-		return
-	}
-	r.rev = make(map[value.ID][]int)
-	for row := 0; row < r.rows; row++ {
-		if !r.Alive(row) {
-			continue
-		}
-		for _, col := range r.cols {
-			r.rev[col[row]] = append(r.rev[col[row]], row)
-		}
-	}
-}
-
 // substitute rewrites, in place, every live row containing one of the
-// subs IDs, mapping each of the row's IDs through canon. Rows that
-// collapse into an existing row are invalidated. Returns the number of
-// rows actually rewritten. When touched is non-nil it is called once per
+// subs IDs that canon moves, mapping each of the row's IDs through canon.
+// Rows that collapse into an existing row are invalidated. Returns the
+// number of rows rewritten. When touched is non-nil it is called once per
 // rewritten row, in ascending row order, before the rewrite batch is
 // applied — the hook the incremental delta chase uses to track which
 // rows one egd round dirtied.
@@ -505,15 +481,14 @@ func (r *Rel) substitute(subs []value.ID, canon func(value.ID) value.ID, touched
 	if r.frozen {
 		r.frozenPanic()
 	}
-	if r.rows == 0 {
-		return 0
-	}
-	r.ensureRev()
+	// The posting lists hold exactly the live rows containing each ID, so
+	// their union over every position is the set of rows to rewrite.
 	var cand []int
-	for _, id := range subs {
-		for _, row := range r.rev[id] {
-			if r.Alive(row) {
-				cand = append(cand, row)
+	for p := 0; p < r.arity; p++ {
+		r.EnsureIndex(p)
+		for _, id := range subs {
+			if canon(id) != id {
+				cand = append(cand, r.idx[p][id]...)
 			}
 		}
 	}
@@ -521,23 +496,7 @@ func (r *Rel) substitute(subs []value.ID, canon func(value.ID) value.ID, touched
 		return 0
 	}
 	sort.Ints(cand)
-	// Uniquify, and drop stale reverse-index hits: rows none of whose
-	// current IDs change under canon.
-	changed := cand[:0]
-	for i, row := range cand {
-		if i > 0 && row == cand[i-1] {
-			continue
-		}
-		for _, col := range r.cols {
-			if id := col[row]; canon(id) != id {
-				changed = append(changed, row)
-				break
-			}
-		}
-	}
-	if len(changed) == 0 {
-		return 0
-	}
+	changed := slices.Compact(cand)
 	if touched != nil {
 		for _, row := range changed {
 			touched(row)
@@ -558,11 +517,8 @@ func (r *Rel) substitute(subs []value.ID, canon func(value.ID) value.ID, touched
 			if nid == id {
 				continue
 			}
-			if byID, ok := r.idx[p]; ok {
-				removePosting(byID, id, row)
-			}
+			removePosting(r.idx[p], id, row)
 			col[row] = nid
-			r.rev[nid] = append(r.rev[nid], row)
 		}
 	}
 
@@ -578,17 +534,13 @@ func (r *Rel) substitute(subs []value.ID, canon func(value.ID) value.ID, touched
 			// Remove from the posting lists of unchanged positions (the
 			// changed ones were detached in phase 1 and never re-added).
 			for p, id := range ids {
-				if byID, ok := r.idx[p]; ok {
-					removePosting(byID, id, row)
-				}
+				removePosting(r.idx[p], id, row)
 			}
 			continue
 		}
 		r.attachDedup(h, row)
 		for p, id := range ids {
-			if byID, ok := r.idx[p]; ok {
-				insertPosting(byID, id, row)
-			}
+			insertPosting(r.idx[p], id, row)
 		}
 	}
 	r.scratch = ids[:0]
@@ -793,10 +745,13 @@ func (s *Store) InsertRowOf(src *Rel, i int) bool {
 // SubstituteIDs rewrites, in place, every live row of every relation
 // that contains one of the subs IDs, mapping the row's IDs through
 // canon; rows that collapse into an existing row are invalidated (their
-// row numbers stay allocated but dead). Only affected rows — found via
-// the reverse ID index — are touched. Returns the number of rows
-// rewritten. This is the incremental egd-rewrite primitive: one round's
-// substitution costs O(affected), not O(store).
+// row numbers stay allocated but dead). subs names the IDs canon moves;
+// one it maps to itself selects no row. Only affected rows — found in
+// the posting lists of every position, built on the first substitution
+// and kept up by later writes — are touched. Returns the number of rows
+// rewritten. This is the incremental egd-rewrite primitive: once the
+// lists are built, one round's substitution costs O(affected), not
+// O(store).
 func (s *Store) SubstituteIDs(subs []value.ID, canon func(value.ID) value.ID) int {
 	return s.SubstituteIDsTouched(subs, canon, nil)
 }
